@@ -33,7 +33,6 @@ from .gadgets import (
     reduce_3sat_to_c4del,
     reduce_3sat_to_c5del,
     reduce_c4comp_to_house_comp,
-    reduce_c4del_to_house_del,
 )
 from .graphs import Graph
 from .minones import (
@@ -119,21 +118,6 @@ def _variable_labels(pairs):
 
 def _cmd_reduce(args) -> int:
     target = args.target
-    if target in ("sat2del", "sat2comp"):
-        if args.pattern is None:
-            raise ValueError(f"reduce {target} needs --pattern")
-        f = normalize_3cnf(parse_dimacs(_read_text(args)))
-        reducer = (
-            reduce_3sat_to_sandwich_del
-            if target == "sat2del"
-            else reduce_3sat_to_sandwich_comp
-        )
-        instance, trace = reducer(f, named_pattern(args.pattern))
-        _write_text(
-            args, render_instance(instance, labels=_variable_labels(trace.variable_pairs))
-        )
-        return 0
-
     if target == "minones2graph":
         n = _clique_order(args)
         inst = parse_minones(_read_text(args))
@@ -152,13 +136,16 @@ def _cmd_reduce(args) -> int:
         _write_text(args, render_minones(inst))
         return 0
 
-    if args.pattern is not None:
+    general = target in ("sat2del", "sat2comp")
+    if general and args.pattern is None:
+        raise ValueError(f"reduce {target} needs --pattern")
+    if not general and args.pattern is not None:
         raise ValueError(f"reduce {target} fixes its own pattern")
     if target == "house-del":
         if args.poly is None:
             raise ValueError("reduce house-del needs --poly")
         file = parse_instance(_read_text(args), named_pattern("c4"))
-        budgeted = reduce_c4del_to_house_del(file.instance, Polynomial.parse(args.poly))
+        budgeted = lift_specific(file.instance, "house-del", Polynomial.parse(args.poly))
         _write_text(
             args,
             render_instance(budgeted.instance, budget=budgeted.budget, labels=file.labels),
@@ -166,7 +153,11 @@ def _cmd_reduce(args) -> int:
         return 0
 
     f = normalize_3cnf(parse_dimacs(_read_text(args)))
-    if target == "c4del":
+    if target == "sat2del":
+        instance, trace = reduce_3sat_to_sandwich_del(f, named_pattern(args.pattern))
+    elif target == "sat2comp":
+        instance, trace = reduce_3sat_to_sandwich_comp(f, named_pattern(args.pattern))
+    elif target == "c4del":
         instance, trace = reduce_3sat_to_c4del(f)
     elif target == "c5del":
         instance, trace = reduce_3sat_to_c5del(f)
@@ -175,8 +166,7 @@ def _cmd_reduce(args) -> int:
         instance, trace = reduce_3sat_to_c4comp(duplicate_for_min_occurrences(f, 2))
         if target == "house-comp":
             instance = reduce_c4comp_to_house_comp(instance)
-    labels = _variable_labels(zip(trace.true_markers, trace.false_markers))
-    _write_text(args, render_instance(instance, labels=labels))
+    _write_text(args, render_instance(instance, labels=_variable_labels(trace.variable_pairs)))
     return 0
 
 

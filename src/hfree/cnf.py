@@ -133,6 +133,9 @@ def parse_dimacs(text: str) -> CnfFormula:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if line == "%":
+            # SATLIB files end with a "%" line and a stray "0" after it.
+            break
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":

@@ -28,8 +28,8 @@ from functools import lru_cache
 
 from .cnf import CnfFormula, occurrence_counts
 from .graphs import Graph, edge_key, is_h_free
-from .patterns import cycle_graph, house_graph, named_pattern
-from .reductions import Polynomial, _GraphBuilder, lift_sandwich_comp, lift_sandwich_del
+from .patterns import cycle_graph, house_graph, named_pattern, require
+from .reductions import Polynomial, _GraphBuilder
 from .solver import BudgetedInstance, COMPLETION, DELETION, SandwichInstance
 
 
@@ -61,10 +61,6 @@ def has_c4_subgraph(graph: Graph) -> bool:
             if len(nu & graph.neighbors(v)) >= 2:
                 return True
     return False
-
-
-def _spanned(pairs, vertex_count: int) -> Graph:
-    return Graph(vertex_count, pairs)
 
 
 def _all_solutions(vertex_count, edges, free, pattern, mode):
@@ -153,7 +149,7 @@ def check_c4_deletion_gadgets() -> tuple:
     sols = _all_solutions(builder.vertex_count, builder.edges, builder.free, square, DELETION)
     if sorted(sols, key=sorted) != sorted((fire_true, fire_false), key=sorted):
         raise GadgetContractError("square deletion variable gadget: solutions are not the two chains")
-    if has_c4_subgraph(_spanned(builder.free, builder.vertex_count)):
+    if has_c4_subgraph(Graph(builder.vertex_count, builder.free)):
         raise GadgetContractError("square deletion variable gadget: free pairs span a square")
     variable = GadgetContract(
         "c4-deletion variable", builder.vertex_count, len(builder.free), 2 ** len(builder.free),
@@ -179,7 +175,7 @@ def check_c4_deletion_gadgets() -> tuple:
     )
     if not all(facts):
         raise GadgetContractError("square deletion clause gadget: solution-set facts failed")
-    if has_c4_subgraph(_spanned(builder.free, builder.vertex_count)):
+    if has_c4_subgraph(Graph(builder.vertex_count, builder.free)):
         raise GadgetContractError("square deletion clause gadget: free pairs span a square")
     clause = GadgetContract(
         "c4-deletion clause", builder.vertex_count, len(builder.free), 2 ** len(builder.free),
@@ -372,7 +368,7 @@ def check_c4_completion_gadgets() -> tuple:
     want = sorted((frozenset(labels["true"]), frozenset(labels["false"])), key=sorted)
     if sorted(sols, key=sorted) != want:
         raise GadgetContractError("square completion ladder: solutions are not the two orientations")
-    if has_c4_subgraph(_spanned(builder.free, builder.vertex_count)):
+    if has_c4_subgraph(Graph(builder.vertex_count, builder.free)):
         raise GadgetContractError("square completion ladder: fillable pairs span a square")
     ladder = GadgetContract(
         "c4-completion ladder", builder.vertex_count, len(builder.free), checked,
@@ -401,7 +397,7 @@ def check_c4_completion_gadgets() -> tuple:
         raise GadgetContractError("square completion clause gadget: solution-set facts failed")
     if not all(any(lit in sol for lit in labels["literals"]) for sol in sols):
         raise GadgetContractError("square completion clause gadget: a solution asserts no literal")
-    if has_c4_subgraph(_spanned(builder.free, builder.vertex_count)):
+    if has_c4_subgraph(Graph(builder.vertex_count, builder.free)):
         raise GadgetContractError("square completion clause gadget: fillable pairs span a square")
     clause = GadgetContract(
         "c4-completion clause", builder.vertex_count, len(builder.free), 2 ** len(builder.free),
@@ -420,28 +416,22 @@ def check_c4_completion_gadgets() -> tuple:
 class SpecificTrace:
     """Labels tying a wired-gadget instance back to its formula.
 
-    true_markers[i] is a single free pair whose membership in a solution
-    means variable i+1 is true; false_markers[i] is the mirror. Extents
-    list each gadget's vertices, and connector_extents the vertex sets of
-    the wiring copies, which the locality checks sweep.
+    variable_pairs[i] holds the (true, false) pair for variable i+1, as in
+    ReductionTrace: a single free pair whose membership in a solution
+    means the variable takes that value. Extents list each gadget's
+    vertices, and connector_extents the vertex sets of the wiring copies,
+    which the locality checks sweep.
     """
 
     mode: str
     variable_count: int
     clause_count: int
-    true_markers: tuple
-    false_markers: tuple
+    variable_pairs: tuple
     variable_solutions: tuple
     clause_literal_pairs: tuple
     variable_extents: tuple
     clause_extents: tuple
     connector_extents: tuple
-
-
-def specific_assignment(trace: SpecificTrace, pairs) -> tuple:
-    """Read a truth assignment off a solution of a wired-gadget instance."""
-    chosen = {edge_key(u, v) for u, v in pairs}
-    return tuple(marker in chosen for marker in trace.true_markers)
 
 
 def _require_exact_3cnf(formula: CnfFormula):
@@ -455,6 +445,56 @@ def _require_exact_3cnf(formula: CnfFormula):
             raise ValueError(f"clause {j} repeats a variable; wired reductions need three distinct variables per clause")
 
 
+def _wire(formula, variable_gadget, clause_gadget, connect, *, mode, pattern, solutions, marker):
+    """The skeleton shared by the wired reductions.
+
+    Plants variable_gadget(builder, x) for every variable x, then
+    clause_gadget(builder) for every clause, recording each gadget's
+    vertex extent, then wires every literal occurrence with
+    connect(builder, variable, clause, pos, lit, occurrence), which returns
+    the connector's vertices; occurrence counts the variable's earlier
+    occurrences. solutions(variable) is a variable gadget's (true, false)
+    solution pair, and index marker of each side is its marker pair.
+    """
+    builder = _GraphBuilder()
+    variables, variable_extents, clauses, clause_extents = [], [], [], []
+    for x in range(1, formula.variable_count + 1):
+        start = builder.vertex_count
+        variables.append(variable_gadget(builder, x))
+        variable_extents.append(tuple(range(start, builder.vertex_count)))
+    for _ in formula.clauses:
+        start = builder.vertex_count
+        clauses.append(clause_gadget(builder))
+        clause_extents.append(tuple(range(start, builder.vertex_count)))
+    occurrences = [0] * (formula.variable_count + 1)
+    connectors = []
+    for clause, lits in zip(clauses, formula.clauses):
+        for pos, lit in enumerate(lits):
+            x = abs(lit)
+            ends = connect(builder, variables[x - 1], clause, pos, lit, occurrences[x])
+            occurrences[x] += 1
+            connectors.append(tuple(sorted(ends)))
+    variable_solutions = tuple(solutions(v) for v in variables)
+    graph = Graph(builder.vertex_count, builder.edges)
+    instance = SandwichInstance(graph, named_pattern(pattern), mode, frozenset(builder.free))
+    trace = SpecificTrace(
+        mode=mode,
+        variable_count=formula.variable_count,
+        clause_count=len(formula.clauses),
+        variable_pairs=tuple((true[marker], false[marker]) for true, false in variable_solutions),
+        variable_solutions=variable_solutions,
+        clause_literal_pairs=tuple(tuple(edge_key(*p) for p in c["literals"]) for c in clauses),
+        variable_extents=tuple(variable_extents),
+        clause_extents=tuple(clause_extents),
+        connector_extents=tuple(connectors),
+    )
+    return instance, trace
+
+
+def _chains(sides) -> tuple:
+    return sides[True]["chain"], sides[False]["chain"]
+
+
 def reduce_3sat_to_c4del(formula: CnfFormula):
     """Exact-3CNF to induced-square deletion with direct wiring.
 
@@ -466,43 +506,19 @@ def reduce_3sat_to_c4del(formula: CnfFormula):
     """
     _require_exact_3cnf(formula)
     check_c4_deletion_gadgets()
-    builder = _GraphBuilder()
-    variables = []
-    var_extents = []
-    for _ in range(formula.variable_count):
-        start = builder.vertex_count
-        variables.append(_c4del_variable(builder))
-        var_extents.append(tuple(range(start, builder.vertex_count)))
-    clauses = []
-    clause_extents = []
-    for _ in formula.clauses:
-        start = builder.vertex_count
-        clauses.append(_c4del_clause(builder))
-        clause_extents.append(tuple(range(start, builder.vertex_count)))
-    connectors = []
-    for j, clause in enumerate(formula.clauses):
-        for pos, lit in enumerate(clause):
-            side = variables[abs(lit) - 1][lit > 0]
-            s, t = clauses[j]["literals"][pos]
-            v, u = side["v"], side["u"]
-            builder.add_edge(min(s, t), min(v, u))
-            builder.add_edge(max(s, t), max(v, u))
-            connectors.append(tuple(sorted((s, t, v, u))))
-    graph = Graph(builder.vertex_count, builder.edges)
-    instance = SandwichInstance(graph, named_pattern("c4"), DELETION, frozenset(builder.free))
-    trace = SpecificTrace(
-        mode=DELETION,
-        variable_count=formula.variable_count,
-        clause_count=len(formula.clauses),
-        true_markers=tuple(v[True]["chain"][3] for v in variables),
-        false_markers=tuple(v[False]["chain"][3] for v in variables),
-        variable_solutions=tuple((v[True]["chain"], v[False]["chain"]) for v in variables),
-        clause_literal_pairs=tuple(tuple(edge_key(*p) for p in c["literals"]) for c in clauses),
-        variable_extents=tuple(var_extents),
-        clause_extents=tuple(clause_extents),
-        connector_extents=tuple(connectors),
+
+    def connect(builder, sides, clause, pos, lit, _occurrence):
+        side = sides[lit > 0]
+        s, t = clause["literals"][pos]
+        v, u = side["v"], side["u"]
+        builder.add_edge(min(s, t), min(v, u))
+        builder.add_edge(max(s, t), max(v, u))
+        return s, t, v, u
+
+    return _wire(
+        formula, lambda builder, _: _c4del_variable(builder), _c4del_clause, connect,
+        mode=DELETION, pattern="c4", solutions=_chains, marker=3,
     )
-    return instance, trace
 
 
 def reduce_3sat_to_c5del(formula: CnfFormula):
@@ -515,45 +531,21 @@ def reduce_3sat_to_c5del(formula: CnfFormula):
     """
     _require_exact_3cnf(formula)
     check_c5_deletion_gadgets()
-    builder = _GraphBuilder()
-    variables = []
-    var_extents = []
-    for _ in range(formula.variable_count):
-        start = builder.vertex_count
-        variables.append(_c5del_variable(builder))
-        var_extents.append(tuple(range(start, builder.vertex_count)))
-    clauses = []
-    clause_extents = []
-    for _ in formula.clauses:
-        start = builder.vertex_count
-        clauses.append(_c5del_clause(builder))
-        clause_extents.append(tuple(range(start, builder.vertex_count)))
-    connectors = []
-    for j, clause in enumerate(formula.clauses):
-        for pos, lit in enumerate(clause):
-            side = variables[abs(lit) - 1][lit > 0]
-            s, t = clauses[j]["ends"][pos]
-            v, u = side["v"], side["u"]
-            w = builder.fresh()
-            builder.add_edge(t, v)
-            builder.add_edge(u, w)
-            builder.add_edge(w, s)
-            connectors.append(tuple(sorted((s, t, v, u, w))))
-    graph = Graph(builder.vertex_count, builder.edges)
-    instance = SandwichInstance(graph, named_pattern("c5"), DELETION, frozenset(builder.free))
-    trace = SpecificTrace(
-        mode=DELETION,
-        variable_count=formula.variable_count,
-        clause_count=len(formula.clauses),
-        true_markers=tuple(v[True]["chain"][3] for v in variables),
-        false_markers=tuple(v[False]["chain"][3] for v in variables),
-        variable_solutions=tuple((v[True]["chain"], v[False]["chain"]) for v in variables),
-        clause_literal_pairs=tuple(c["literals"] for c in clauses),
-        variable_extents=tuple(var_extents),
-        clause_extents=tuple(clause_extents),
-        connector_extents=tuple(connectors),
+
+    def connect(builder, sides, clause, pos, lit, _occurrence):
+        side = sides[lit > 0]
+        s, t = clause["ends"][pos]
+        v, u = side["v"], side["u"]
+        w = builder.fresh()
+        builder.add_edge(t, v)
+        builder.add_edge(u, w)
+        builder.add_edge(w, s)
+        return s, t, v, u, w
+
+    return _wire(
+        formula, lambda builder, _: _c5del_variable(builder), _c5del_clause, connect,
+        mode=DELETION, pattern="c5", solutions=_chains, marker=3,
     )
-    return instance, trace
 
 
 def reduce_3sat_to_c4comp(formula: CnfFormula):
@@ -571,50 +563,22 @@ def reduce_3sat_to_c4comp(formula: CnfFormula):
     counts = occurrence_counts(formula)
     if min(counts.values()) < 2:
         raise ValueError("every variable must occur at least twice; duplicate clauses first")
-    builder = _GraphBuilder()
-    ladders = []
-    var_extents = []
-    for x in range(1, formula.variable_count + 1):
-        start = builder.vertex_count
-        ladders.append(_c4comp_ladder(builder, counts[x]))
-        var_extents.append(tuple(range(start, builder.vertex_count)))
-    clauses = []
-    clause_extents = []
-    for _ in formula.clauses:
-        start = builder.vertex_count
-        clauses.append(_c4comp_clause(builder))
-        clause_extents.append(tuple(range(start, builder.vertex_count)))
-    cursor = [0] * (formula.variable_count + 1)
-    connectors = []
-    for j, clause in enumerate(formula.clauses):
-        for pos, lit in enumerate(clause):
-            x = abs(lit)
-            ladder = ladders[x - 1]
-            slot = 4 * cursor[x]
-            cursor[x] += 1
-            v_i, u_i = clauses[j]["taps"][pos]
-            if lit > 0:
-                top, bottom = ladder["top"][slot + 1], ladder["bottom"][slot]
-            else:
-                top, bottom = ladder["top"][slot], ladder["bottom"][slot + 1]
-            builder.add_edge(top, v_i)
-            builder.add_edge(bottom, u_i)
-            connectors.append(tuple(sorted((top, bottom, v_i, u_i))))
-    graph = Graph(builder.vertex_count, builder.edges)
-    instance = SandwichInstance(graph, named_pattern("c4"), COMPLETION, frozenset(builder.free))
-    trace = SpecificTrace(
-        mode=COMPLETION,
-        variable_count=formula.variable_count,
-        clause_count=len(formula.clauses),
-        true_markers=tuple(lad["true"][0] for lad in ladders),
-        false_markers=tuple(lad["false"][0] for lad in ladders),
-        variable_solutions=tuple((lad["true"], lad["false"]) for lad in ladders),
-        clause_literal_pairs=tuple(c["literals"] for c in clauses),
-        variable_extents=tuple(var_extents),
-        clause_extents=tuple(clause_extents),
-        connector_extents=tuple(connectors),
+
+    def connect(builder, ladder, clause, pos, lit, occurrence):
+        slot = 4 * occurrence
+        v_i, u_i = clause["taps"][pos]
+        if lit > 0:
+            top, bottom = ladder["top"][slot + 1], ladder["bottom"][slot]
+        else:
+            top, bottom = ladder["top"][slot], ladder["bottom"][slot + 1]
+        builder.add_edge(top, v_i)
+        builder.add_edge(bottom, u_i)
+        return top, bottom, v_i, u_i
+
+    return _wire(
+        formula, lambda builder, x: _c4comp_ladder(builder, counts[x]), _c4comp_clause, connect,
+        mode=COMPLETION, pattern="c4", solutions=lambda ladder: (ladder["true"], ladder["false"]), marker=0,
     )
-    return instance, trace
 
 
 def solution_from_specific(trace: SpecificTrace, assignment, formula: CnfFormula) -> frozenset:
@@ -657,7 +621,7 @@ def solution_from_specific(trace: SpecificTrace, assignment, formula: CnfFormula
 def _require_square_instance(instance: SandwichInstance, mode: str):
     if instance.mode != mode or instance.pattern.graph != cycle_graph(4):
         raise ValueError(f"expected a square {mode} instance")
-    if has_c4_subgraph(_spanned(instance.free, instance.graph.vertex_count)):
+    if has_c4_subgraph(Graph(instance.graph.vertex_count, instance.free)):
         raise ValueError("free pairs span a square; the house translation would be unsound")
 
 
@@ -680,153 +644,86 @@ def reduce_c4comp_to_house_comp(instance: SandwichInstance) -> SandwichInstance:
     return SandwichInstance(graph, named_pattern("house"), COMPLETION, instance.free)
 
 
-def reduce_c4del_to_house_del(instance: SandwichInstance, polynomial: Polynomial) -> BudgetedInstance:
-    """Square deletion to budgeted house deletion.
-
-    Every rigid edge (u, v) is guarded by p(k)+2 pendant squares-with-roof
-    sharing it: gadget i adds a_i adjacent to u and b_i adjacent to u, v,
-    a_i. Any two intact gadgets yield an induced house the moment (u, v)
-    is deleted, so a p(k) budget cannot afford to touch a guarded edge,
-    while an untouched guard contributes no house. All edges of the output
-    are deletable within budget k.
-    """
-    _require_square_instance(instance, DELETION)
-    k = len(instance.free)
-    guards = polynomial(k) + 2
-    builder = _GraphBuilder()
-    builder.plant(instance.graph)
-    for u, v in sorted(instance.graph.edges - instance.free):
-        for _ in range(guards):
-            a = builder.fresh()
-            b = builder.fresh()
-            builder.add_edge(u, a)
-            builder.add_edge(u, b)
-            builder.add_edge(v, b)
-            builder.add_edge(a, b)
-    graph = Graph(builder.vertex_count, builder.edges)
-    lifted = SandwichInstance(graph, named_pattern("house"), DELETION, graph.edges)
-    return BudgetedInstance(lifted, k)
-
-
 # ---------------------------------------------------------------------------
-# per-family protection lifts
+# gap lifts
 
-
-def _lift_c4del(instance: SandwichInstance, polynomial: Polynomial) -> BudgetedInstance:
-    """Guard every rigid edge with p(k)+2 pendant vertices seeing both ends.
-
-    Two intact pendants form an induced square once the edge is deleted,
-    so clearing the swarm costs more than the whole budget.
-    """
-    k = len(instance.free)
-    builder = _GraphBuilder()
-    builder.plant(instance.graph)
-    for u, v in sorted(instance.graph.edges - instance.free):
-        for _ in range(polynomial(k) + 2):
-            w = builder.fresh()
-            builder.add_edge(u, w)
-            builder.add_edge(v, w)
-    graph = Graph(builder.vertex_count, builder.edges)
-    return BudgetedInstance(SandwichInstance(graph, instance.pattern, DELETION, graph.edges), k)
-
-
-def _lift_c5del(instance: SandwichInstance, polynomial: Polynomial) -> BudgetedInstance:
-    """Guard every rigid edge with pendant two-paths and three-paths.
-
-    Deleting the edge closes each (three-path, two-path) pair into an
-    induced pentagon; with p(k)+1 of each, no budget-p(k) solution can
-    break them all.
-    """
-    k = len(instance.free)
-    builder = _GraphBuilder()
-    builder.plant(instance.graph)
-    for u, v in sorted(instance.graph.edges - instance.free):
-        for _ in range(polynomial(k) + 1):
-            x1 = builder.fresh()
-            x2 = builder.fresh()
-            builder.add_edge(u, x1)
-            builder.add_edge(x1, x2)
-            builder.add_edge(x2, v)
-            y = builder.fresh()
-            builder.add_edge(u, y)
-            builder.add_edge(y, v)
-    graph = Graph(builder.vertex_count, builder.edges)
-    return BudgetedInstance(SandwichInstance(graph, instance.pattern, DELETION, graph.edges), k)
-
-
-def _lift_c4comp(instance: SandwichInstance, polynomial: Polynomial) -> BudgetedInstance:
-    """Guard every forbidden pair with p(k)+1 pendant three-paths.
-
-    Filling the pair closes each path into an induced square whose only
-    repairs are its own private pairs.
-    """
-    k = len(instance.free)
-    builder = _GraphBuilder()
-    builder.plant(instance.graph)
-    for u, v in sorted(set(instance.graph.non_edges()) - instance.free):
-        for _ in range(polynomial(k) + 1):
-            x1 = builder.fresh()
-            x2 = builder.fresh()
-            builder.add_edge(u, x1)
-            builder.add_edge(x1, x2)
-            builder.add_edge(x2, v)
-    graph = Graph(builder.vertex_count, builder.edges)
-    free = frozenset(graph.non_edges())
-    return BudgetedInstance(SandwichInstance(graph, instance.pattern, COMPLETION, free), k)
-
-
-def _lift_housecomp(instance: SandwichInstance, polynomial: Polynomial) -> BudgetedInstance:
-    """Guard every forbidden pair with p(k)+1 roofed three-paths.
-
-    The pendant path closes into a square when the pair is filled and the
-    roof on the path's middle edge makes it a house.
-    """
-    k = len(instance.free)
-    builder = _GraphBuilder()
-    builder.plant(instance.graph)
-    for u, v in sorted(set(instance.graph.non_edges()) - instance.free):
-        for _ in range(polynomial(k) + 1):
-            x1 = builder.fresh()
-            x2 = builder.fresh()
-            roof = builder.fresh()
-            builder.add_edge(u, x1)
-            builder.add_edge(x1, x2)
-            builder.add_edge(x2, v)
-            builder.add_edge(roof, x1)
-            builder.add_edge(roof, x2)
-    graph = Graph(builder.vertex_count, builder.edges)
-    free = frozenset(graph.non_edges())
-    return BudgetedInstance(SandwichInstance(graph, instance.pattern, COMPLETION, free), k)
-
-
-LIFT_FAMILIES = (
-    "general-del", "general-comp", "c4-del", "c5-del", "c4-comp", "house-comp", "house-del",
-)
+# Every lift plants the host and then guards each formerly fixed site (a
+# fixed edge for deletion, a fixed non-edge for completion) with p(k) +
+# extra copies of a guard graph glued onto the site by its two terminals.
+# Touching the site springs every copy open at once and the copies share
+# nothing else, so no solution within budget k = |free| can afford it.
+# The general rows take any 3-connected pattern and build the guard from
+# it: the pattern over its smallest non-edge, or the pattern less its
+# smallest edge over that edge. The named rows number their guards with
+# terminals 0 and 1 and the other vertices in the order they are created.
+#
+#   family: (required pattern, mode, extra copies, (guard, terminals), output pattern)
+LIFTS = {
+    "general-del": (None, DELETION, 0, None, None),
+    "general-comp": (None, COMPLETION, 0, None, None),
+    # a vertex seeing both ends; two of them form a square once the edge goes
+    "c4-del": (cycle_graph(4), DELETION, 2, (Graph(3, [(0, 2), (1, 2)]), (0, 1)), None),
+    # a three-path and a two-path between the ends, which close into a
+    # pentagon once the edge goes
+    "c5-del": (
+        cycle_graph(5), DELETION, 1,
+        (Graph(5, [(0, 2), (2, 3), (3, 1), (0, 4), (4, 1)]), (0, 1)), None,
+    ),
+    # a three-path between the ends, which closes into a square once filled
+    "c4-comp": (cycle_graph(4), COMPLETION, 1, (Graph(4, [(0, 2), (2, 3), (3, 1)]), (0, 1)), None),
+    # the same three-path with a roof on its middle edge, closing into a house
+    "house-comp": (
+        house_graph(), COMPLETION, 1,
+        (Graph(5, [(0, 2), (2, 3), (3, 1), (4, 2), (4, 3)]), (0, 1)), None,
+    ),
+    # the square-to-house translation: a square-with-roof a, b with a seeing
+    # one end and b seeing both ends and a; two of them form a house once
+    # the edge goes, while an untouched guard forms none
+    "house-del": (
+        cycle_graph(4), DELETION, 2,
+        (Graph(4, [(0, 2), (0, 3), (1, 3), (2, 3)]), (0, 1)), "house",
+    ),
+}
+LIFT_FAMILIES = tuple(LIFTS)
 
 
 def lift_specific(instance: SandwichInstance, family: str, polynomial: Polynomial) -> BudgetedInstance:
-    """Dispatch a protection lift by family name.
+    """Lift an instance by its family's row of LIFTS, at budget k = |free|.
 
     The general families accept any 3-connected pattern; the named ones
     check that the instance carries the matching pattern and mode. The
     house-del family is the square-to-house translation, so it expects a
     square deletion instance and emits a house one.
     """
-    if family == "general-del":
-        return lift_sandwich_del(instance, polynomial)
-    if family == "general-comp":
-        return lift_sandwich_comp(instance, polynomial)
-    if family == "house-del":
-        return reduce_c4del_to_house_del(instance, polynomial)
-    checks = {
-        "c4-del": (cycle_graph(4), DELETION, _lift_c4del),
-        "c5-del": (cycle_graph(5), DELETION, _lift_c5del),
-        "c4-comp": (cycle_graph(4), COMPLETION, _lift_c4comp),
-        "house-comp": (house_graph(), COMPLETION, _lift_housecomp),
-    }
-    if family not in checks:
+    if family not in LIFTS:
         raise ValueError(f"unknown lift family {family!r}")
-    want_graph, want_mode, lift = checks[family]
-    if instance.mode != want_mode or instance.pattern.graph != want_graph:
+    want, mode, extra, guard, output = LIFTS[family]
+    pattern = instance.pattern
+    if want is None:
+        if instance.mode != mode:
+            raise ValueError(f"expected a {mode} instance")
+        if mode == DELETION:
+            require(pattern, three_connected=True, min_non_edges=1)
+            guard = pattern.graph, pattern.non_edges[0]
+        else:
+            require(pattern, three_connected=True, min_edges=1)
+            removed = min(pattern.edges)
+            guard = Graph(pattern.vertex_count, pattern.edges - {removed}), removed
+    elif family == "house-del":
+        _require_square_instance(instance, mode)
+    elif instance.mode != mode or pattern.graph != want:
         raise ValueError(f"family {family!r} needs a matching pattern and mode")
-    return lift(instance, polynomial)
+    graph, (s, t) = guard
+    k = len(instance.free)
+    sites = instance.graph.edges if mode == DELETION else set(instance.graph.non_edges())
+    builder = _GraphBuilder()
+    builder.plant(instance.graph)
+    copies = polynomial(k) + extra
+    for u, v in sorted(sites - instance.free):
+        glue = {s: u, t: v}
+        for _ in range(copies):
+            builder.plant(graph, glue)
+    lifted = Graph(builder.vertex_count, builder.edges)
+    free = lifted.edges if mode == DELETION else frozenset(lifted.non_edges())
+    out = named_pattern(output) if output else pattern
+    return BudgetedInstance(SandwichInstance(lifted, out, mode, free), k)

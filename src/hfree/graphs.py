@@ -188,7 +188,6 @@ class MatchPlan:
                     best, best_key = v, key
             order.append(best)
             placed.add(best)
-        pos = {v: i for i, v in enumerate(order)}
         anchors = [None] * n
         earlier = [[] for _ in range(n)]
         for i, v in enumerate(order):
@@ -205,7 +204,6 @@ class MatchPlan:
         self.degrees = [pattern.degree(v) for v in order]
         self.pattern_edges = tuple(sorted(pattern.edges))
         self.pattern_non_edges = tuple(pattern.non_edges())
-        del pos
 
 
 @lru_cache(maxsize=256)

@@ -21,9 +21,10 @@ exact solution-set correspondence.
 from dataclasses import dataclass
 from itertools import combinations
 
+from .gadgets import lift_specific
 from .graphs import Graph, edge_key, enumerate_induced_copies
 from .patterns import complete_graph, complete_minus_edge, named_pattern
-from .reductions import Polynomial, _GraphBuilder, lift_sandwich_del
+from .reductions import Polynomial, _GraphBuilder
 from .solver import DELETION, SandwichInstance
 
 BRUTE_FORCE_VARIABLE_LIMIT = 24
@@ -252,7 +253,7 @@ def lift_quarantine(graph: Graph, quarantine, n: int = 5, polynomial=None):
     if polynomial is None:
         edges = graph.edge_count
         polynomial = Polynomial(1, 1, edges * edges - len(instance.free))
-    return lift_sandwich_del(instance, polynomial)
+    return lift_specific(instance, "general-del", polynomial)
 
 
 def reduce_knexdel_to_minones(g: Graph, n: int = 5):

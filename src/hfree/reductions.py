@@ -1,5 +1,5 @@
-"""Reductions from exact-3CNF to sandwich edge modification, gap lifts, and
-the deletion/completion duality.
+"""Reductions from exact-3CNF to sandwich edge modification, and the
+deletion/completion duality.
 
 Both general reductions work for any 3-connected pattern with at least two
 non-edges. The encodings are mirror images:
@@ -26,7 +26,9 @@ fixed by sheer weight: every formerly fixed element gets a bundle of
 pendant copies that all spring open if it is touched, so any solution
 within the lifted budget keeps its hands off. Pendant interiors meet the
 rest of the graph in only two vertices, which a 3-connected pattern cannot
-straddle.
+straddle. The lifts are rows of one table, `gadgets.LIFTS`: the general
+rows glue copies of the pattern itself, the named rows small guards of
+their own.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from .cnf import CnfFormula
 from .graphs import Graph, edge_key
 from .patterns import Pattern, complement_pattern, require
-from .solver import BudgetedInstance, COMPLETION, DELETION, SandwichInstance
+from .solver import COMPLETION, DELETION, SandwichInstance
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,8 @@ class _GraphBuilder:
         fresh ones for the rest. Existing edges are never duplicated and
         nothing is ever removed, so gluing is append-only."""
         premapped = premapped or {}
-        mapping = [premapped.get(v) if premapped.get(v) is not None else self.fresh() for v in range(graph.vertex_count)]
-        for a, b in sorted(graph.edges):
+        mapping = [premapped[v] if v in premapped else self.fresh() for v in range(graph.vertex_count)]
+        for a, b in graph.edges:
             self.add_edge(mapping[a], mapping[b])
         return mapping
 
@@ -124,21 +126,13 @@ class _GraphBuilder:
         return edge_key(mapping[a], mapping[b])
 
 
-def _chain_geometry_del(pattern: Pattern):
-    slot = pattern.non_edges[0]
-    banned = set(slot)
+def _chain_geometry(pattern: Pattern):
+    """The pattern's smallest non-edge and the smallest edge disjoint from it."""
+    non_edge = pattern.non_edges[0]
+    banned = set(non_edge)
     for edge in sorted(pattern.edges):
         if edge[0] not in banned and edge[1] not in banned:
-            return slot, edge
-    raise ValueError("pattern has no edge disjoint from its smallest non-edge")
-
-
-def _chain_geometry_comp(pattern: Pattern):
-    out_pair = pattern.non_edges[0]
-    banned = set(out_pair)
-    for edge in sorted(pattern.edges):
-        if edge[0] not in banned and edge[1] not in banned:
-            return edge, out_pair
+            return non_edge, edge
     raise ValueError("pattern has no edge disjoint from its smallest non-edge")
 
 
@@ -173,7 +167,7 @@ def reduce_3sat_to_sandwich_del(formula: CnfFormula, pattern: Pattern):
     require(pattern, three_connected=True, min_non_edges=2, min_edges=3)
     if not formula.is_exact_3cnf():
         raise ValueError("formula must be exact-3CNF; normalize it first")
-    slot, out_edge = _chain_geometry_del(pattern)
+    slot, out_edge = _chain_geometry(pattern)
     builder = _GraphBuilder()
     p = pattern.vertex_count
 
@@ -229,7 +223,7 @@ def reduce_3sat_to_sandwich_comp(formula: CnfFormula, pattern: Pattern):
     require(pattern, three_connected=True, min_non_edges=2, min_edges=3)
     if not formula.is_exact_3cnf():
         raise ValueError("formula must be exact-3CNF; normalize it first")
-    removed_edge, out_pair = _chain_geometry_comp(pattern)
+    out_pair, removed_edge = _chain_geometry(pattern)
     connector_graph = Graph(pattern.graph.vertex_count, pattern.edges - {removed_edge})
     smallest_edge = sorted(pattern.edges)[0]
     branch_copy = Graph(pattern.graph.vertex_count, pattern.edges - {smallest_edge})
@@ -323,68 +317,6 @@ def solution_from_assignment(formula: CnfFormula, trace: ReductionTrace, assignm
             chosen.add(trace.clause_branch_pairs[j])
         chosen.update(trace.chain_pairs[j][pos])
     return frozenset(chosen)
-
-
-def _pendant_del_copy(pattern: Pattern):
-    slot = pattern.non_edges[0]
-    return pattern.graph, slot
-
-
-def _pendant_comp_copy(pattern: Pattern):
-    removed = sorted(pattern.edges)[0]
-    return Graph(pattern.graph.vertex_count, pattern.edges - {removed}), removed
-
-
-def lift_sandwich_del(instance: SandwichInstance, polynomial: Polynomial) -> BudgetedInstance:
-    """Drop the deletable/fixed split at budget k = |free|.
-
-    Every formerly fixed edge gets p(k) pendant pattern copies glued over
-    its smallest non-edge position. Deleting the edge exposes all of them,
-    and they share no edges, so any solution of size at most p(k) leaves
-    every formerly fixed edge alone.
-    """
-    if instance.mode != DELETION:
-        raise ValueError("expected a deletion instance")
-    require(instance.pattern, three_connected=True, min_non_edges=1)
-    k = len(instance.free)
-    copies = polynomial(k)
-    copy_graph, slot = _pendant_del_copy(instance.pattern)
-    builder = _GraphBuilder()
-    builder.vertex_count = instance.graph.vertex_count
-    builder.edges = set(instance.graph.edges)
-    for pair in sorted(instance.graph.edges - instance.free):
-        for _ in range(copies):
-            builder.plant(copy_graph, {slot[0]: pair[0], slot[1]: pair[1]})
-    lifted_graph = Graph(builder.vertex_count, builder.edges)
-    lifted = SandwichInstance(lifted_graph, instance.pattern, DELETION, lifted_graph.edges)
-    return BudgetedInstance(lifted, k)
-
-
-def lift_sandwich_comp(instance: SandwichInstance, polynomial: Polynomial) -> BudgetedInstance:
-    """Drop the fillable/fixed split at budget k = |free|.
-
-    Every formerly fixed non-edge gets p(k) pendant copies, each missing one
-    edge, glued over the gap. Filling the non-edge completes all of them at
-    once, and their remaining gaps are private.
-    """
-    if instance.mode != COMPLETION:
-        raise ValueError("expected a completion instance")
-    require(instance.pattern, three_connected=True, min_edges=1)
-    k = len(instance.free)
-    copies = polynomial(k)
-    copy_graph, removed = _pendant_comp_copy(instance.pattern)
-    builder = _GraphBuilder()
-    builder.vertex_count = instance.graph.vertex_count
-    builder.edges = set(instance.graph.edges)
-    fixed_non_edges = [p for p in instance.graph.non_edges() if p not in instance.free]
-    for pair in fixed_non_edges:
-        for _ in range(copies):
-            builder.plant(copy_graph, {removed[0]: pair[0], removed[1]: pair[1]})
-    lifted_graph = Graph(builder.vertex_count, builder.edges)
-    lifted = SandwichInstance(
-        lifted_graph, instance.pattern, COMPLETION, frozenset(lifted_graph.non_edges())
-    )
-    return BudgetedInstance(lifted, k)
 
 
 def complement_instance(instance: SandwichInstance) -> SandwichInstance:

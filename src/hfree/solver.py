@@ -66,7 +66,7 @@ class SandwichInstance:
         object.__setattr__(self, "free", normalized)
         n = self.graph.vertex_count
         for u, v in normalized:
-            if v >= n:
+            if u < 0 or v >= n:
                 raise ValueError(f"free pair ({u}, {v}) out of range")
             if self.mode == DELETION and (u, v) not in self.graph.edges:
                 raise ValueError(f"free pair ({u}, {v}) is not an edge")

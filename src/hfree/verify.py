@@ -80,10 +80,6 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _report(check, digest, verdict, details):
-    return VerificationReport(check, digest, verdict, details)
-
-
 def verify_sat_equivalence(f: CnfFormula, target: str, pattern=None) -> VerificationReport:
     """Compare satisfiability against solvability of the reduced instance.
 
@@ -104,7 +100,7 @@ def verify_sat_equivalence(f: CnfFormula, target: str, pattern=None) -> Verifica
         details["reason"] = (
             f"guard is {EQUIVALENCE_VARIABLE_GUARD} variables / {EQUIVALENCE_CLAUSE_GUARD} clauses"
         )
-        return _report("sat-equivalence", digest, "skipped", details)
+        return VerificationReport("sat-equivalence", digest, "skipped", details)
 
     satisfiable = sat_brute_force(f) is not None
     if target == "general-del":
@@ -127,8 +123,8 @@ def verify_sat_equivalence(f: CnfFormula, target: str, pattern=None) -> Verifica
     details["sandwich"] = "yes" if solvable else "no"
     if satisfiable != solvable:
         details["witness"] = render_dimacs(f).replace("\n", "|")
-        return _report("sat-equivalence", digest, "fail", details)
-    return _report("sat-equivalence", digest, "pass", details)
+        return VerificationReport("sat-equivalence", digest, "fail", details)
+    return VerificationReport("sat-equivalence", digest, "pass", details)
 
 
 def verify_gap(instance: SandwichInstance, family: str, polynomial: Polynomial) -> VerificationReport:
@@ -143,7 +139,7 @@ def verify_gap(instance: SandwichInstance, family: str, polynomial: Polynomial) 
     details = {"family": family, "free": len(instance.free)}
     if len(instance.free) > GAP_FREE_GUARD:
         details["reason"] = f"guard is {GAP_FREE_GUARD} free elements"
-        return _report("gap-lift", digest, "skipped", details)
+        return VerificationReport("gap-lift", digest, "skipped", details)
 
     solvable = solve_sandwich(instance) is not None
     lifted = lift_specific(instance, family, polynomial)
@@ -158,8 +154,8 @@ def verify_gap(instance: SandwichInstance, family: str, polynomial: Polynomial) 
         details["checked"] = f"absent<={cap}"
     if not held:
         details["witness"] = render_instance(instance).replace("\n", "|")
-        return _report("gap-lift", digest, "fail", details)
-    return _report("gap-lift", digest, "pass", details)
+        return VerificationReport("gap-lift", digest, "fail", details)
+    return VerificationReport("gap-lift", digest, "pass", details)
 
 
 def verify_duality(g: Graph, pattern, k: int) -> VerificationReport:
@@ -171,7 +167,7 @@ def verify_duality(g: Graph, pattern, k: int) -> VerificationReport:
         details["reason"] = (
             f"guard is {DUALITY_VERTEX_GUARD} vertices and budget {DUALITY_BUDGET_GUARD}"
         )
-        return _report("duality", digest, "skipped", details)
+        return VerificationReport("duality", digest, "skipped", details)
 
     deletion = SandwichInstance(g, pattern, DELETION, g.edges)
     completion = complement_instance(deletion)
@@ -181,8 +177,8 @@ def verify_duality(g: Graph, pattern, k: int) -> VerificationReport:
     details["completion"] = "yes" if dual else "no"
     if primal != dual:
         details["witness"] = f"edges={sorted(g.edges)}"
-        return _report("duality", digest, "fail", details)
-    return _report("duality", digest, "pass", details)
+        return VerificationReport("duality", digest, "fail", details)
+    return VerificationReport("duality", digest, "pass", details)
 
 
 def verify_opt_scaling(inst: MinOnesInstance, n: int = 5, pendant_base=None) -> VerificationReport:
@@ -194,7 +190,7 @@ def verify_opt_scaling(inst: MinOnesInstance, n: int = 5, pendant_base=None) -> 
     free = groups.group_size * inst.variable_count
     if free > SCALING_FREE_GUARD:
         details["reason"] = f"{free} deletable edges exceed the guard {SCALING_FREE_GUARD}"
-        return _report("opt-scaling", digest, "skipped", details)
+        return VerificationReport("opt-scaling", digest, "skipped", details)
 
     result = minones_brute_force(inst)
     solution = solve_min(quarantined_instance(graph, quarantine, n))
@@ -207,8 +203,8 @@ def verify_opt_scaling(inst: MinOnesInstance, n: int = 5, pendant_base=None) -> 
     )
     if not agreed:
         details["witness"] = render_minones(inst).replace("\n", "|")
-        return _report("opt-scaling", digest, "fail", details)
-    return _report("opt-scaling", digest, "pass", details)
+        return VerificationReport("opt-scaling", digest, "fail", details)
+    return VerificationReport("opt-scaling", digest, "pass", details)
 
 
 def verify_gadget_contracts() -> VerificationReport:
@@ -223,4 +219,4 @@ def verify_gadget_contracts() -> VerificationReport:
         "contracts": len(contracts),
         "subsets": sum(c.checked_subsets for c in contracts),
     }
-    return _report("gadget-contracts", digest, "pass", details)
+    return VerificationReport("gadget-contracts", digest, "pass", details)

@@ -95,10 +95,18 @@ def test_dimacs_parser_accepts_comments_and_multiline_clauses():
     assert parse_dimacs(text) == formula(2, [(1, -2, 2)])
 
 
+def test_dimacs_parser_stops_at_satlib_trailer():
+    text = "p cnf 3 1\n1 -2 3 0\n%\n0\n"
+    assert parse_dimacs(text) == formula(3, [(1, -2, 3)])
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
         ("1 2 0\n", "missing problem line"),
+        ("p cnf 3 2\n1 -2 3 0\n%\n0\n", "declared 2 clauses"),
+        ("p cnf 3 1\n1 -2 3 0 %\n", "invalid literal"),
+        ("p cnf 3 1\n1 -2 3 0\n%%\n", "invalid literal"),
         ("p cnf 2 1\n1 2\n", "trailing literals"),
         ("p cnf 2 2\n1 2 0\n", "declared 2 clauses"),
         ("p dnf 2 1\n1 2 0\n", "bad problem line"),

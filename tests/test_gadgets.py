@@ -14,13 +14,11 @@ from hfree.gadgets import (
     reduce_3sat_to_c4del,
     reduce_3sat_to_c5del,
     reduce_c4comp_to_house_comp,
-    reduce_c4del_to_house_del,
     solution_from_specific,
-    specific_assignment,
 )
 from hfree.graphs import Graph, find_induced_copy, induced_subgraph, is_h_free
 from hfree.patterns import complete_graph, cycle_graph, house_graph, named_pattern, path_graph
-from hfree.reductions import Polynomial
+from hfree.reductions import Polynomial, assignment_from_solution
 from hfree.solver import (
     COMPLETION,
     DELETION,
@@ -134,7 +132,7 @@ def test_wired_equivalence_random(reduce_fn, needs_duplication):
         instance, trace = reduce_fn(f)
         found = solve_sandwich(instance)
         assert found is not None
-        assignment = specific_assignment(trace, found)
+        assignment = assignment_from_solution(trace, found)
         assert satisfies(f, assignment)
         canonical = solution_from_specific(trace, model, f)
         assert is_solution(instance, canonical)
@@ -222,12 +220,12 @@ def test_house_translation_preconditions():
         reduce_c4comp_to_house_comp(spanning)
     wrong_pattern = SandwichInstance(cycle_graph(5), C5, DELETION, frozenset({(0, 1)}))
     with pytest.raises(ValueError, match="square deletion"):
-        reduce_c4del_to_house_del(wrong_pattern, GROW)
+        lift_specific(wrong_pattern, "house-del", GROW)
 
 
 def test_house_deletion_guards():
     source = SandwichInstance(cycle_graph(4), C4, DELETION, frozenset({(0, 1)}))
-    lifted = reduce_c4del_to_house_del(source, GROW)
+    lifted = lift_specific(source, "house-del", GROW)
     guards = GROW(1) + 2
     assert lifted.budget == 1
     assert lifted.instance.pattern.graph == house_graph()
@@ -235,8 +233,8 @@ def test_house_deletion_guards():
     assert lifted.instance.free == lifted.instance.graph.edges
     assert solve_budgeted(lifted) is not None
 
-    hard = reduce_c4del_to_house_del(
-        SandwichInstance(cycle_graph(4), C4, DELETION, frozenset()), GROW)
+    hard = lift_specific(
+        SandwichInstance(cycle_graph(4), C4, DELETION, frozenset()), "house-del", GROW)
     assert solve_budgeted(type(hard)(hard.instance, GROW(0))) is None
 
 
@@ -244,7 +242,7 @@ def test_house_deletion_guard_witness():
     # Deleting a guarded edge exposes a house on the edge ends, one full
     # guard, and a second guard's inner vertex.
     source = SandwichInstance(complete_graph(2), C4, DELETION, frozenset())
-    lifted = reduce_c4del_to_house_del(source, GROW)
+    lifted = lift_specific(source, "house-del", GROW)
     stripped = Graph(lifted.instance.graph.vertex_count,
                      set(lifted.instance.graph.edges) - {(0, 1)})
     witness = find_induced_copy(stripped, house_graph())

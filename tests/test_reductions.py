@@ -3,14 +3,13 @@ import random
 import pytest
 
 from hfree.cnf import formula, sat_brute_force, satisfies
+from hfree.gadgets import lift_specific
 from hfree.graphs import Graph
 from hfree.patterns import named_pattern
 from hfree.reductions import (
     Polynomial,
     assignment_from_solution,
     complement_instance,
-    lift_sandwich_comp,
-    lift_sandwich_del,
     reduce_3sat_to_sandwich_comp,
     reduce_3sat_to_sandwich_del,
     solution_from_assignment,
@@ -139,13 +138,13 @@ def test_lift_del_yes_and_no():
     poly = Polynomial(1, 1, 1)
 
     yes = SandwichInstance(Graph(5, wg.edges), WHEEL, "deletion", frozenset({(0, 1)}))
-    lifted = lift_sandwich_del(yes, poly)
+    lifted = lift_specific(yes, "general-del", poly)
     assert lifted.budget == 1
     got = solve_budgeted(lifted)
     assert got is not None and len(got) <= lifted.budget
 
     no = SandwichInstance(Graph(5, wg.edges), WHEEL, "deletion", frozenset())
-    lifted_no = lift_sandwich_del(no, poly)
+    lifted_no = lift_specific(no, "general-del", poly)
     assert lifted_no.budget == 0
     # The lifted graph has one pendant copy per original edge.
     assert lifted_no.instance.graph.vertex_count == 5 + 8 * 3
@@ -158,12 +157,12 @@ def test_lift_comp_yes_and_no():
     host = Graph(6, wg.edges)
 
     yes = SandwichInstance(host, WHEEL, "completion", frozenset({(0, 2)}))
-    lifted = lift_sandwich_comp(yes, poly)
+    lifted = lift_specific(yes, "general-comp", poly)
     got = solve_budgeted(lifted)
     assert got is not None and len(got) <= lifted.budget == 1
 
     no = SandwichInstance(host, WHEEL, "completion", frozenset({(0, 5)}))
-    lifted_no = lift_sandwich_comp(no, poly)
+    lifted_no = lift_specific(no, "general-comp", poly)
     assert solve_budgeted(BudgetedInstance(lifted_no.instance, poly(1))) is None
 
 
@@ -171,20 +170,20 @@ def test_lift_pendant_counts_and_identity_cases():
     wg = WHEEL.graph
     k5mm = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) not in {(0, 1), (2, 3)}])
     one_fixed = SandwichInstance(k5mm, WHEEL, "completion", frozenset({(0, 1)}))
-    lifted = lift_sandwich_comp(one_fixed, Polynomial(1, 1, 2))
+    lifted = lift_specific(one_fixed, "general-comp", Polynomial(1, 1, 2))
     # p(1) = 3 pendant copies, each adding vertex_count - 2 fresh vertices.
     assert lifted.instance.graph.vertex_count == 5 + 3 * 3
 
     all_free_comp = SandwichInstance(Graph(6, wg.edges), WHEEL, "completion", frozenset(Graph(6, wg.edges).non_edges()))
-    assert lift_sandwich_comp(all_free_comp, Polynomial(1, 1, 1)).instance == all_free_comp
+    assert lift_specific(all_free_comp, "general-comp", Polynomial(1, 1, 1)).instance == all_free_comp
 
     all_free_del = SandwichInstance(Graph(5, wg.edges), WHEEL, "deletion", frozenset(wg.edges))
-    assert lift_sandwich_del(all_free_del, Polynomial(1, 1, 1)).instance == all_free_del
+    assert lift_specific(all_free_del, "general-del", Polynomial(1, 1, 1)).instance == all_free_del
 
     with pytest.raises(ValueError, match="deletion"):
-        lift_sandwich_del(all_free_comp, Polynomial(1, 1, 1))
+        lift_specific(all_free_comp, "general-del", Polynomial(1, 1, 1))
     with pytest.raises(ValueError, match="completion"):
-        lift_sandwich_comp(all_free_del, Polynomial(1, 1, 1))
+        lift_specific(all_free_del, "general-comp", Polynomial(1, 1, 1))
 
 
 def random_sandwich(rng):

@@ -48,6 +48,9 @@ def test_instance_validation():
         SandwichInstance(c4, pat, "completion", frozenset({(0, 1)}))
     with pytest.raises(ValueError, match="out of range"):
         SandwichInstance(c4, pat, "completion", frozenset({(0, 9)}))
+    for mode in ("deletion", "completion"):
+        with pytest.raises(ValueError, match="out of range"):
+            SandwichInstance(c4, pat, mode, frozenset({(-1, 2)}))
     with pytest.raises(ValueError):
         BudgetedInstance(deletion_instance(c4, pat), -1)
 
