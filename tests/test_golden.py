@@ -1,8 +1,9 @@
-"""Golden bytes: sha256 digests of rendered lift and reduce outputs.
+"""Golden bytes: sha256 digests of rendered lift, reduce and verify outputs.
 
 Refactors of the builders must keep every output byte-identical; these
-digests pin one gap-corpus instance per lift family under two polynomials
-and every formula and square target of `hfree reduce` on a fixed formula.
+digests pin one gap-corpus instance per lift family under two polynomials,
+every formula and square target of `hfree reduce` on a fixed formula, and
+the report `hfree verify equivalence` prints for every target on it.
 """
 
 import hashlib
@@ -47,6 +48,15 @@ REDUCE_DIGESTS = {
     ("house-del", "--poly", "1,1,1"): "3c4cac3ba413f8bffc83faf79c82ce1fa3d496dfc9e5d9e8cbfe0a67bf77d9f7",
 }
 
+EQUIVALENCE_DIGESTS = {
+    ("general-del", "--pattern", "wheel4"): "54c2095e09f5f3e3edd5b6e5fb223194141f46b359cfe4ba2f136df63139587e",
+    ("general-comp", "--pattern", "wheel4"): "ec122a6378ed2194c7132d527749120212fe740249dd31fd0e73994d8706d458",
+    ("c4-del",): "23b0d24432bc046995186f3b54813c3d52ba3089a6838511c659ad82cddb5313",
+    ("c5-del",): "8dcf9d5abc3c88da0de2374401339dffc9623540a25f17283b8b3ada139b6c64",
+    ("c4-comp",): "7e84084aca07b4ee8e781d1c2e10d5e9436d42c87f8bae39a0209cccdd95056c",
+    ("house-comp-via-c4",): "599387e681d818016b9985615c88f8358b737965dafa1aa2591a359f62e4152f",
+}
+
 FORMULA = render_dimacs(formula(3, [(1, -2, 3), (-1, 2, -3)]))
 SQUARE = render_instance(
     SandwichInstance(Graph(4, {(0, 1), (1, 2), (2, 3), (0, 3)}), named_pattern("c4"), DELETION, frozenset({(0, 1)})),
@@ -81,3 +91,13 @@ def test_reduce_output_bytes(tmp_path, argv):
     out = tmp_path / "out.hfi"
     assert main(["reduce", *argv, "-i", str(source), "-o", str(out)]) == 0
     assert digest(out.read_text(encoding="ascii")) == REDUCE_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(EQUIVALENCE_DIGESTS))
+def test_verify_equivalence_output_bytes(tmp_path, argv):
+    source = tmp_path / "in.cnf"
+    source.write_text(FORMULA, encoding="ascii")
+    out = tmp_path / "report.txt"
+    target, *extra = argv
+    assert main(["verify", "equivalence", "--target", target, *extra, "-i", str(source), "-o", str(out)]) == 0
+    assert digest(out.read_text(encoding="ascii")) == EQUIVALENCE_DIGESTS[argv]
