@@ -7,7 +7,8 @@ is deterministic: the same input bytes and flags produce the same output
 bytes.
 
 Exit codes: 0 on success or a passing check, 1 on a failing check, 2 on a
-usage or parse error, 3 when a guard or the node limit cut the run short.
+usage or parse error, 3 when a guard or the node limit cut the run short,
+4 on an internal error.
 """
 
 from __future__ import annotations
@@ -18,22 +19,9 @@ import random
 import re
 import sys
 
-from .cnf import duplicate_for_min_occurrences, normalize_3cnf, parse_dimacs
-from .formats import (
-    FormatError,
-    parse_instance,
-    parse_minones,
-    render_instance,
-    render_minones,
-)
-from .gadgets import (
-    LIFT_FAMILIES,
-    lift_specific,
-    reduce_3sat_to_c4comp,
-    reduce_3sat_to_c4del,
-    reduce_3sat_to_c5del,
-    reduce_c4comp_to_house_comp,
-)
+from .cnf import parse_dimacs
+from .formats import parse_instance, parse_minones, render_instance, render_minones
+from .gadgets import FORMULA_TARGETS, LIFT_FAMILIES, lift_specific, reduce_formula
 from .graphs import Graph
 from .minones import (
     quarantined_instance,
@@ -41,12 +29,7 @@ from .minones import (
     reduce_minones_to_quarantined,
 )
 from .patterns import complement_pattern, named_pattern
-from .reductions import (
-    Polynomial,
-    complement_instance,
-    reduce_3sat_to_sandwich_comp,
-    reduce_3sat_to_sandwich_del,
-)
+from .reductions import Polynomial, complement_instance
 from .solver import (
     DEFAULT_NODE_LIMIT,
     DELETION,
@@ -136,7 +119,7 @@ def _cmd_reduce(args) -> int:
         _write_text(args, render_minones(inst))
         return 0
 
-    general = target in ("sat2del", "sat2comp")
+    general = target in FORMULA_TARGETS and FORMULA_TARGETS[target][1]
     if general and args.pattern is None:
         raise ValueError(f"reduce {target} needs --pattern")
     if not general and args.pattern is not None:
@@ -144,40 +127,25 @@ def _cmd_reduce(args) -> int:
     if target == "house-del":
         if args.poly is None:
             raise ValueError("reduce house-del needs --poly")
-        file = parse_instance(_read_text(args), named_pattern("c4"))
-        budgeted = lift_specific(file.instance, "house-del", Polynomial.parse(args.poly))
-        _write_text(
-            args,
-            render_instance(budgeted.instance, budget=budgeted.budget, labels=file.labels),
-        )
-        return 0
+        return _lift(args, "house-del", named_pattern("c4"))
 
-    f = normalize_3cnf(parse_dimacs(_read_text(args)))
-    if target == "sat2del":
-        instance, trace = reduce_3sat_to_sandwich_del(f, named_pattern(args.pattern))
-    elif target == "sat2comp":
-        instance, trace = reduce_3sat_to_sandwich_comp(f, named_pattern(args.pattern))
-    elif target == "c4del":
-        instance, trace = reduce_3sat_to_c4del(f)
-    elif target == "c5del":
-        instance, trace = reduce_3sat_to_c5del(f)
-    else:
-        # The square-completion ladder needs every variable in two clauses.
-        instance, trace = reduce_3sat_to_c4comp(duplicate_for_min_occurrences(f, 2))
-        if target == "house-comp":
-            instance = reduce_c4comp_to_house_comp(instance)
+    instance, trace = reduce_formula(target, parse_dimacs(_read_text(args)), _flag_pattern(args))
     _write_text(args, render_instance(instance, labels=_variable_labels(trace.variable_pairs)))
     return 0
 
 
-def _cmd_lift(args) -> int:
-    file = parse_instance(_read_text(args), _flag_pattern(args))
-    budgeted = lift_specific(file.instance, args.family, Polynomial.parse(args.poly))
+def _lift(args, family, default_pattern) -> int:
+    file = parse_instance(_read_text(args), default_pattern)
+    budgeted = lift_specific(file.instance, family, Polynomial.parse(args.poly))
     _write_text(
         args,
         render_instance(budgeted.instance, budget=budgeted.budget, labels=file.labels),
     )
     return 0
+
+
+def _cmd_lift(args) -> int:
+    return _lift(args, args.family, _flag_pattern(args))
 
 
 def _cmd_complement(args) -> int:
@@ -345,6 +313,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except Exception as error:
+        _write_text(args, f"RESULT error {args.command} {type(error).__name__}\n")
+        print(f"error: {error}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -129,7 +129,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     declared_clauses = None
     literals = []
     clauses = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -140,11 +140,16 @@ def parse_dimacs(text: str) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad problem line: {raw!r}")
-            variable_count = int(parts[2])
-            declared_clauses = int(parts[3])
+            try:
+                variable_count, declared_clauses = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ValueError(f"line {number}: bad count in problem line: {raw!r}") from None
             continue
         for token in line.split():
-            lit = int(token)
+            try:
+                lit = int(token)
+            except ValueError:
+                raise ValueError(f"line {number}: invalid literal {token!r}") from None
             if lit == 0:
                 if not literals:
                     raise ValueError("empty clause in DIMACS input")

@@ -26,10 +26,12 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cnf import CnfFormula, occurrence_counts
+from .cnf import CnfFormula, duplicate_for_min_occurrences, normalize_3cnf, occurrence_counts
 from .graphs import Graph, edge_key, is_h_free
 from .patterns import cycle_graph, house_graph, named_pattern, require
-from .reductions import Polynomial, _GraphBuilder
+from .reductions import (
+    Polynomial, _GraphBuilder, _wire, reduce_3sat_to_sandwich_comp, reduce_3sat_to_sandwich_del,
+)
 from .solver import BudgetedInstance, COMPLETION, DELETION, SandwichInstance
 
 
@@ -445,38 +447,16 @@ def _require_exact_3cnf(formula: CnfFormula):
             raise ValueError(f"clause {j} repeats a variable; wired reductions need three distinct variables per clause")
 
 
-def _wire(formula, variable_gadget, clause_gadget, connect, *, mode, pattern, solutions, marker):
-    """The skeleton shared by the wired reductions.
+def _wire_specific(formula, pattern, mode, variable_gadget, clause_gadget, connect, *, solutions, marker):
+    """A wired reduction built by _wire and labeled with a SpecificTrace.
 
-    Plants variable_gadget(builder, x) for every variable x, then
-    clause_gadget(builder) for every clause, recording each gadget's
-    vertex extent, then wires every literal occurrence with
-    connect(builder, variable, clause, pos, lit, occurrence), which returns
-    the connector's vertices; occurrence counts the variable's earlier
-    occurrences. solutions(variable) is a variable gadget's (true, false)
-    solution pair, and index marker of each side is its marker pair.
-    """
-    builder = _GraphBuilder()
-    variables, variable_extents, clauses, clause_extents = [], [], [], []
-    for x in range(1, formula.variable_count + 1):
-        start = builder.vertex_count
-        variables.append(variable_gadget(builder, x))
-        variable_extents.append(tuple(range(start, builder.vertex_count)))
-    for _ in formula.clauses:
-        start = builder.vertex_count
-        clauses.append(clause_gadget(builder))
-        clause_extents.append(tuple(range(start, builder.vertex_count)))
-    occurrences = [0] * (formula.variable_count + 1)
-    connectors = []
-    for clause, lits in zip(clauses, formula.clauses):
-        for pos, lit in enumerate(lits):
-            x = abs(lit)
-            ends = connect(builder, variables[x - 1], clause, pos, lit, occurrences[x])
-            occurrences[x] += 1
-            connectors.append(tuple(sorted(ends)))
+    connect returns its connector's vertices; solutions(variable) is a
+    variable gadget's (true, false) solution pair, whose index marker is
+    the side's marker pair."""
+    instance, variables, clauses, connectors, variable_extents, clause_extents = _wire(
+        formula, named_pattern(pattern), mode, variable_gadget, clause_gadget, connect
+    )
     variable_solutions = tuple(solutions(v) for v in variables)
-    graph = Graph(builder.vertex_count, builder.edges)
-    instance = SandwichInstance(graph, named_pattern(pattern), mode, frozenset(builder.free))
     trace = SpecificTrace(
         mode=mode,
         variable_count=formula.variable_count,
@@ -484,9 +464,9 @@ def _wire(formula, variable_gadget, clause_gadget, connect, *, mode, pattern, so
         variable_pairs=tuple((true[marker], false[marker]) for true, false in variable_solutions),
         variable_solutions=variable_solutions,
         clause_literal_pairs=tuple(tuple(edge_key(*p) for p in c["literals"]) for c in clauses),
-        variable_extents=tuple(variable_extents),
-        clause_extents=tuple(clause_extents),
-        connector_extents=tuple(connectors),
+        variable_extents=variable_extents,
+        clause_extents=clause_extents,
+        connector_extents=tuple(tuple(sorted(ends)) for per_clause in connectors for ends in per_clause),
     )
     return instance, trace
 
@@ -515,9 +495,9 @@ def reduce_3sat_to_c4del(formula: CnfFormula):
         builder.add_edge(max(s, t), max(v, u))
         return s, t, v, u
 
-    return _wire(
-        formula, lambda builder, _: _c4del_variable(builder), _c4del_clause, connect,
-        mode=DELETION, pattern="c4", solutions=_chains, marker=3,
+    return _wire_specific(
+        formula, "c4", DELETION, lambda builder, _: _c4del_variable(builder), _c4del_clause, connect,
+        solutions=_chains, marker=3,
     )
 
 
@@ -542,9 +522,9 @@ def reduce_3sat_to_c5del(formula: CnfFormula):
         builder.add_edge(w, s)
         return s, t, v, u, w
 
-    return _wire(
-        formula, lambda builder, _: _c5del_variable(builder), _c5del_clause, connect,
-        mode=DELETION, pattern="c5", solutions=_chains, marker=3,
+    return _wire_specific(
+        formula, "c5", DELETION, lambda builder, _: _c5del_variable(builder), _c5del_clause, connect,
+        solutions=_chains, marker=3,
     )
 
 
@@ -575,9 +555,9 @@ def reduce_3sat_to_c4comp(formula: CnfFormula):
         builder.add_edge(bottom, u_i)
         return top, bottom, v_i, u_i
 
-    return _wire(
-        formula, lambda builder, x: _c4comp_ladder(builder, counts[x]), _c4comp_clause, connect,
-        mode=COMPLETION, pattern="c4", solutions=lambda ladder: (ladder["true"], ladder["false"]), marker=0,
+    return _wire_specific(
+        formula, "c4", COMPLETION, lambda builder, x: _c4comp_ladder(builder, counts[x]), _c4comp_clause,
+        connect, solutions=lambda ladder: (ladder["true"], ladder["false"]), marker=0,
     )
 
 
@@ -727,3 +707,40 @@ def lift_specific(instance: SandwichInstance, family: str, polynomial: Polynomia
     free = lifted.edges if mode == DELETION else frozenset(lifted.non_edges())
     out = named_pattern(output) if output else pattern
     return BudgetedInstance(SandwichInstance(lifted, out, mode, free), k)
+
+
+# ---------------------------------------------------------------------------
+# formula targets
+
+# The square-completion ladder needs every variable in two clauses, and
+# duplicating a clause leaves the satisfying set alone. Rows look the
+# reductions up by name at call time, so a wrapper rebound onto a module
+# name (as benchmarks/tracing.py does) sees every call.
+
+
+def _ladder(f, _pattern):
+    return reduce_3sat_to_c4comp(duplicate_for_min_occurrences(f, 2))
+
+
+def _house(f, pattern):
+    instance, trace = _ladder(f, pattern)
+    return reduce_c4comp_to_house_comp(instance), trace
+
+
+#   `hfree reduce` target: (reduction of an exact-3CNF formula and pattern, takes a pattern)
+FORMULA_TARGETS = {
+    "sat2del": (lambda f, pattern: reduce_3sat_to_sandwich_del(f, pattern), True),
+    "sat2comp": (lambda f, pattern: reduce_3sat_to_sandwich_comp(f, pattern), True),
+    "c4del": (lambda f, _: reduce_3sat_to_c4del(f), False),
+    "c5del": (lambda f, _: reduce_3sat_to_c5del(f), False),
+    "c4comp": (_ladder, False),
+    "house-comp": (_house, False),
+}
+
+
+def reduce_formula(target: str, formula: CnfFormula, pattern=None):
+    """Normalize formula to exact-3CNF and build target's row of
+    FORMULA_TARGETS from it: the instance and a trace whose variable_pairs
+    label it. Only the general targets read pattern."""
+    build, _ = FORMULA_TARGETS[target]
+    return build(normalize_3cnf(formula), pattern)

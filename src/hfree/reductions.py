@@ -21,6 +21,9 @@ non-edges. The encodings are mirror images:
   over the incoming fillable pair so that filling it forces the outgoing
   fill.
 
+These two and the three wired reductions in `gadgets` share one skeleton,
+`_wire`; the formula targets are the rows of `gadgets.FORMULA_TARGETS`.
+
 The gap lifts drop the free/fixed distinction and protect what used to be
 fixed by sheer weight: every formerly fixed element gets a bundle of
 pendant copies that all spring open if it is touched, so any solution
@@ -62,10 +65,11 @@ class Polynomial:
 
     @classmethod
     def parse(cls, text: str) -> "Polynomial":
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"expected 'scale,degree,shift', got {text!r}")
-        return cls(int(parts[0]), int(parts[1]), int(parts[2]))
+        try:
+            scale, degree, shift = (int(part) for part in text.split(","))
+        except ValueError:
+            raise ValueError(f"expected 'scale,degree,shift', got {text!r}") from None
+        return cls(scale, degree, shift)
 
 
 @dataclass(frozen=True)
@@ -136,13 +140,13 @@ def _chain_geometry(pattern: Pattern):
     raise ValueError("pattern has no edge disjoint from its smallest non-edge")
 
 
-def _build_chain(builder, copy_graph, slot, out_pair, steps, start_pair, end_pair, mark_free):
+def _build_chain(builder, copy_graph, slot, out_pair, steps, start_pair, end_pair):
     """Connector chain carrying start_pair to end_pair.
 
     Each step plants copy_graph with its slot pair glued (smaller pattern
     index to smaller host index) onto the incoming pair; the outgoing pair
-    becomes the next incoming one. The final step also glues its outgoing
-    pair onto end_pair, adding no new free element there.
+    becomes the next incoming one and is marked free. The final step also
+    glues its outgoing pair onto end_pair, adding no new free element there.
     """
     incoming = start_pair
     free_pairs = []
@@ -155,10 +159,45 @@ def _build_chain(builder, copy_graph, slot, out_pair, steps, start_pair, end_pai
         mapping = builder.plant(copy_graph, premapped)
         outgoing = builder.pair_of(mapping, out_pair)
         if not last:
-            mark_free(outgoing)
+            builder.mark_free(*outgoing)
             free_pairs.append(outgoing)
         incoming = outgoing
     return tuple(free_pairs)
+
+
+def _wire(formula, pattern, mode, variable_gadget, clause_gadget, connect):
+    """The skeleton shared by every formula reduction.
+
+    Plants variable_gadget(builder, x) for every variable x, then
+    clause_gadget(builder) for every clause, then wires every literal
+    occurrence with connect(builder, variable, clause, pos, lit,
+    occurrence), where occurrence counts the variable's earlier ones.
+    Returns the instance, the variable and clause gadgets, connect's
+    results grouped per clause, and each gadget's vertex extent.
+    """
+    builder = _GraphBuilder()
+    variables, variable_extents, clauses, clause_extents = [], [], [], []
+    for x in range(1, formula.variable_count + 1):
+        start = builder.vertex_count
+        variables.append(variable_gadget(builder, x))
+        variable_extents.append(tuple(range(start, builder.vertex_count)))
+    for _ in formula.clauses:
+        start = builder.vertex_count
+        clauses.append(clause_gadget(builder))
+        clause_extents.append(tuple(range(start, builder.vertex_count)))
+    occurrences = [0] * (formula.variable_count + 1)
+    connections = []
+    for clause, lits in zip(clauses, formula.clauses):
+        per_clause = []
+        for pos, lit in enumerate(lits):
+            x = abs(lit)
+            per_clause.append(connect(builder, variables[x - 1], clause, pos, lit, occurrences[x]))
+            occurrences[x] += 1
+        connections.append(tuple(per_clause))
+    graph = Graph(builder.vertex_count, builder.edges)
+    instance = SandwichInstance(graph, pattern, mode, frozenset(builder.free))
+    return (instance, tuple(variables), tuple(clauses), tuple(connections),
+            tuple(variable_extents), tuple(clause_extents))
 
 
 def reduce_3sat_to_sandwich_del(formula: CnfFormula, pattern: Pattern):
@@ -168,52 +207,28 @@ def reduce_3sat_to_sandwich_del(formula: CnfFormula, pattern: Pattern):
     if not formula.is_exact_3cnf():
         raise ValueError("formula must be exact-3CNF; normalize it first")
     slot, out_edge = _chain_geometry(pattern)
-    builder = _GraphBuilder()
+    clause_edges = sorted(pattern.edges)[:3]
     p = pattern.vertex_count
 
-    variable_pairs = []
-    for _ in range(formula.variable_count):
+    def variable_gadget(builder, _x):
         mapping = builder.plant(pattern.graph)
-        true_pair = builder.add_edge(*builder.pair_of(mapping, pattern.non_edges[0]), free=True)
-        false_pair = builder.add_edge(*builder.pair_of(mapping, pattern.non_edges[1]), free=True)
-        variable_pairs.append((true_pair, false_pair))
+        return tuple(
+            builder.add_edge(*builder.pair_of(mapping, pair), free=True) for pair in pattern.non_edges[:2]
+        )
 
-    clause_pairs = []
-    for _ in formula.clauses:
+    def clause_gadget(builder):
         mapping = builder.plant(pattern.graph)
-        triple = []
-        for edge in sorted(pattern.edges)[:3]:
-            pair = builder.pair_of(mapping, edge)
-            builder.mark_free(*pair)
-            triple.append(pair)
-        clause_pairs.append(tuple(triple))
+        return tuple(builder.mark_free(*builder.pair_of(mapping, edge)) for edge in clause_edges)
 
-    chain_pairs = []
-    for j, clause in enumerate(formula.clauses):
-        per_clause = []
-        for pos, lit in enumerate(clause):
-            target = variable_pairs[abs(lit) - 1][0 if lit > 0 else 1]
-            chain = _build_chain(
-                builder,
-                pattern.graph,
-                slot,
-                out_edge,
-                p + 2,
-                clause_pairs[j][pos],
-                target,
-                lambda pair: builder.mark_free(*pair),
-            )
-            per_clause.append(chain)
-        chain_pairs.append(tuple(per_clause))
+    def connect(builder, sides, starts, pos, lit, _occurrence):
+        return _build_chain(builder, pattern.graph, slot, out_edge, p + 2, starts[pos], sides[lit < 0])
 
+    instance, variable_pairs, clause_pairs, chain_pairs, _, _ = _wire(
+        formula, pattern, DELETION, variable_gadget, clause_gadget, connect
+    )
     n, m = formula.variable_count, formula.clause_count
-    assert len(builder.free) == 2 * n + 3 * m + 3 * m * (p + 1), "free element count off"
-    instance = SandwichInstance(
-        Graph(builder.vertex_count, builder.edges), pattern, DELETION, frozenset(builder.free)
-    )
-    trace = ReductionTrace(
-        DELETION, n, m, tuple(variable_pairs), tuple(clause_pairs), tuple(chain_pairs)
-    )
+    assert len(instance.free) == 2 * n + 3 * m + 3 * m * (p + 1), "free element count off"
+    trace = ReductionTrace(DELETION, n, m, variable_pairs, clause_pairs, chain_pairs)
     return instance, trace
 
 
@@ -229,19 +244,15 @@ def reduce_3sat_to_sandwich_comp(formula: CnfFormula, pattern: Pattern):
     branch_copy = Graph(pattern.graph.vertex_count, pattern.edges - {smallest_edge})
     two_smallest = sorted(pattern.edges)[:2]
     variable_copy = Graph(pattern.graph.vertex_count, pattern.edges - set(two_smallest))
-    builder = _GraphBuilder()
     p = pattern.vertex_count
 
-    variable_pairs = []
-    for _ in range(formula.variable_count):
+    def variable_gadget(builder, _x):
         mapping = builder.plant(variable_copy)
-        true_pair = builder.mark_free(*builder.pair_of(mapping, two_smallest[0]))
-        false_pair = builder.mark_free(*builder.pair_of(mapping, two_smallest[1]))
-        variable_pairs.append((true_pair, false_pair))
+        return tuple(builder.mark_free(*builder.pair_of(mapping, edge)) for edge in two_smallest)
 
-    clause_pairs = []
-    branch_pairs = []
-    for _ in formula.clauses:
+    def clause_gadget(builder):
+        # the three literal pairs, and the branch pair splitting literal 1
+        # from literals 2 and 3
         first = builder.plant(pattern.graph)
         lit1_pair = builder.mark_free(*builder.pair_of(first, pattern.non_edges[0]))
         branch_pair = builder.mark_free(*builder.pair_of(first, pattern.non_edges[1]))
@@ -250,40 +261,27 @@ def reduce_3sat_to_sandwich_comp(formula: CnfFormula, pattern: Pattern):
         )
         lit2_pair = builder.mark_free(*builder.pair_of(second, pattern.non_edges[0]))
         lit3_pair = builder.mark_free(*builder.pair_of(second, pattern.non_edges[1]))
-        clause_pairs.append((lit1_pair, lit2_pair, lit3_pair))
-        branch_pairs.append(branch_pair)
+        return (lit1_pair, lit2_pair, lit3_pair), branch_pair
 
-    chain_pairs = []
-    for j, clause in enumerate(formula.clauses):
-        per_clause = []
-        for pos, lit in enumerate(clause):
-            target = variable_pairs[abs(lit) - 1][0 if lit > 0 else 1]
-            chain = _build_chain(
-                builder,
-                connector_graph,
-                removed_edge,
-                out_pair,
-                p + 2,
-                clause_pairs[j][pos],
-                target,
-                lambda pair: builder.mark_free(*pair),
-            )
-            per_clause.append(chain)
-        chain_pairs.append(tuple(per_clause))
+    def connect(builder, sides, clause, pos, lit, _occurrence):
+        starts, _ = clause
+        return _build_chain(
+            builder, connector_graph, removed_edge, out_pair, p + 2, starts[pos], sides[lit < 0]
+        )
 
-    n, m = formula.variable_count, formula.clause_count
-    assert len(builder.free) == 2 * n + 4 * m + 3 * m * (p + 1), "free element count off"
-    instance = SandwichInstance(
-        Graph(builder.vertex_count, builder.edges), pattern, COMPLETION, frozenset(builder.free)
+    instance, variable_pairs, clauses, chain_pairs, _, _ = _wire(
+        formula, pattern, COMPLETION, variable_gadget, clause_gadget, connect
     )
+    n, m = formula.variable_count, formula.clause_count
+    assert len(instance.free) == 2 * n + 4 * m + 3 * m * (p + 1), "free element count off"
     trace = ReductionTrace(
         COMPLETION,
         n,
         m,
-        tuple(variable_pairs),
-        tuple(clause_pairs),
-        tuple(chain_pairs),
-        tuple(branch_pairs),
+        variable_pairs,
+        tuple(starts for starts, _ in clauses),
+        chain_pairs,
+        tuple(branch for _, branch in clauses),
     )
     return instance, trace
 

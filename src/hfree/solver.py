@@ -48,10 +48,6 @@ class SearchLimitError(RuntimeError):
     """
 
 
-# A chosen modification set is just a frozenset of normalized vertex pairs.
-ModificationSet = frozenset
-
-
 @dataclass(frozen=True)
 class SandwichInstance:
     graph: Graph
@@ -227,6 +223,8 @@ def solve_sandwich(instance: SandwichInstance, budget=None, node_limit: int = DE
     """One solution of size at most `budget` (any size when None), or None
     when provably no such solution exists. Raises SearchLimitError instead
     of guessing when the node budget runs out."""
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be nonnegative")
     cap = len(instance.free) if budget is None else min(budget, len(instance.free))
     search = _Search(instance, cap, node_limit)
     if search._extend():

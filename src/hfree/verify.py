@@ -10,18 +10,16 @@ detail to reproduce the disagreement.
 import hashlib
 from dataclasses import dataclass, field
 
-from .cnf import CnfFormula, duplicate_for_min_occurrences, render_dimacs, sat_brute_force
+from .cnf import CnfFormula, normalize_3cnf, render_dimacs, sat_brute_force
 from .formats import render_instance, render_minones
 from .gadgets import (
+    FORMULA_TARGETS,
     LIFT_FAMILIES,
     check_c4_completion_gadgets,
     check_c4_deletion_gadgets,
     check_c5_deletion_gadgets,
     lift_specific,
-    reduce_3sat_to_c4comp,
-    reduce_3sat_to_c4del,
-    reduce_3sat_to_c5del,
-    reduce_c4comp_to_house_comp,
+    reduce_formula,
 )
 from .graphs import Graph
 from .minones import (
@@ -30,12 +28,7 @@ from .minones import (
     quarantined_instance,
     reduce_minones_to_quarantined,
 )
-from .reductions import (
-    Polynomial,
-    complement_instance,
-    reduce_3sat_to_sandwich_comp,
-    reduce_3sat_to_sandwich_del,
-)
+from .reductions import Polynomial, complement_instance
 from .solver import (
     DELETION,
     BudgetedInstance,
@@ -52,14 +45,15 @@ DUALITY_VERTEX_GUARD = 7
 DUALITY_BUDGET_GUARD = 3
 SCALING_FREE_GUARD = 40
 
-EQUIVALENCE_TARGETS = (
-    "general-del",
-    "general-comp",
-    "c4-del",
-    "c5-del",
-    "c4-comp",
-    "house-comp-via-c4",
-)
+# public target name: the `hfree reduce` target it checks
+EQUIVALENCE_TARGETS = {
+    "general-del": "sat2del",
+    "general-comp": "sat2comp",
+    "c4-del": "c4del",
+    "c5-del": "c5del",
+    "c4-comp": "c4comp",
+    "house-comp-via-c4": "house-comp",
+}
 
 
 @dataclass
@@ -80,44 +74,39 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+def _beyond_equivalence_guards(f: CnfFormula) -> bool:
+    return f.variable_count > EQUIVALENCE_VARIABLE_GUARD or f.clause_count > EQUIVALENCE_CLAUSE_GUARD
+
+
 def verify_sat_equivalence(f: CnfFormula, target: str, pattern=None) -> VerificationReport:
     """Compare satisfiability against solvability of the reduced instance.
 
     The general targets take the pattern to reduce onto; the specific
-    targets build their own and reject one. Formulas beyond the brute
-    force guards come back "skipped".
+    targets build their own and reject one. The formula is normalized as
+    `hfree reduce` does, and when that leaves it beyond the brute force
+    guards it comes back "skipped"; reports describe the formula as given.
     """
     if target not in EQUIVALENCE_TARGETS:
         raise ValueError(f"unknown equivalence target {target!r}")
-    general = target in ("general-del", "general-comp")
+    reduce_target = EQUIVALENCE_TARGETS[target]
+    general = FORMULA_TARGETS[reduce_target][1]
     if general and pattern is None:
         raise ValueError(f"target {target!r} needs a pattern")
     if not general and pattern is not None:
         raise ValueError(f"target {target!r} fixes its own pattern")
     digest = _digest(render_dimacs(f) + target + (pattern.name if pattern else ""))
     details = {"target": target, "variables": f.variable_count, "clauses": f.clause_count}
-    if f.variable_count > EQUIVALENCE_VARIABLE_GUARD or f.clause_count > EQUIVALENCE_CLAUSE_GUARD:
+    normal = normalize_3cnf(f)
+    if _beyond_equivalence_guards(normal):
         details["reason"] = (
             f"guard is {EQUIVALENCE_VARIABLE_GUARD} variables / {EQUIVALENCE_CLAUSE_GUARD} clauses"
         )
+        if not _beyond_equivalence_guards(f):
+            details["reason"] += f", {normal.variable_count} / {normal.clause_count} once normalized"
         return VerificationReport("sat-equivalence", digest, "skipped", details)
 
     satisfiable = sat_brute_force(f) is not None
-    if target == "general-del":
-        instance, _ = reduce_3sat_to_sandwich_del(f, pattern)
-    elif target == "general-comp":
-        instance, _ = reduce_3sat_to_sandwich_comp(f, pattern)
-    elif target == "c4-del":
-        instance, _ = reduce_3sat_to_c4del(f)
-    elif target == "c5-del":
-        instance, _ = reduce_3sat_to_c5del(f)
-    elif target == "c4-comp":
-        # the ladder construction wants two occurrences per variable, and
-        # duplicating clauses changes nothing about satisfiability
-        instance, _ = reduce_3sat_to_c4comp(duplicate_for_min_occurrences(f, 2))
-    else:
-        squares, _ = reduce_3sat_to_c4comp(duplicate_for_min_occurrences(f, 2))
-        instance = reduce_c4comp_to_house_comp(squares)
+    instance, _ = reduce_formula(reduce_target, normal, pattern)
     solvable = solve_sandwich(instance) is not None
     details["sat"] = "yes" if satisfiable else "no"
     details["sandwich"] = "yes" if solvable else "no"

@@ -9,6 +9,7 @@ import itertools
 
 import pytest
 
+from hfree import cli
 from hfree.cli import main
 from hfree.cnf import formula, render_dimacs
 from hfree.formats import parse_instance, render_instance
@@ -151,6 +152,38 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["lift", "-i", src, "--poly", "1,1,1"])
     assert info.value.code == 2
+
+
+def test_verify_equivalence_normalizes_like_reduce(tmp_path, capsys):
+    cnf = write(tmp_path / "short.cnf", render_dimacs(formula(2, [(1, 2), (-1, 2)])))
+    assert main(["reduce", "sat2del", "--pattern", "wheel4", "-i", cnf]) == 0
+    capsys.readouterr()
+    assert main(["verify", "equivalence", "--target", "general-del", "--pattern", "wheel4", "-i", cnf]) == 0
+    assert capsys.readouterr().out.startswith("RESULT pass sat-equivalence")
+
+
+def test_negative_solve_budget_exits_two(tmp_path, capsys):
+    path = SandwichInstance(Graph(3, {(0, 1), (1, 2)}), named_pattern("c4"), DELETION, frozenset({(0, 1)}))
+    src = write(tmp_path / "path.hfi", render_instance(path))
+    for extra in ([], ["--existence"]):
+        assert main(["solve", "-i", src, "--budget", "-1", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "budget must be nonnegative" in captured.err
+
+
+def test_internal_errors_exit_four(tmp_path, capsys, monkeypatch):
+    def crash(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "_cmd_solve", crash)
+    assert main(["solve"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "RESULT error solve RecursionError\n"
+    assert captured.err == "error: maximum recursion depth exceeded\n"
+
+    out = tmp_path / "out.txt"
+    assert main(["solve", "-o", str(out)]) == 4
+    assert out.read_text(encoding="ascii") == "RESULT error solve RecursionError\n"
 
 
 def test_node_limit_reports_a_skip(tmp_path, capsys):

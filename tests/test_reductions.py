@@ -131,6 +131,8 @@ def test_polynomial():
         Polynomial(1, 1, -1)
     with pytest.raises(ValueError):
         Polynomial.parse("1,2")
+    with pytest.raises(ValueError, match="got '1,a,1'"):
+        Polynomial.parse("1,a,1")
 
 
 def test_lift_del_yes_and_no():

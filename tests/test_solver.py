@@ -99,6 +99,14 @@ def test_budgeted_wrapper():
     assert solve_budgeted(BudgetedInstance(inst, 0)) is None
 
 
+def test_negative_budget_is_rejected():
+    # The path has no square, so a search ignoring the sign would answer yes.
+    inst = deletion_instance(path_graph(3), named_pattern("c4"))
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        solve_sandwich(inst, budget=-1)
+    assert solve_sandwich(inst, budget=0) == frozenset()
+
+
 def test_node_limit_raises_instead_of_lying():
     host = complete_graph(7)
     inst = deletion_instance(host, make_pattern(complete_graph(3)))

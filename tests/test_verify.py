@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hfree.cnf import formula
+from hfree.gadgets import FORMULA_TARGETS
 from hfree.graphs import Graph
 from hfree.minones import MinOnesInstance
 from hfree.patterns import cycle_graph, house_graph, make_pattern, named_pattern
@@ -49,6 +50,16 @@ def test_equivalence_guards_and_argument_checks():
         verify_sat_equivalence(f, "general-del")
     with pytest.raises(ValueError, match="fixes its own pattern"):
         verify_sat_equivalence(f, "c4-del", named_pattern("c4"))
+    # one long clause over three variables normalizes to six variables
+    long = formula(3, [(1, 2, 3, -1, -2, -3)])
+    report = verify_sat_equivalence(long, "general-del", named_pattern("wheel4"))
+    assert report.verdict == "skipped", report.result_line()
+    assert report.details["variables"] == 3
+    assert report.details["reason"].endswith("6 / 4 once normalized")
+
+
+def test_equivalence_targets_name_reduce_targets():
+    assert list(EQUIVALENCE_TARGETS.values()) == list(FORMULA_TARGETS)
 
 
 def test_gap_yes_and_no_sides():
