@@ -2,22 +2,30 @@
 
 Refactors of the builders must keep every output byte-identical; these
 digests pin one gap-corpus instance per lift family under two polynomials,
-every formula and square target of `hfree reduce` on a fixed formula, and
-the report `hfree verify equivalence` prints for every target on it.
+every formula and square target of `hfree reduce` on a fixed formula, the
+report `hfree verify equivalence` prints for every target on it, and the
+canonical solution each formula reduction builds for every satisfying
+assignment of that formula.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
 from hfree.cli import main
-from hfree.cnf import formula, render_dimacs
+from hfree.cnf import duplicate_for_min_occurrences, formula, render_dimacs, satisfies
 from hfree.formats import render_instance
-from hfree.gadgets import LIFT_FAMILIES, lift_specific
+from hfree.gadgets import (
+    LIFT_FAMILIES, lift_specific, reduce_3sat_to_c4comp, reduce_3sat_to_c4del, reduce_3sat_to_c5del,
+    solution_from_specific,
+)
 from hfree.graphs import Graph
 from hfree.patterns import named_pattern
-from hfree.reductions import Polynomial
-from hfree.solver import DELETION, SandwichInstance
+from hfree.reductions import (
+    Polynomial, reduce_3sat_to_sandwich_comp, reduce_3sat_to_sandwich_del, solution_from_assignment,
+)
+from hfree.solver import DELETION, SandwichInstance, is_solution
 
 from test_acceptance import gap_corpus
 
@@ -57,7 +65,16 @@ EQUIVALENCE_DIGESTS = {
     ("house-comp-via-c4",): "599387e681d818016b9985615c88f8358b737965dafa1aa2591a359f62e4152f",
 }
 
-FORMULA = render_dimacs(formula(3, [(1, -2, 3), (-1, 2, -3)]))
+CANONICAL_DIGESTS = {
+    "sat2del": "c6271f5acc3499dbc28639b5dcac7c0d0e40a557a8c9e75572dfd80cd7da712c",
+    "sat2comp": "ffd744d1d47a6c685f9c53ae8e3c5b1a20c53308c31581c7880d343743428dc2",
+    "c4del": "e247b6a3a9fbf7b39d35eccffd8ea4f086ae44f1e572a409d00621c5527e72f6",
+    "c5del": "b1e2c0f71cfa03c0114d9482f4a3c978f41e7345abaf18cd8a2beba109e0ae57",
+    "c4comp": "262a302ae93e3c3d963e28c2e1973e17b64673b6cde6a2ae480ea5c6b5f6389a",
+}
+
+CNF = formula(3, [(1, -2, 3), (-1, 2, -3)])
+FORMULA = render_dimacs(CNF)
 SQUARE = render_instance(
     SandwichInstance(Graph(4, {(0, 1), (1, 2), (2, 3), (0, 3)}), named_pattern("c4"), DELETION, frozenset({(0, 1)})),
     labels=[("keep", (2, 3))],
@@ -101,3 +118,29 @@ def test_verify_equivalence_output_bytes(tmp_path, argv):
     target, *extra = argv
     assert main(["verify", "equivalence", "--target", target, *extra, "-i", str(source), "-o", str(out)]) == 0
     assert digest(out.read_text(encoding="ascii")) == EQUIVALENCE_DIGESTS[argv]
+
+
+def _canonical_solver(target):
+    """The formula the target reduces, its instance, and its canonical
+    solution function, from a satisfying assignment to the solution."""
+    wheel = named_pattern("wheel4")
+    if target == "sat2del":
+        instance, trace = reduce_3sat_to_sandwich_del(CNF, wheel)
+        return CNF, instance, lambda model: solution_from_assignment(CNF, trace, model)
+    if target == "sat2comp":
+        instance, trace = reduce_3sat_to_sandwich_comp(CNF, wheel)
+        return CNF, instance, lambda model: solution_from_assignment(CNF, trace, model)
+    f = duplicate_for_min_occurrences(CNF, 2) if target == "c4comp" else CNF
+    reduce_fn = {"c4del": reduce_3sat_to_c4del, "c5del": reduce_3sat_to_c5del, "c4comp": reduce_3sat_to_c4comp}
+    instance, trace = reduce_fn[target](f)
+    return f, instance, lambda model: solution_from_specific(trace, model, f)
+
+
+@pytest.mark.parametrize("target", sorted(CANONICAL_DIGESTS))
+def test_canonical_solution_pairs(target):
+    f, instance, solve = _canonical_solver(target)
+    models = [bits for bits in itertools.product((False, True), repeat=3) if satisfies(f, bits)]
+    assert len(models) == 6
+    assert all(is_solution(instance, solve(model)) for model in models)
+    text = "".join(f"{model} {sorted(solve(model))}\n" for model in models)
+    assert digest(text) == CANONICAL_DIGESTS[target]
