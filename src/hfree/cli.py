@@ -47,17 +47,7 @@ from .verify import (
     verify_sat_equivalence,
 )
 
-REDUCE_TARGETS = (
-    "sat2del",
-    "sat2comp",
-    "c4del",
-    "c5del",
-    "c4comp",
-    "house-comp",
-    "house-del",
-    "minones2graph",
-    "graph2minones",
-)
+REDUCE_TARGETS = (*FORMULA_TARGETS, "house-del", "minones2graph", "graph2minones")
 VERIFY_CHECKS = ("equivalence", "gap", "duality", "scaling", "gadgets")
 _VERDICT_EXIT = {"pass": 0, "fail": 1, "skipped": 3}
 

@@ -125,6 +125,9 @@ def render_dimacs(f: CnfFormula) -> str:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
+    """Parse DIMACS CNF: comment lines, one problem line before any clause,
+    clauses ended by 0 (a clause may span lines), and an optional SATLIB
+    "%" trailer. Errors name the offending line."""
     variable_count = None
     declared_clauses = None
     literals = []
@@ -137,6 +140,8 @@ def parse_dimacs(text: str) -> CnfFormula:
             # SATLIB files end with a "%" line and a stray "0" after it.
             break
         if line.startswith("p"):
+            if variable_count is not None:
+                raise ValueError(f"line {number}: second problem line")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad problem line: {raw!r}")
@@ -145,6 +150,8 @@ def parse_dimacs(text: str) -> CnfFormula:
             except ValueError:
                 raise ValueError(f"line {number}: bad count in problem line: {raw!r}") from None
             continue
+        if variable_count is None:
+            raise ValueError(f"line {number}: missing problem line before this clause")
         for token in line.split():
             try:
                 lit = int(token)
@@ -155,6 +162,8 @@ def parse_dimacs(text: str) -> CnfFormula:
                     raise ValueError("empty clause in DIMACS input")
                 clauses.append(tuple(literals))
                 literals = []
+            elif abs(lit) > variable_count:
+                raise ValueError(f"line {number}: literal {lit} out of range")
             else:
                 literals.append(lit)
     if variable_count is None:

@@ -110,8 +110,13 @@ def parse_instance(text: str, default_pattern=None) -> InstanceFile:
     free = set()
     budget = None
     labels = []
+    seen = set()
     for number, words in lines:
         key, rest = words[0], words[1:]
+        if key in ("mode", "pattern", "vertices", "budget"):
+            if key in seen:
+                raise FormatError(f"line {number}: {key} given twice")
+            seen.add(key)
         if key == "mode":
             if rest not in ([DELETION], [COMPLETION]):
                 raise FormatError(f"line {number}: mode must be {DELETION} or {COMPLETION}")
@@ -145,8 +150,6 @@ def parse_instance(text: str, default_pattern=None) -> InstanceFile:
                     raise FormatError(f"line {number}: fillable pairs belong to completion instances")
                 free.add(pair)
         elif key == "budget":
-            if budget is not None:
-                raise FormatError(f"line {number}: budget given twice")
             if len(rest) != 1 or not rest[0].isdigit():
                 raise FormatError(f"line {number}: budget takes one nonnegative integer")
             budget = int(rest[0])

@@ -18,6 +18,12 @@ missing diagonals admit exactly two fillings, one per orientation.
 The house constructions piggyback on the square ones: an apex vertex on
 an edge turns every induced square through that edge into a house, and a
 pendant square-with-roof bundle protects what must not be touched.
+
+The wired reductions are built by `reductions._wire`, as the general ones
+are, and return the same `ReductionTrace`. Each gadget builder returns the
+labels its reduction reads: a variable gadget its (true, false) solutions,
+a clause gadget its literal pairs plus whatever its canonical solutions
+need (the K6 spacers, the completion gates).
 """
 
 from __future__ import annotations
@@ -88,34 +94,31 @@ def _all_solutions(vertex_count, edges, free, pattern, mode):
 # square (C4) deletion
 
 
-def _c4del_variable(builder: _GraphBuilder) -> dict:
+def _c4del_variable(builder: _GraphBuilder) -> tuple:
     """Two mirrored chains a-b-g-v-u of deletable edges, each welded rigid.
 
     Three diamonds per side force the chain to fire front to back and back
     to front, so each side deletes all four of its edges or none. A square
     across the two (a, b) ends makes at least one side fire; a clique
     across the two (v, u) ends kills any deletion plan that fires both.
+    Returns the (true, false) chains, each led by the (v, u) edge that the
+    wiring taps.
     """
     sides = {}
     for truth in (True, False):
         a, b, g, v, u, x1, x2, x3 = (builder.fresh() for _ in range(8))
-        chain = (
-            builder.add_edge(a, b, free=True),
-            builder.add_edge(b, g, free=True),
-            builder.add_edge(g, v, free=True),
-            builder.add_edge(v, u, free=True),
-        )
+        ab, bg, gv, vu = (builder.add_edge(p, q, free=True) for p, q in ((a, b), (b, g), (g, v), (v, u)))
         for p, q, x, r in ((a, b, x1, g), (b, g, x2, v), (g, v, x3, u)):
             builder.add_edge(p, x)
             builder.add_edge(q, x)
             builder.add_edge(p, r)
-        sides[truth] = {"a": a, "b": b, "v": v, "u": u, "chain": chain}
+        sides[truth] = {"a": a, "b": b, "v": v, "u": u, "chain": (vu, ab, bg, gv)}
     builder.add_edge(sides[True]["b"], sides[False]["a"])
     builder.add_edge(sides[False]["b"], sides[True]["a"])
     for p in (sides[True]["v"], sides[True]["u"]):
         for q in (sides[False]["v"], sides[False]["u"]):
             builder.add_edge(p, q)
-    return sides
+    return sides[True]["chain"], sides[False]["chain"]
 
 
 def _c4del_clause(builder: _GraphBuilder) -> dict:
@@ -133,10 +136,13 @@ def _c4del_clause(builder: _GraphBuilder) -> dict:
     for i in range(6):
         builder.mark_free(order[i], order[(i + 1) % 6])
     return {
-        "vertices": order,
         "literals": tuple((order[2 * i], order[2 * i + 1]) for i in range(3)),
         "spacers": tuple(edge_key(order[2 * i + 1], order[(2 * i + 2) % 6]) for i in range(3)),
     }
+
+
+# the hexagon spacer between two literal pairs, by their positions
+_SPACED = {(0, 1): 0, (1, 2): 1, (0, 2): 2}
 
 
 @lru_cache(maxsize=None)
@@ -145,9 +151,7 @@ def check_c4_deletion_gadgets() -> tuple:
     square = cycle_graph(4)
 
     builder = _GraphBuilder()
-    sides = _c4del_variable(builder)
-    fire_true = frozenset(sides[True]["chain"])
-    fire_false = frozenset(sides[False]["chain"])
+    fire_true, fire_false = map(frozenset, _c4del_variable(builder))
     sols = _all_solutions(builder.vertex_count, builder.edges, builder.free, square, DELETION)
     if sorted(sols, key=sorted) != sorted((fire_true, fire_false), key=sorted):
         raise GadgetContractError("square deletion variable gadget: solutions are not the two chains")
@@ -164,14 +168,13 @@ def check_c4_deletion_gadgets() -> tuple:
     sols = set(_all_solutions(builder.vertex_count, builder.edges, builder.free, square, DELETION))
     literals = frozenset(labels["literals"])
     lits = labels["literals"]
-    spaced = {(0, 1): 0, (1, 2): 1, (0, 2): 2}
     facts = (
         frozenset() in sols,
         all(frozenset((lit,)) in sols for lit in literals),
         not any(sol >= literals for sol in sols),
         frozenset(lits[1:]) not in sols,
         all(frozenset((lits[i], lits[k], labels["spacers"][s])) in sols
-            for (i, k), s in spaced.items()),
+            for (i, k), s in _SPACED.items()),
         all(any(sol & literals == frozenset((lit,)) for sol in sols) for lit in literals),
         all(any(sol & literals == literals - {lit} for sol in sols) for lit in literals),
     )
@@ -193,13 +196,14 @@ def check_c4_deletion_gadgets() -> tuple:
 # pentagon (C5) deletion
 
 
-def _c5del_variable(builder: _GraphBuilder) -> dict:
+def _c5del_variable(builder: _GraphBuilder) -> tuple:
     """Pentagon analogue of the mirrored chain pair.
 
     Each side is a path A0..A4 of deletable edges; pentagons through fresh
     P_i and D_i vertices force the chain both ways. A pentagon across the
     (A0, A1) ends plays the or-role and one across the (A3, A4) ends the
-    not-both role.
+    not-both role. Returns the (true, false) chains, each led by the
+    (A3, A4) edge that the wiring taps.
     """
     sides = {}
     for truth in (True, False):
@@ -212,7 +216,7 @@ def _c5del_variable(builder: _GraphBuilder) -> dict:
             builder.add_edge(p, A[i])
             builder.add_edge(A[i + 1], d)
             builder.add_edge(d, A[i - 1])
-        sides[truth] = {"A": tuple(A), "v": A[3], "u": A[4], "chain": chain}
+        sides[truth] = {"A": tuple(A), "chain": (chain[3], *chain[:3])}
     w = builder.fresh()
     builder.add_edge(sides[True]["A"][1], sides[False]["A"][0])
     builder.add_edge(sides[False]["A"][1], w)
@@ -223,7 +227,7 @@ def _c5del_variable(builder: _GraphBuilder) -> dict:
     builder.add_edge(sides[True]["A"][4], sides[False]["A"][4])
     builder.add_edge(sides[False]["A"][4], z)
     builder.add_edge(z, sides[True]["A"][3])
-    return sides
+    return sides[True]["chain"], sides[False]["chain"]
 
 
 def _c5del_clause(builder: _GraphBuilder) -> dict:
@@ -241,11 +245,7 @@ def _c5del_clause(builder: _GraphBuilder) -> dict:
         builder.add_edge(s12, t2, free=True),
         builder.add_edge(s3, t3, free=True),
     )
-    return {
-        "vertices": (s12, t1, t2, s3, t3),
-        "ends": ((s12, t1), (s12, t2), (s3, t3)),
-        "literals": literals,
-    }
+    return {"literals": literals}
 
 
 @lru_cache(maxsize=None)
@@ -254,8 +254,7 @@ def check_c5_deletion_gadgets() -> tuple:
     pentagon = cycle_graph(5)
 
     builder = _GraphBuilder()
-    sides = _c5del_variable(builder)
-    want = sorted((frozenset(sides[True]["chain"]), frozenset(sides[False]["chain"])), key=sorted)
+    want = sorted(map(frozenset, _c5del_variable(builder)), key=sorted)
     sols = _all_solutions(builder.vertex_count, builder.edges, builder.free, pentagon, DELETION)
     if sorted(sols, key=sorted) != want:
         raise GadgetContractError("pentagon deletion variable gadget: solutions are not the two chains")
@@ -284,7 +283,7 @@ def check_c5_deletion_gadgets() -> tuple:
 # square (C4) completion
 
 
-def _c4comp_ladder(builder: _GraphBuilder, width: int) -> dict:
+def _c4comp_ladder(builder: _GraphBuilder, width: int) -> tuple:
     """Ring ladder of 4*width squares whose diagonals are fillable.
 
     Top and bottom rails are cycles t_0..t_{L-1} and b_0..b_{L-1} joined by
@@ -292,7 +291,8 @@ def _c4comp_ladder(builder: _GraphBuilder, width: int) -> dict:
     mixed orientations on neighbouring squares, so the only two fillings
     are the all-clockwise and all-counterclockwise ones. Occurrence j of
     the variable plugs into rail positions 4j and 4j+1, leaving two spare
-    squares between consecutive taps.
+    squares between consecutive taps. Returns the (true, false) fillings;
+    diagonal i of either runs from the top rail to the bottom one.
     """
     length = 4 * width
     t = [builder.fresh() for _ in range(length)]
@@ -312,7 +312,7 @@ def _c4comp_ladder(builder: _GraphBuilder, width: int) -> dict:
             builder.add_edge(sat, rail[j])
     fills_true = tuple(builder.mark_free(t[i], b[(i + 1) % length]) for i in range(length))
     fills_false = tuple(builder.mark_free(t[(i + 1) % length], b[i]) for i in range(length))
-    return {"top": tuple(t), "bottom": tuple(b), "true": fills_true, "false": fills_false}
+    return fills_true, fills_false
 
 
 def _c4comp_clause(builder: _GraphBuilder) -> dict:
@@ -334,12 +334,7 @@ def _c4comp_clause(builder: _GraphBuilder) -> dict:
         builder.mark_free(u2, v2),
         builder.mark_free(u3, v3),
     )
-    return {
-        "vertices": (v1, v2, v3, v4, u1, u2, u3, u4),
-        "taps": ((v1, u1), (v2, u2), (v3, u3)),
-        "gates": gates,
-        "literals": literals,
-    }
+    return {"taps": ((v1, u1), (v2, u2), (v3, u3)), "gates": gates, "literals": literals}
 
 
 @lru_cache(maxsize=None)
@@ -353,7 +348,7 @@ def check_c4_completion_gadgets() -> tuple:
     square = cycle_graph(4)
 
     builder = _GraphBuilder()
-    labels = _c4comp_ladder(builder, 2)
+    fills_true, fills_false = _c4comp_ladder(builder, 2)
     graph = Graph(builder.vertex_count, builder.edges)
     sols = []
     checked = 0
@@ -361,13 +356,13 @@ def check_c4_completion_gadgets() -> tuple:
         fills = set()
         for i, pick in enumerate(choice):
             if pick != 1:
-                fills.add(labels["true"][i])
+                fills.add(fills_true[i])
             if pick != 0:
-                fills.add(labels["false"][i])
+                fills.add(fills_false[i])
         checked += 1
         if is_h_free(Graph(graph.vertex_count, set(graph.edges) | fills), square):
             sols.append(frozenset(fills))
-    want = sorted((frozenset(labels["true"]), frozenset(labels["false"])), key=sorted)
+    want = sorted((frozenset(fills_true), frozenset(fills_false)), key=sorted)
     if sorted(sols, key=sorted) != want:
         raise GadgetContractError("square completion ladder: solutions are not the two orientations")
     if has_c4_subgraph(Graph(builder.vertex_count, builder.free)):
@@ -414,28 +409,6 @@ def check_c4_completion_gadgets() -> tuple:
 # formula reductions
 
 
-@dataclass(frozen=True)
-class SpecificTrace:
-    """Labels tying a wired-gadget instance back to its formula.
-
-    variable_pairs[i] holds the (true, false) pair for variable i+1, as in
-    ReductionTrace: a single free pair whose membership in a solution
-    means the variable takes that value. Extents list each gadget's
-    vertices, and connector_extents the vertex sets of the wiring copies,
-    which the locality checks sweep.
-    """
-
-    mode: str
-    variable_count: int
-    clause_count: int
-    variable_pairs: tuple
-    variable_solutions: tuple
-    clause_literal_pairs: tuple
-    variable_extents: tuple
-    clause_extents: tuple
-    connector_extents: tuple
-
-
 def _require_exact_3cnf(formula: CnfFormula):
     if any(len(clause) != 3 for clause in formula.clauses):
         raise ValueError("formula must be exact-3CNF; normalize it first")
@@ -445,34 +418,6 @@ def _require_exact_3cnf(formula: CnfFormula):
     for j, clause in enumerate(formula.clauses):
         if len({abs(lit) for lit in clause}) != 3:
             raise ValueError(f"clause {j} repeats a variable; wired reductions need three distinct variables per clause")
-
-
-def _wire_specific(formula, pattern, mode, variable_gadget, clause_gadget, connect, *, solutions, marker):
-    """A wired reduction built by _wire and labeled with a SpecificTrace.
-
-    connect returns its connector's vertices; solutions(variable) is a
-    variable gadget's (true, false) solution pair, whose index marker is
-    the side's marker pair."""
-    instance, variables, clauses, connectors, variable_extents, clause_extents = _wire(
-        formula, named_pattern(pattern), mode, variable_gadget, clause_gadget, connect
-    )
-    variable_solutions = tuple(solutions(v) for v in variables)
-    trace = SpecificTrace(
-        mode=mode,
-        variable_count=formula.variable_count,
-        clause_count=len(formula.clauses),
-        variable_pairs=tuple((true[marker], false[marker]) for true, false in variable_solutions),
-        variable_solutions=variable_solutions,
-        clause_literal_pairs=tuple(tuple(edge_key(*p) for p in c["literals"]) for c in clauses),
-        variable_extents=variable_extents,
-        clause_extents=clause_extents,
-        connector_extents=tuple(tuple(sorted(ends)) for per_clause in connectors for ends in per_clause),
-    )
-    return instance, trace
-
-
-def _chains(sides) -> tuple:
-    return sides[True]["chain"], sides[False]["chain"]
 
 
 def reduce_3sat_to_c4del(formula: CnfFormula):
@@ -488,16 +433,22 @@ def reduce_3sat_to_c4del(formula: CnfFormula):
     check_c4_deletion_gadgets()
 
     def connect(builder, sides, clause, pos, lit, _occurrence):
-        side = sides[lit > 0]
         s, t = clause["literals"][pos]
-        v, u = side["v"], side["u"]
+        v, u = sides[lit < 0][0]
         builder.add_edge(min(s, t), min(v, u))
         builder.add_edge(max(s, t), max(v, u))
         return s, t, v, u
 
-    return _wire_specific(
-        formula, "c4", DELETION, lambda builder, _: _c4del_variable(builder), _c4del_clause, connect,
-        solutions=_chains, marker=3,
+    def clause_solution(clause, _connections, values):
+        # drop the literal pairs of false literals, and the spacer between
+        # two dropped ones
+        dead = tuple(pos for pos, value in enumerate(values) if not value)
+        spacer = (clause["spacers"][_SPACED[dead]],) if dead in _SPACED else ()
+        return tuple(clause["literals"][pos] for pos in dead) + spacer
+
+    return _wire(
+        formula, named_pattern("c4"), DELETION, lambda builder, _: _c4del_variable(builder), _c4del_clause,
+        connect, clause_solution,
     )
 
 
@@ -513,18 +464,21 @@ def reduce_3sat_to_c5del(formula: CnfFormula):
     check_c5_deletion_gadgets()
 
     def connect(builder, sides, clause, pos, lit, _occurrence):
-        side = sides[lit > 0]
-        s, t = clause["ends"][pos]
-        v, u = side["v"], side["u"]
+        s, t = clause["literals"][pos]
+        v, u = sides[lit < 0][0]
         w = builder.fresh()
         builder.add_edge(t, v)
         builder.add_edge(u, w)
         builder.add_edge(w, s)
         return s, t, v, u, w
 
-    return _wire_specific(
-        formula, "c5", DELETION, lambda builder, _: _c5del_variable(builder), _c5del_clause, connect,
-        solutions=_chains, marker=3,
+    def clause_solution(clause, _connections, values):
+        # drop the chords of false literals
+        return tuple(pair for pair, value in zip(clause["literals"], values) if not value)
+
+    return _wire(
+        formula, named_pattern("c5"), DELETION, lambda builder, _: _c5del_variable(builder), _c5del_clause,
+        connect, clause_solution,
     )
 
 
@@ -544,54 +498,23 @@ def reduce_3sat_to_c4comp(formula: CnfFormula):
     if min(counts.values()) < 2:
         raise ValueError("every variable must occur at least twice; duplicate clauses first")
 
-    def connect(builder, ladder, clause, pos, lit, occurrence):
-        slot = 4 * occurrence
+    def connect(builder, fills, clause, pos, lit, occurrence):
         v_i, u_i = clause["taps"][pos]
-        if lit > 0:
-            top, bottom = ladder["top"][slot + 1], ladder["bottom"][slot]
-        else:
-            top, bottom = ladder["top"][slot], ladder["bottom"][slot + 1]
+        # a diagonal of the orientation that falsifies the literal
+        top, bottom = fills[lit > 0][4 * occurrence]
         builder.add_edge(top, v_i)
         builder.add_edge(bottom, u_i)
         return top, bottom, v_i, u_i
 
-    return _wire_specific(
-        formula, "c4", COMPLETION, lambda builder, x: _c4comp_ladder(builder, counts[x]), _c4comp_clause,
-        connect, solutions=lambda ladder: (ladder["true"], ladder["false"]), marker=0,
+    def clause_solution(clause, _connections, values):
+        # fill the first true literal's pair and the gate above it
+        pos = values.index(True)
+        return clause["literals"][pos], clause["gates"][0 if pos < 2 else 1]
+
+    return _wire(
+        formula, named_pattern("c4"), COMPLETION, lambda builder, x: _c4comp_ladder(builder, counts[x]),
+        _c4comp_clause, connect, clause_solution,
     )
-
-
-def solution_from_specific(trace: SpecificTrace, assignment, formula: CnfFormula) -> frozenset:
-    """Canonical solution realizing a satisfying assignment.
-
-    Fires the matching chain or orientation per variable. Deletion clauses
-    drop the literal pairs of false literals plus, in the K6 gadget, the
-    hexagon spacer between two dropped pairs; completion clauses fill one
-    true literal's pair and its gate.
-    """
-    chosen = set()
-    for i, value in enumerate(assignment):
-        chosen.update(trace.variable_solutions[i][0 if value else 1])
-    for j, clause in enumerate(formula.clauses):
-        values = [(assignment[abs(lit) - 1]) == (lit > 0) for lit in clause]
-        if not any(values):
-            raise ValueError(f"assignment does not satisfy clause {j}")
-        vs = trace.clause_extents[j]
-        if trace.mode == DELETION:
-            dead = [pos for pos, value in enumerate(values) if not value]
-            for pos in dead:
-                chosen.add(trace.clause_literal_pairs[j][pos])
-            if len(dead) == 2 and len(vs) == 6:
-                spacer = {(0, 1): 1, (1, 2): 3, (0, 2): 5}[tuple(dead)]
-                chosen.add(edge_key(vs[spacer], vs[(spacer + 1) % 6]))
-        else:
-            pos = values.index(True)
-            chosen.add(trace.clause_literal_pairs[j][pos])
-            if pos in (0, 1):
-                chosen.add(edge_key(vs[0], vs[1]))
-            else:
-                chosen.add(edge_key(vs[2], vs[3]))
-    return frozenset(chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -218,15 +218,12 @@ def match_plan_seeded(pattern: Graph, seed: tuple) -> MatchPlan:
     return MatchPlan(pattern, seed)
 
 
-def find_embedding(
-    host_adj, host_n: int, plan: MatchPlan, blocked=None, blocked_mode="edges", step_limit=None, fixed=None
-):
+def find_embedding(host_adj, host_n: int, plan: MatchPlan, blocked=None, step_limit=None, fixed=None):
     """Find one induced embedding of plan.pattern into the host adjacency.
 
-    host_adj is indexable by vertex and yields neighbor sets. When blocked is
-    given, embeddings are rejected if a pattern edge lands on a blocked host
-    pair (blocked_mode "edges") or a pattern non-edge lands on a blocked host
-    pair (blocked_mode "nonedges"); the packing bound uses this to collect
+    host_adj is indexable by vertex and yields neighbor sets. Embeddings
+    that map any pattern pair, edge or non-edge, onto a host pair in
+    blocked are rejected; the packing bound uses this to collect
     element-disjoint copies. fixed pins pattern vertices to host vertices
     (use a plan seeded with them, or the search degenerates). Returns the
     host image in plan order, or None.
@@ -240,8 +237,7 @@ def find_embedding(
         return None
     image = [0] * n
     used = [False] * (host_n if host_n else 1)
-    block_edges = blocked is not None and blocked_mode == "edges"
-    block_non = blocked is not None and blocked_mode == "nonedges"
+    blocking = bool(blocked)
     steps = 0
 
     def extend(i: int):
@@ -274,16 +270,13 @@ def find_embedding(
                     if other not in host_adj[h]:
                         ok = False
                         break
-                    if block_edges and (edge_key(h, other) in blocked):
-                        ok = False
-                        break
-                else:
-                    if other in host_adj[h]:
-                        ok = False
-                        break
-                    if block_non and (edge_key(h, other) in blocked):
-                        ok = False
-                        break
+                elif other in host_adj[h]:
+                    ok = False
+                    break
+                # edge_key(h, other), inlined on the hottest path
+                if blocking and ((h, other) if h < other else (other, h)) in blocked:
+                    ok = False
+                    break
             if not ok:
                 continue
             image[i] = h

@@ -22,7 +22,10 @@ non-edges. The encodings are mirror images:
   fill.
 
 These two and the three wired reductions in `gadgets` share one skeleton,
-`_wire`; the formula targets are the rows of `gadgets.FORMULA_TARGETS`.
+`_wire`, which labels every instance with one `ReductionTrace`, so
+`assignment_from_solution` and `solution_from_assignment` carry solutions
+both ways for all five; the formula targets are the rows of
+`gadgets.FORMULA_TARGETS`.
 
 The gap lifts drop the free/fixed distinction and protect what used to be
 fixed by sheer weight: every formerly fixed element gets a bundle of
@@ -37,6 +40,7 @@ their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .cnf import CnfFormula
 from .graphs import Graph, edge_key
@@ -76,20 +80,27 @@ class Polynomial:
 class ReductionTrace:
     """Where every labeled pair of a formula reduction ended up.
 
-    variable_pairs[i] holds the (true, false) pair for variable i+1;
-    clause_pairs[j] holds the three chain-start pairs of clause j in literal
-    order; chain_pairs[j][pos] lists the chain's own free pairs from clause
-    to variable. Completion clauses also record the branch pair that splits
-    literal 1 from literals 2 and 3.
+    variable_solutions[i] holds the (true, false) solutions of variable
+    i+1's gadget, each led by the pair that marks it; variable_pairs[i] is
+    that (true, false) marker pair. clause_pairs[j] holds clause j's three
+    literal pairs in literal order (the chain-start pairs of the general
+    reductions) and connections[j][pos] what wiring literal pos returned:
+    a chain's own free pairs, or a wiring copy's vertices.
+    clause_solutions[j] maps each satisfying truth pattern of clause j's
+    literals to the pairs that complete the clause. The extents list each
+    gadget's vertices.
     """
 
     mode: str
     variable_count: int
     clause_count: int
     variable_pairs: tuple
+    variable_solutions: tuple
     clause_pairs: tuple
-    chain_pairs: tuple
-    clause_branch_pairs: tuple = ()
+    clause_solutions: tuple
+    connections: tuple
+    variable_extents: tuple
+    clause_extents: tuple
 
 
 class _GraphBuilder:
@@ -165,15 +176,22 @@ def _build_chain(builder, copy_graph, slot, out_pair, steps, start_pair, end_pai
     return tuple(free_pairs)
 
 
-def _wire(formula, pattern, mode, variable_gadget, clause_gadget, connect):
+# the truth values of a clause's three literals that satisfy it
+_SATISFYING = tuple(values for values in product((False, True), repeat=3) if any(values))
+
+
+def _wire(formula, pattern, mode, variable_gadget, clause_gadget, connect, clause_solution):
     """The skeleton shared by every formula reduction.
 
-    Plants variable_gadget(builder, x) for every variable x, then
-    clause_gadget(builder) for every clause, then wires every literal
-    occurrence with connect(builder, variable, clause, pos, lit,
+    Plants variable_gadget(builder, x) for every variable x, which returns
+    the gadget's (true, false) solutions, each led by its marker pair; then
+    clause_gadget(builder) for every clause, which returns labels holding
+    the clause's three "literals" pairs; then wires every literal
+    occurrence with connect(builder, solutions, clause, pos, lit,
     occurrence), where occurrence counts the variable's earlier ones.
-    Returns the instance, the variable and clause gadgets, connect's
-    results grouped per clause, and each gadget's vertex extent.
+    clause_solution(clause, connections, values) gives the pairs completing
+    a clause whose literals take the truth values `values`; the trace keeps
+    them for each of the seven satisfying patterns.
     """
     builder = _GraphBuilder()
     variables, variable_extents, clauses, clause_extents = [], [], [], []
@@ -196,8 +214,22 @@ def _wire(formula, pattern, mode, variable_gadget, clause_gadget, connect):
         connections.append(tuple(per_clause))
     graph = Graph(builder.vertex_count, builder.edges)
     instance = SandwichInstance(graph, pattern, mode, frozenset(builder.free))
-    return (instance, tuple(variables), tuple(clauses), tuple(connections),
-            tuple(variable_extents), tuple(clause_extents))
+    trace = ReductionTrace(
+        mode=mode,
+        variable_count=formula.variable_count,
+        clause_count=formula.clause_count,
+        variable_pairs=tuple((true[0], false[0]) for true, false in variables),
+        variable_solutions=tuple(variables),
+        clause_pairs=tuple(clause["literals"] for clause in clauses),
+        clause_solutions=tuple(
+            {values: clause_solution(clause, wiring, values) for values in _SATISFYING}
+            for clause, wiring in zip(clauses, connections)
+        ),
+        connections=tuple(connections),
+        variable_extents=tuple(variable_extents),
+        clause_extents=tuple(clause_extents),
+    )
+    return instance, trace
 
 
 def reduce_3sat_to_sandwich_del(formula: CnfFormula, pattern: Pattern):
@@ -213,22 +245,28 @@ def reduce_3sat_to_sandwich_del(formula: CnfFormula, pattern: Pattern):
     def variable_gadget(builder, _x):
         mapping = builder.plant(pattern.graph)
         return tuple(
-            builder.add_edge(*builder.pair_of(mapping, pair), free=True) for pair in pattern.non_edges[:2]
+            (builder.add_edge(*builder.pair_of(mapping, pair), free=True),) for pair in pattern.non_edges[:2]
         )
 
     def clause_gadget(builder):
         mapping = builder.plant(pattern.graph)
-        return tuple(builder.mark_free(*builder.pair_of(mapping, edge)) for edge in clause_edges)
+        literals = tuple(builder.mark_free(*builder.pair_of(mapping, edge)) for edge in clause_edges)
+        return {"literals": literals}
 
-    def connect(builder, sides, starts, pos, lit, _occurrence):
-        return _build_chain(builder, pattern.graph, slot, out_edge, p + 2, starts[pos], sides[lit < 0])
+    def connect(builder, sides, clause, pos, lit, _occurrence):
+        start, end = clause["literals"][pos], sides[lit < 0][0]
+        return _build_chain(builder, pattern.graph, slot, out_edge, p + 2, start, end)
 
-    instance, variable_pairs, clause_pairs, chain_pairs, _, _ = _wire(
-        formula, pattern, DELETION, variable_gadget, clause_gadget, connect
+    def clause_solution(clause, chains, values):
+        # the chain of the first true literal
+        pos = values.index(True)
+        return (clause["literals"][pos], *chains[pos])
+
+    instance, trace = _wire(
+        formula, pattern, DELETION, variable_gadget, clause_gadget, connect, clause_solution
     )
     n, m = formula.variable_count, formula.clause_count
     assert len(instance.free) == 2 * n + 3 * m + 3 * m * (p + 1), "free element count off"
-    trace = ReductionTrace(DELETION, n, m, variable_pairs, clause_pairs, chain_pairs)
     return instance, trace
 
 
@@ -248,7 +286,7 @@ def reduce_3sat_to_sandwich_comp(formula: CnfFormula, pattern: Pattern):
 
     def variable_gadget(builder, _x):
         mapping = builder.plant(variable_copy)
-        return tuple(builder.mark_free(*builder.pair_of(mapping, edge)) for edge in two_smallest)
+        return tuple((builder.mark_free(*builder.pair_of(mapping, edge)),) for edge in two_smallest)
 
     def clause_gadget(builder):
         # the three literal pairs, and the branch pair splitting literal 1
@@ -261,28 +299,24 @@ def reduce_3sat_to_sandwich_comp(formula: CnfFormula, pattern: Pattern):
         )
         lit2_pair = builder.mark_free(*builder.pair_of(second, pattern.non_edges[0]))
         lit3_pair = builder.mark_free(*builder.pair_of(second, pattern.non_edges[1]))
-        return (lit1_pair, lit2_pair, lit3_pair), branch_pair
+        return {"literals": (lit1_pair, lit2_pair, lit3_pair), "branch": branch_pair}
 
     def connect(builder, sides, clause, pos, lit, _occurrence):
-        starts, _ = clause
-        return _build_chain(
-            builder, connector_graph, removed_edge, out_pair, p + 2, starts[pos], sides[lit < 0]
-        )
+        start, end = clause["literals"][pos], sides[lit < 0][0]
+        return _build_chain(builder, connector_graph, removed_edge, out_pair, p + 2, start, end)
 
-    instance, variable_pairs, clauses, chain_pairs, _, _ = _wire(
-        formula, pattern, COMPLETION, variable_gadget, clause_gadget, connect
+    def clause_solution(clause, chains, values):
+        # the chain of the first true literal, past the branch pair for
+        # literals 2 and 3
+        pos = values.index(True)
+        branch = (clause["branch"],) if pos else ()
+        return (clause["literals"][pos], *branch, *chains[pos])
+
+    instance, trace = _wire(
+        formula, pattern, COMPLETION, variable_gadget, clause_gadget, connect, clause_solution
     )
     n, m = formula.variable_count, formula.clause_count
     assert len(instance.free) == 2 * n + 4 * m + 3 * m * (p + 1), "free element count off"
-    trace = ReductionTrace(
-        COMPLETION,
-        n,
-        m,
-        variable_pairs,
-        tuple(starts for starts, _ in clauses),
-        chain_pairs,
-        tuple(branch for _, branch in clauses),
-    )
     return instance, trace
 
 
@@ -294,26 +328,17 @@ def assignment_from_solution(trace: ReductionTrace, pairs) -> tuple:
 
 
 def solution_from_assignment(formula: CnfFormula, trace: ReductionTrace, assignment) -> frozenset:
-    """The canonical solution encoding a satisfying assignment: one side per
-    variable, plus the chain of the first true literal in every clause."""
+    """The canonical solution encoding a satisfying assignment: the
+    matching solution of every variable gadget, plus the pairs that
+    complete every clause under the truth values of its literals."""
     chosen = set()
     for i, value in enumerate(assignment):
-        chosen.add(trace.variable_pairs[i][0 if value else 1])
+        chosen.update(trace.variable_solutions[i][0 if value else 1])
     for j, clause in enumerate(formula.clauses):
-        pos = next(
-            (
-                t
-                for t, lit in enumerate(clause)
-                if assignment[abs(lit) - 1] == (lit > 0)
-            ),
-            None,
-        )
-        if pos is None:
+        values = tuple(assignment[abs(lit) - 1] == (lit > 0) for lit in clause)
+        if not any(values):
             raise ValueError(f"assignment does not satisfy clause {j}")
-        chosen.add(trace.clause_pairs[j][pos])
-        if trace.mode == COMPLETION and pos in (1, 2):
-            chosen.add(trace.clause_branch_pairs[j])
-        chosen.update(trace.chain_pairs[j][pos])
+        chosen.update(trace.clause_solutions[j][values])
     return frozenset(chosen)
 
 

@@ -111,7 +111,6 @@ class _Search:
         self.blocked = set()
         # Internal pairs that can destroy a copy, in original pattern labels.
         self.breakers = self.plan.pattern_edges if self.deletion else self.plan.pattern_non_edges
-        self.blocked_mode = "edges" if self.deletion else "nonedges"
 
     def _mapped_pairs(self, image, plan=None):
         plan = plan or self.plan
@@ -166,7 +165,6 @@ class _Search:
                         self.n,
                         plan,
                         blocked=used,
-                        blocked_mode=self.blocked_mode,
                         step_limit=_PACKING_STEP_LIMIT,
                         fixed={a: x, b: y},
                     )

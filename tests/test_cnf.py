@@ -114,6 +114,10 @@ def test_dimacs_parser_stops_at_satlib_trailer():
         ("c note\np cnf 2 1\n\n1 2 0 x\n", "line 4: invalid literal 'x'"),
         ("p cnf x 1\n1 0\n", "line 1: bad count in problem line"),
         ("p cnf 2 y\n1 0\n", "line 1: bad count in problem line"),
+        ("p cnf 2 1\np cnf 3 1\n1 3 0\n", "line 2: second problem line"),
+        ("1 2 0\np cnf 2 1\n", "line 1: missing problem line"),
+        ("c note\np cnf 2 1\n1 -3 0\n", "line 3: literal -3 out of range"),
+        ("p cnf 2 1\n1\n3 0\n", "line 3: literal 3 out of range"),
     ],
 )
 def test_dimacs_parser_rejects_malformed(text, message):

@@ -66,6 +66,9 @@ def test_instance_parse_errors():
         ("edge 0 1 free", "edge 0 1 free\nedge 1 0", "duplicate edge"),
         ("edge 0 1 free", "edge 0 1 free\nnonedge 0 2 free", "belong to completion"),
         ("edge 0 1 free", "edge 0 1 free\nbudget 1\nbudget 2", "budget given twice"),
+        ("vertices 4", "vertices 4\nvertices 9", "line 5: vertices given twice"),
+        ("vertices 4", "mode deletion\nvertices 4", "line 4: mode given twice"),
+        ("vertices 4", "pattern c5\nvertices 4", "line 4: pattern given twice"),
         ("edge 0 1 free", "edge 0 1 free\nbudget -1", "nonnegative integer"),
         ("edge 0 1 free", "edge 0 1 free\nhub 0", "unknown directive"),
         ("vertices 4", "verts 4", "unknown directive"),

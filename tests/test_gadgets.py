@@ -14,11 +14,10 @@ from hfree.gadgets import (
     reduce_3sat_to_c4del,
     reduce_3sat_to_c5del,
     reduce_c4comp_to_house_comp,
-    solution_from_specific,
 )
 from hfree.graphs import Graph, find_induced_copy, induced_subgraph, is_h_free
 from hfree.patterns import complete_graph, cycle_graph, house_graph, named_pattern, path_graph
-from hfree.reductions import Polynomial, assignment_from_solution
+from hfree.reductions import Polynomial, assignment_from_solution, solution_from_assignment
 from hfree.solver import (
     COMPLETION,
     DELETION,
@@ -134,7 +133,7 @@ def test_wired_equivalence_random(reduce_fn, needs_duplication):
         assert found is not None
         assignment = assignment_from_solution(trace, found)
         assert satisfies(f, assignment)
-        canonical = solution_from_specific(trace, model, f)
+        canonical = solution_from_assignment(f, trace, model)
         assert is_solution(instance, canonical)
 
 
@@ -155,7 +154,7 @@ def test_wired_tamper_rejected():
                                          (reduce_3sat_to_c4comp, True)):
         g = duplicate_for_min_occurrences(f, 2) if needs_duplication else f
         instance, trace = reduce_fn(g)
-        good = solution_from_specific(trace, (True, False, False), g)
+        good = solution_from_assignment(g, trace, (True, False, False))
         assert is_solution(instance, good)
         flipped = (good - set(trace.variable_solutions[0][0])) | set(trace.variable_solutions[0][1])
         assert not is_solution(instance, frozenset(flipped))
@@ -172,7 +171,7 @@ def test_locality_of_obstructions(reduce_fn, length, needs_duplication):
         f = duplicate_for_min_occurrences(f, 2)
     instance, trace = reduce_fn(f)
     extents = [set(extent) for extent in trace.variable_extents + trace.clause_extents]
-    connectors = {tuple(sorted(quad)) for quad in trace.connector_extents}
+    connectors = {tuple(sorted(quad)) for per_clause in trace.connections for quad in per_clause}
     cycles = induced_cycles(instance.graph, length)
     assert cycles
     for cycle in cycles:
@@ -205,7 +204,7 @@ def test_house_completion_translation_on_wired_instance():
     f = duplicate_for_min_occurrences(formula(3, [(1, 2, 3)]), 2)
     source, trace = reduce_3sat_to_c4comp(f)
     target = reduce_c4comp_to_house_comp(source)
-    canonical = solution_from_specific(trace, (True, True, True), f)
+    canonical = solution_from_assignment(f, trace, (True, True, True))
     assert is_solution(target, canonical)
     assert not is_solution(target, frozenset())
 

@@ -18,7 +18,6 @@ from hfree.cnf import duplicate_for_min_occurrences, formula, render_dimacs, sat
 from hfree.formats import render_instance
 from hfree.gadgets import (
     LIFT_FAMILIES, lift_specific, reduce_3sat_to_c4comp, reduce_3sat_to_c4del, reduce_3sat_to_c5del,
-    solution_from_specific,
 )
 from hfree.graphs import Graph
 from hfree.patterns import named_pattern
@@ -124,16 +123,15 @@ def _canonical_solver(target):
     """The formula the target reduces, its instance, and its canonical
     solution function, from a satisfying assignment to the solution."""
     wheel = named_pattern("wheel4")
-    if target == "sat2del":
-        instance, trace = reduce_3sat_to_sandwich_del(CNF, wheel)
-        return CNF, instance, lambda model: solution_from_assignment(CNF, trace, model)
-    if target == "sat2comp":
-        instance, trace = reduce_3sat_to_sandwich_comp(CNF, wheel)
-        return CNF, instance, lambda model: solution_from_assignment(CNF, trace, model)
     f = duplicate_for_min_occurrences(CNF, 2) if target == "c4comp" else CNF
-    reduce_fn = {"c4del": reduce_3sat_to_c4del, "c5del": reduce_3sat_to_c5del, "c4comp": reduce_3sat_to_c4comp}
-    instance, trace = reduce_fn[target](f)
-    return f, instance, lambda model: solution_from_specific(trace, model, f)
+    instance, trace = {
+        "sat2del": lambda: reduce_3sat_to_sandwich_del(f, wheel),
+        "sat2comp": lambda: reduce_3sat_to_sandwich_comp(f, wheel),
+        "c4del": lambda: reduce_3sat_to_c4del(f),
+        "c5del": lambda: reduce_3sat_to_c5del(f),
+        "c4comp": lambda: reduce_3sat_to_c4comp(f),
+    }[target]()
+    return f, instance, lambda model: solution_from_assignment(f, trace, model)
 
 
 @pytest.mark.parametrize("target", sorted(CANONICAL_DIGESTS))

@@ -7,11 +7,13 @@ from hfree.graphs import (
     complement,
     edge_key,
     enumerate_induced_copies,
+    find_embedding,
     find_induced_copy,
     induced_subgraph,
     is_3_connected,
     is_connected,
     is_h_free,
+    match_plan,
 )
 from hfree.patterns import (
     complete_graph,
@@ -149,3 +151,17 @@ def test_induced_subgraph_relabels_in_sorted_order():
     sub = induced_subgraph(g, [4, 1, 3])
     # Hub 4 is adjacent to both rim vertices; rim 1 and 3 are opposite.
     assert sub == Graph(3, [(0, 2), (1, 2)])
+
+
+def test_find_embedding_rejects_blocked_pairs_of_either_kind():
+    # The only square of this host covers 0..3; vertex 4 hangs off it.
+    host = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+    plan = match_plan(cycle_graph(4))
+
+    def embeds(blocked):
+        return find_embedding(host._adj, host.vertex_count, plan, blocked=blocked) is not None
+
+    assert embeds(set())
+    assert embeds({(0, 4)})
+    assert not embeds({(0, 1)})  # under a pattern edge
+    assert not embeds({(0, 2)})  # under a pattern non-edge

@@ -106,7 +106,7 @@ def test_chain_propagation(reduce_fn):
         for pos, lit in enumerate(clause):
             if trace.clause_pairs[j][pos] in found:
                 fired += 1
-                assert set(trace.chain_pairs[j][pos]) <= found
+                assert set(trace.connections[j][pos]) <= found
                 target = trace.variable_pairs[abs(lit) - 1][0 if lit > 0 else 1]
                 assert target in found
     assert fired >= f.clause_count
