@@ -54,7 +54,7 @@ _VERDICT_EXIT = {"pass": 0, "fail": 1, "skipped": 3}
 
 def _read_text(args) -> str:
     if args.input is None:
-        return sys.stdin.read()
+        return sys.stdin.buffer.read().decode("ascii")
     with open(args.input, encoding="ascii") as handle:
         return handle.read()
 
@@ -234,13 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--pattern", metavar="NAME", help="pattern name, e.g. house, c4, k5e, co-p5"
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for generated inputs")
-    common.add_argument(
-        "--node-limit",
-        type=int,
-        default=DEFAULT_NODE_LIMIT,
-        help="abort oracle searches after this many nodes",
-    )
 
     parser = argparse.ArgumentParser(
         prog="hfree",
@@ -272,6 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument(
         "--existence", action="store_true", help="report yes or no without a witness"
     )
+    solve_p.add_argument(
+        "--node-limit",
+        type=int,
+        default=DEFAULT_NODE_LIMIT,
+        help="abort oracle searches after this many nodes",
+    )
     solve_p.set_defaults(handler=_cmd_solve)
 
     verify_p = sub.add_parser(
@@ -284,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--family", choices=LIFT_FAMILIES, help="gap lift family")
     verify_p.add_argument("--poly", metavar="A,D,C", help="gap certification polynomial")
     verify_p.add_argument("--budget", type=int, metavar="K", help="duality budget, default 2")
+    verify_p.add_argument("--seed", type=int, default=0, help="seed for the generated duality graph")
     verify_p.set_defaults(handler=_cmd_verify)
 
     pattern_p = sub.add_parser("pattern", parents=[common], help="describe a named pattern")

@@ -4,11 +4,14 @@ The general chain reduction needs a 3-connected pattern, which C4 and C5
 are not, so these constructions replace chains with direct wiring: every
 clause-to-variable link is a single induced copy of the pattern whose only
 free elements are the clause literal pair and the variable output pair.
-The gadget libraries are small enough to certify outright. Each one comes
-with an exhaustive contract (its exact solution set over all subsets of
-its free pairs, plus structural facts) that is machine-checked the first
-time a process uses it; a failed check raises GadgetContractError rather
-than emitting a wrong instance.
+The gadget libraries are small enough to certify outright. Every contract
+is an exact solution set, predicted from the builder's labels and
+machine-checked the first time a process uses it: the subsets of the free
+pairs (for the ladder, one diagonal choice per square) that leave the
+gadget pattern-free must be exactly the predicted ones, the subsets tried
+must touch every free pair, and the free pairs must span no square. A
+failed check raises GadgetContractError rather than emitting a wrong
+instance.
 
 Variable gadgets for deletion pair two mirrored all-or-nothing chains, one
 per truth value, coupled so that at least one chain fires and at most one
@@ -71,25 +74,6 @@ def has_c4_subgraph(graph: Graph) -> bool:
     return False
 
 
-def _all_solutions(vertex_count, edges, free, pattern, mode):
-    """Every subset of free whose application leaves the graph pattern-free.
-
-    Exhaustive over 2**len(free); callers keep free small.
-    """
-    free = sorted(edge_key(u, v) for u, v in free)
-    edges = set(edges)
-    out = []
-    for r in range(len(free) + 1):
-        for subset in itertools.combinations(free, r):
-            if mode == DELETION:
-                modified = edges - set(subset)
-            else:
-                modified = edges | set(subset)
-            if is_h_free(Graph(vertex_count, modified), pattern):
-                out.append(frozenset(subset))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # square (C4) deletion
 
@@ -143,53 +127,6 @@ def _c4del_clause(builder: _GraphBuilder) -> dict:
 
 # the hexagon spacer between two literal pairs, by their positions
 _SPACED = {(0, 1): 0, (1, 2): 1, (0, 2): 2}
-
-
-@lru_cache(maxsize=None)
-def check_c4_deletion_gadgets() -> tuple:
-    """Certify both C4-deletion gadgets; raises GadgetContractError."""
-    square = cycle_graph(4)
-
-    builder = _GraphBuilder()
-    fire_true, fire_false = map(frozenset, _c4del_variable(builder))
-    sols = _all_solutions(builder.vertex_count, builder.edges, builder.free, square, DELETION)
-    if sorted(sols, key=sorted) != sorted((fire_true, fire_false), key=sorted):
-        raise GadgetContractError("square deletion variable gadget: solutions are not the two chains")
-    if has_c4_subgraph(Graph(builder.vertex_count, builder.free)):
-        raise GadgetContractError("square deletion variable gadget: free pairs span a square")
-    variable = GadgetContract(
-        "c4-deletion variable", builder.vertex_count, len(builder.free), 2 ** len(builder.free),
-        ("exactly two solutions, one full chain per truth value",
-         "free pairs span no square subgraph"),
-    )
-
-    builder = _GraphBuilder()
-    labels = _c4del_clause(builder)
-    sols = set(_all_solutions(builder.vertex_count, builder.edges, builder.free, square, DELETION))
-    literals = frozenset(labels["literals"])
-    lits = labels["literals"]
-    facts = (
-        frozenset() in sols,
-        all(frozenset((lit,)) in sols for lit in literals),
-        not any(sol >= literals for sol in sols),
-        frozenset(lits[1:]) not in sols,
-        all(frozenset((lits[i], lits[k], labels["spacers"][s])) in sols
-            for (i, k), s in _SPACED.items()),
-        all(any(sol & literals == frozenset((lit,)) for sol in sols) for lit in literals),
-        all(any(sol & literals == literals - {lit} for sol in sols) for lit in literals),
-    )
-    if not all(facts):
-        raise GadgetContractError("square deletion clause gadget: solution-set facts failed")
-    if has_c4_subgraph(Graph(builder.vertex_count, builder.free)):
-        raise GadgetContractError("square deletion clause gadget: free pairs span a square")
-    clause = GadgetContract(
-        "c4-deletion clause", builder.vertex_count, len(builder.free), 2 ** len(builder.free),
-        ("the empty set and every single literal pair are solutions",
-         "no solution removes all three literal pairs",
-         "removing two literal pairs forces the spacer between them",
-         "free pairs span no square subgraph"),
-    )
-    return variable, clause
 
 
 # ---------------------------------------------------------------------------
@@ -246,37 +183,6 @@ def _c5del_clause(builder: _GraphBuilder) -> dict:
         builder.add_edge(s3, t3, free=True),
     )
     return {"literals": literals}
-
-
-@lru_cache(maxsize=None)
-def check_c5_deletion_gadgets() -> tuple:
-    """Certify both C5-deletion gadgets; raises GadgetContractError."""
-    pentagon = cycle_graph(5)
-
-    builder = _GraphBuilder()
-    want = sorted(map(frozenset, _c5del_variable(builder)), key=sorted)
-    sols = _all_solutions(builder.vertex_count, builder.edges, builder.free, pentagon, DELETION)
-    if sorted(sols, key=sorted) != want:
-        raise GadgetContractError("pentagon deletion variable gadget: solutions are not the two chains")
-    variable = GadgetContract(
-        "c5-deletion variable", builder.vertex_count, len(builder.free), 2 ** len(builder.free),
-        ("exactly two solutions, one full chain per truth value",),
-    )
-
-    builder = _GraphBuilder()
-    labels = _c5del_clause(builder)
-    sols = set(_all_solutions(builder.vertex_count, builder.edges, builder.free, pentagon, DELETION))
-    literals = set(labels["literals"])
-    proper = set()
-    for r in range(3):
-        proper.update(frozenset(s) for s in itertools.combinations(sorted(literals), r))
-    if sols != proper:
-        raise GadgetContractError("pentagon deletion clause gadget: solutions are not the proper chord subsets")
-    clause = GadgetContract(
-        "c5-deletion clause", builder.vertex_count, len(builder.free), 2 ** len(builder.free),
-        ("solutions are exactly the proper subsets of the three chords",),
-    )
-    return variable, clause
 
 
 # ---------------------------------------------------------------------------
@@ -337,72 +243,134 @@ def _c4comp_clause(builder: _GraphBuilder) -> dict:
     return {"taps": ((v1, u1), (v2, u2), (v3, u3)), "gates": gates, "literals": literals}
 
 
+# ---------------------------------------------------------------------------
+# gadget contracts
+
+
+def _chains(labels) -> set:
+    """A variable gadget's two solutions, one per truth value."""
+    return set(map(frozenset, labels))
+
+
+def _hexagon_runs(labels) -> set:
+    """The empty set and every run of one to three consecutive hexagon edges."""
+    ring = [pair for both in zip(labels["literals"], labels["spacers"]) for pair in both]
+    runs = {frozenset()}
+    for start in range(6):
+        runs.update(frozenset(ring[(start + i) % 6] for i in range(length)) for length in (1, 2, 3))
+    return runs
+
+
+def _proper_chord_subsets(labels) -> set:
+    return {frozenset(s) for r in range(3) for s in itertools.combinations(labels["literals"], r)}
+
+
+def _gated_literals(labels) -> set:
+    """One gate or both, each with literal pairs under it: (v1, v2) with
+    literal 1, 2 or both, and (v3, v4) with literal 3."""
+    (gate12, gate34), (lit1, lit2, lit3) = labels["gates"], labels["literals"]
+    left = ({gate12, lit1}, {gate12, lit2}, {gate12, lit1, lit2}, set())
+    right = ({gate34, lit3}, set())
+    return {frozenset(a | b) for a in left for b in right} - {frozenset()}
+
+
+def _diagonal_choices(labels):
+    """One diagonal choice per ladder square: true, false, or both. A square
+    left without either diagonal stays an induced C4, so nothing outside
+    these choices can be a solution."""
+    picks = [(frozenset((t,)), frozenset((f,)), frozenset((t, f))) for t, f in zip(*labels)]
+    for choice in itertools.product(*picks):
+        yield frozenset().union(*choice)
+
+
+# Every contract is an exact solution set. _certify builds the gadget, tries
+# each candidate subset of its free pairs, and checks that the subsets
+# leaving it pattern-free are exactly the set the row predicts from the
+# builder's labels, that the candidates touch every free pair, and that the
+# free pairs span no square subgraph. Rows call their builders by module
+# name at run time, so a builder rebound there is the one certified.
+#
+#   contract: (builder, pattern, mode, predicted solutions, facts,
+#              candidate subsets, None for every subset of the free pairs)
+_CONTRACTS = {
+    "c4-deletion variable": (
+        lambda builder: _c4del_variable(builder), cycle_graph(4), DELETION, _chains,
+        ("exactly two solutions, one full chain per truth value",), None,
+    ),
+    "c4-deletion clause": (
+        lambda builder: _c4del_clause(builder), cycle_graph(4), DELETION, _hexagon_runs,
+        ("solutions are the empty set and every run of one to three consecutive hexagon edges",
+         "no solution removes all three literal pairs",
+         "one that removes two literal pairs removes the spacer between them"),
+        None,
+    ),
+    "c5-deletion variable": (
+        lambda builder: _c5del_variable(builder), cycle_graph(5), DELETION, _chains,
+        ("exactly two solutions, one full chain per truth value",), None,
+    ),
+    "c5-deletion clause": (
+        lambda builder: _c5del_clause(builder), cycle_graph(5), DELETION, _proper_chord_subsets,
+        ("solutions are exactly the proper subsets of the three chords",), None,
+    ),
+    "c4-completion ladder": (
+        lambda builder: _c4comp_ladder(builder, 2), cycle_graph(4), COMPLETION, _chains,
+        ("exactly two solutions, one orientation per truth value",), _diagonal_choices,
+    ),
+    "c4-completion clause": (
+        lambda builder: _c4comp_clause(builder), cycle_graph(4), COMPLETION, _gated_literals,
+        ("every solution fills a gate pair and each gate drags in a literal pair",
+         "literal fills require their gate, and (u4, v4) is never needed"),
+        None,
+    ),
+}
+
+
+def _certify(name: str) -> GadgetContract:
+    """Check one row of _CONTRACTS; raises GadgetContractError."""
+    build, pattern, mode, predict, facts, candidates = _CONTRACTS[name]
+    builder = _GraphBuilder()
+    labels = build(builder)
+    n, edges, free = builder.vertex_count, frozenset(builder.edges), frozenset(builder.free)
+    if candidates is None:
+        subsets = (
+            frozenset(s) for r in range(len(free) + 1) for s in itertools.combinations(sorted(free), r)
+        )
+    else:
+        subsets = candidates(labels)
+    apply = edges.difference if mode == DELETION else edges.union
+    checked = 0
+    covered = set()
+    solutions = set()
+    for subset in subsets:
+        checked += 1
+        covered |= subset
+        if is_h_free(Graph(n, apply(subset)), pattern):
+            solutions.add(subset)
+    if solutions != predict(labels):
+        raise GadgetContractError(f"{name} gadget: solutions are not the predicted set")
+    if covered != free:
+        raise GadgetContractError(f"{name} gadget: the candidates do not cover the free pairs")
+    if has_c4_subgraph(Graph(n, free)):
+        raise GadgetContractError(f"{name} gadget: free pairs span a square")
+    return GadgetContract(name, n, len(free), checked, facts + ("free pairs span no square subgraph",))
+
+
+@lru_cache(maxsize=None)
+def check_c4_deletion_gadgets() -> tuple:
+    """Certify both C4-deletion gadgets; raises GadgetContractError."""
+    return _certify("c4-deletion variable"), _certify("c4-deletion clause")
+
+
+@lru_cache(maxsize=None)
+def check_c5_deletion_gadgets() -> tuple:
+    """Certify both C5-deletion gadgets; raises GadgetContractError."""
+    return _certify("c5-deletion variable"), _certify("c5-deletion clause")
+
+
 @lru_cache(maxsize=None)
 def check_c4_completion_gadgets() -> tuple:
-    """Certify the completion ladder and clause gadget.
-
-    The ladder check enumerates one diagonal choice per square (a square
-    left without either diagonal stays an induced C4, so nothing outside
-    that refinement can be a solution) and expects the two orientations.
-    """
-    square = cycle_graph(4)
-
-    builder = _GraphBuilder()
-    fills_true, fills_false = _c4comp_ladder(builder, 2)
-    graph = Graph(builder.vertex_count, builder.edges)
-    sols = []
-    checked = 0
-    for choice in itertools.product((0, 1, 2), repeat=8):
-        fills = set()
-        for i, pick in enumerate(choice):
-            if pick != 1:
-                fills.add(fills_true[i])
-            if pick != 0:
-                fills.add(fills_false[i])
-        checked += 1
-        if is_h_free(Graph(graph.vertex_count, set(graph.edges) | fills), square):
-            sols.append(frozenset(fills))
-    want = sorted((frozenset(fills_true), frozenset(fills_false)), key=sorted)
-    if sorted(sols, key=sorted) != want:
-        raise GadgetContractError("square completion ladder: solutions are not the two orientations")
-    if has_c4_subgraph(Graph(builder.vertex_count, builder.free)):
-        raise GadgetContractError("square completion ladder: fillable pairs span a square")
-    ladder = GadgetContract(
-        "c4-completion ladder", builder.vertex_count, len(builder.free), checked,
-        ("exactly two solutions, one orientation per truth value",
-         "fillable pairs span no square subgraph"),
-    )
-
-    builder = _GraphBuilder()
-    labels = _c4comp_clause(builder)
-    sols = set(_all_solutions(builder.vertex_count, builder.edges, builder.free, square, COMPLETION))
-    gate12, gate34 = labels["gates"]
-    lit1, lit2, lit3 = labels["literals"]
-    predicted = set()
-    for r in range(6):
-        for subset in itertools.combinations(sorted(builder.free), r):
-            subset = frozenset(subset)
-            ok = (gate12 in subset or gate34 in subset)
-            ok = ok and (gate12 not in subset or (lit1 in subset or lit2 in subset))
-            ok = ok and (gate34 not in subset or lit3 in subset)
-            ok = ok and (lit1 not in subset or gate12 in subset)
-            ok = ok and (lit2 not in subset or gate12 in subset)
-            ok = ok and (lit3 not in subset or gate34 in subset)
-            if ok:
-                predicted.add(subset)
-    if sols != predicted:
-        raise GadgetContractError("square completion clause gadget: solution-set facts failed")
-    if not all(any(lit in sol for lit in labels["literals"]) for sol in sols):
-        raise GadgetContractError("square completion clause gadget: a solution asserts no literal")
-    if has_c4_subgraph(Graph(builder.vertex_count, builder.free)):
-        raise GadgetContractError("square completion clause gadget: fillable pairs span a square")
-    clause = GadgetContract(
-        "c4-completion clause", builder.vertex_count, len(builder.free), 2 ** len(builder.free),
-        ("every solution fills a gate pair and each gate drags in a literal pair",
-         "literal fills require their gate, and (u4, v4) is never needed",
-         "fillable pairs span no square subgraph"),
-    )
-    return ladder, clause
+    """Certify the completion ladder and clause gadget; raises GadgetContractError."""
+    return _certify("c4-completion ladder"), _certify("c4-completion clause")
 
 
 # ---------------------------------------------------------------------------

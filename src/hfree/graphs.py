@@ -206,15 +206,11 @@ class MatchPlan:
         self.pattern_non_edges = tuple(pattern.non_edges())
 
 
-@lru_cache(maxsize=256)
-def match_plan(pattern: Graph) -> MatchPlan:
-    return MatchPlan(pattern)
-
-
-@lru_cache(maxsize=2048)
-def match_plan_seeded(pattern: Graph, seed: tuple) -> MatchPlan:
-    """Plan whose vertex order starts with the seed vertices, so searches
-    that pin those vertices never scan global candidates."""
+@lru_cache(maxsize=4096)
+def match_plan(pattern: Graph, seed: tuple = ()) -> MatchPlan:
+    """The cached plan for pattern. Its vertex order starts with the seed
+    vertices, so searches that pin those vertices never scan global
+    candidates."""
     return MatchPlan(pattern, seed)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, edge_key, find_embedding, match_plan, match_plan_seeded
+from .graphs import Graph, edge_key, find_embedding, match_plan
 from .patterns import Pattern
 
 DELETION = "deletion"
@@ -158,7 +158,7 @@ class _Search:
         while count <= limit:
             found = None
             for a, b in positions:
-                plan = match_plan_seeded(pattern, (a, b))
+                plan = match_plan(pattern, (a, b))
                 for x, y in ((u, v), (v, u)):
                     image = find_embedding(
                         self.adj,

@@ -5,6 +5,7 @@ the argument wiring, the file round trips, and the exit code contract are
 all exercised the way a shell user would hit them.
 """
 
+import io
 import itertools
 
 import pytest
@@ -152,6 +153,39 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["lift", "-i", src, "--poly", "1,1,1"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "c4del", "--node-limit", "5"],
+    ["complement", "--node-limit", "5"],
+    ["reduce", "c4del", "--seed", "1"],
+    ["solve", "--seed", "1"],
+])
+def test_options_only_where_read(argv):
+    # --node-limit belongs to solve and --seed to verify duality alone
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
+def test_stdin_is_read_as_ascii_like_input_files(tmp_path, capsys, monkeypatch):
+    text = open(square_deletion_file(tmp_path), encoding="ascii").read() + "label x1 0 1\n"
+    for data in (text.encode("ascii"), text.replace("x1", "x\u00e91").encode("utf-8")):
+        src = tmp_path / "in.hfi"
+        src.write_bytes(data)
+        via_file, via_stdin = tmp_path / "file.out", tmp_path / "stdin.out"
+        via_stdin.write_text("kept\n", encoding="ascii")
+        file_code = main(["complement", "-i", str(src), "-o", str(via_file)])
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        stdin_code = main(["complement", "-o", str(via_stdin)])
+        if data.isascii():
+            assert file_code == stdin_code == 0
+            assert via_stdin.read_bytes() == via_file.read_bytes()
+        else:
+            # both routes refuse before the output file is opened
+            assert file_code == stdin_code == 2
+            assert capsys.readouterr().err.count("'ascii' codec can't decode") == 2
+            assert via_stdin.read_text(encoding="ascii") == "kept\n"
 
 
 def test_verify_equivalence_normalizes_like_reduce(tmp_path, capsys):

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from hfree import gadgets
 from hfree.cnf import duplicate_for_min_occurrences, formula, sat_brute_force, satisfies
 from hfree.gadgets import (
+    GadgetContractError,
     check_c4_completion_gadgets,
     check_c4_deletion_gadgets,
     check_c5_deletion_gadgets,
@@ -102,6 +104,45 @@ def test_gadget_contracts_certify():
             assert contract.free_count == free
             assert contract.checked_subsets >= 2**free or contract.checked_subsets == 6561
             assert all(isinstance(fact, str) for fact in contract.facts)
+
+
+def _drop_rigid_edge(builder, mode):
+    rigid = builder.edges - builder.free if mode == DELETION else builder.edges
+    builder.edges.discard(min(rigid))
+
+
+def _add_free_pair(builder, mode):
+    if mode == DELETION:
+        builder.free.add(min(builder.edges - builder.free))
+    else:
+        pairs = set(itertools.combinations(range(builder.vertex_count), 2))
+        builder.free.add(min(pairs - builder.edges - builder.free))
+
+
+@pytest.mark.parametrize("corrupt", [_drop_rigid_edge, _add_free_pair])
+@pytest.mark.parametrize("name,check,mode", [
+    ("_c4del_variable", check_c4_deletion_gadgets, DELETION),
+    ("_c4del_clause", check_c4_deletion_gadgets, DELETION),
+    ("_c5del_variable", check_c5_deletion_gadgets, DELETION),
+    ("_c5del_clause", check_c5_deletion_gadgets, DELETION),
+    ("_c4comp_ladder", check_c4_completion_gadgets, COMPLETION),
+    ("_c4comp_clause", check_c4_completion_gadgets, COMPLETION),
+])
+def test_corrupted_gadget_fails_its_contract(monkeypatch, name, check, mode, corrupt):
+    original = getattr(gadgets, name)
+
+    def broken(builder, *args):
+        labels = original(builder, *args)
+        corrupt(builder, mode)
+        return labels
+
+    monkeypatch.setattr(gadgets, name, broken)
+    check.cache_clear()
+    try:
+        with pytest.raises(GadgetContractError):
+            check()
+    finally:
+        check.cache_clear()
 
 
 def test_wired_preconditions():
