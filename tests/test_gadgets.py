@@ -119,7 +119,16 @@ def _add_free_pair(builder, mode):
         builder.free.add(min(pairs - builder.edges - builder.free))
 
 
-@pytest.mark.parametrize("corrupt", [_drop_rigid_edge, _add_free_pair])
+def _add_wrong_kind_pair(builder, mode):
+    if mode == DELETION:
+        pairs = set(itertools.combinations(range(builder.vertex_count), 2)) - builder.edges
+        # the clause K6 has no non-edge, so it gets one to an isolated vertex
+        builder.free.add(min(pairs) if pairs else (0, builder.fresh()))
+    else:
+        builder.free.add(min(builder.edges))
+
+
+@pytest.mark.parametrize("corrupt", [_drop_rigid_edge, _add_free_pair, _add_wrong_kind_pair])
 @pytest.mark.parametrize("name,check,mode", [
     ("_c4del_variable", check_c4_deletion_gadgets, DELETION),
     ("_c4del_clause", check_c4_deletion_gadgets, DELETION),

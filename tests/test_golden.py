@@ -1,15 +1,18 @@
-"""Golden bytes: sha256 digests of rendered lift, reduce and verify outputs.
+"""Golden bytes: sha256 digests of rendered lift, reduce, solve and verify outputs.
 
 Refactors of the builders must keep every output byte-identical; these
 digests pin one gap-corpus instance per lift family under two polynomials,
 every formula and square target of `hfree reduce` on a fixed formula, the
-report `hfree verify equivalence` prints for every target on it, and the
+report `hfree verify equivalence` prints for every target on it, the
 canonical solution each formula reduction builds for every satisfying
-assignment of that formula.
+assignment of that formula, the `hfree verify gadgets` report, the
+obstruction census `hfree reduce graph2minones` takes of a dense host, and
+the solution `hfree solve` picks among several optimal ones.
 """
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -24,7 +27,7 @@ from hfree.patterns import named_pattern
 from hfree.reductions import (
     Polynomial, reduce_3sat_to_sandwich_comp, reduce_3sat_to_sandwich_del, solution_from_assignment,
 )
-from hfree.solver import DELETION, SandwichInstance, is_solution
+from hfree.solver import COMPLETION, DELETION, SandwichInstance, is_solution
 
 from test_acceptance import gap_corpus
 
@@ -72,12 +75,45 @@ CANONICAL_DIGESTS = {
     "c4comp": "262a302ae93e3c3d963e28c2e1973e17b64673b6cde6a2ae480ea5c6b5f6389a",
 }
 
+GADGETS_DIGEST = "8fd58b8a0d523cfa4983bdd1e73ba096468f81dbf233dd1ad5b04b82f322ebd8"
+GRAPH2MINONES_DIGEST = "b51575d544fb3a249cfa8e232dcd829a3f24bf3e6248483426ff4c8d9883f0fe"
+
+SOLVE_DIGESTS = {
+    ("deletion",): "f958015d5239155c3938a0830541ae4c0087daafd4f173ab7e678424429282ab",
+    ("deletion", "--budget", "3"): "f958015d5239155c3938a0830541ae4c0087daafd4f173ab7e678424429282ab",
+    ("deletion", "--budget", "4"): "9189e1b00267778bf50a599a2a9db858d280816d742d9a84e9c4ebd907e0f57d",
+    ("completion",): "6ad5cc9af1fe3a3a861acb4352f02a7009daf955704a7b469d59cb3e6e9bf2e4",
+    ("completion", "--budget", "3"): "6ad5cc9af1fe3a3a861acb4352f02a7009daf955704a7b469d59cb3e6e9bf2e4",
+    ("completion", "--budget", "4"): "6ad5cc9af1fe3a3a861acb4352f02a7009daf955704a7b469d59cb3e6e9bf2e4",
+}
+
 CNF = formula(3, [(1, -2, 3), (-1, 2, -3)])
 FORMULA = render_dimacs(CNF)
 SQUARE = render_instance(
     SandwichInstance(Graph(4, {(0, 1), (1, 2), (2, 3), (0, 3)}), named_pattern("c4"), DELETION, frozenset({(0, 1)})),
     labels=[("keep", (2, 3))],
 )
+
+
+def _dense_k5e_host() -> str:
+    """An 8-vertex host with 19 induced K5-minus-an-edge copies and 2 K5s."""
+    rng = random.Random(8)
+    host = Graph(8, [(u, v) for u, v in itertools.combinations(range(8), 2) if rng.random() < 0.8])
+    return render_instance(SandwichInstance(host, named_pattern("k5e"), DELETION, host.edges))
+
+
+def _square_instance(mode: str) -> str:
+    """Square-free instances with several optimal solutions: K3,3 with every
+    edge deletable (six of size 3), and two squares beside K2,3 with their
+    diagonals, K2,3's missing pairs and two cross pairs fillable (four of
+    size 3)."""
+    if mode == DELETION:
+        host = Graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+        return render_instance(SandwichInstance(host, named_pattern("c4"), DELETION, host.edges))
+    squares = [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)]
+    host = Graph(13, squares + [(a, b) for a in (8, 9) for b in (10, 11, 12)])
+    free = {(0, 2), (1, 3), (4, 6), (5, 7), (8, 9), (10, 11), (10, 12), (11, 12), (0, 4), (3, 8)}
+    return render_instance(SandwichInstance(host, named_pattern("c4"), COMPLETION, frozenset(free)))
 
 
 def digest(text: str) -> str:
@@ -142,3 +178,24 @@ def test_canonical_solution_pairs(target):
     assert all(is_solution(instance, solve(model)) for model in models)
     text = "".join(f"{model} {sorted(solve(model))}\n" for model in models)
     assert digest(text) == CANONICAL_DIGESTS[target]
+
+
+def test_verify_gadgets_output_bytes(capsys):
+    assert main(["verify", "gadgets"]) == 0
+    assert digest(capsys.readouterr().out) == GADGETS_DIGEST
+
+
+def test_graph2minones_output_bytes(tmp_path, capsys):
+    source = tmp_path / "host.hfi"
+    source.write_text(_dense_k5e_host(), encoding="ascii")
+    assert main(["reduce", "graph2minones", "-i", str(source)]) == 0
+    assert digest(capsys.readouterr().out) == GRAPH2MINONES_DIGEST
+
+
+@pytest.mark.parametrize("argv", sorted(SOLVE_DIGESTS))
+def test_solve_output_bytes(tmp_path, capsys, argv):
+    mode, *extra = argv
+    source = tmp_path / "in.hfi"
+    source.write_text(_square_instance(mode), encoding="ascii")
+    assert main(["solve", "-i", str(source), *extra]) == 0
+    assert digest(capsys.readouterr().out) == SOLVE_DIGESTS[argv]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from hfree.patterns import (
     complete_minus_edge,
     cycle_graph,
     house_graph,
+    named_pattern,
     octahedron_graph,
     path_graph,
     wheel_graph,
@@ -144,6 +146,50 @@ def test_enumerate_agrees_with_search_on_random_graphs():
             if witness is not None:
                 witness.check(host, pattern)
                 assert tuple(sorted(witness.image())) in copies
+
+
+def _carries(host, pattern, images):
+    """True when pattern vertex p -> images[p] preserves every edge and every
+    non-edge. Written from the edge sets alone, sharing nothing with the
+    matcher."""
+    return all(
+        ((p, q) in pattern.edges) == ((min(x, y), max(x, y)) in host.edges)
+        for (p, x), (q, y) in itertools.combinations(enumerate(images), 2)
+    )
+
+
+def _swept_copies(host, pattern):
+    """Every vertex subset of pattern's size that some bijection from the
+    pattern's vertices onto it carries, in lexicographic order."""
+    return [
+        subset
+        for subset in itertools.combinations(range(host.vertex_count), pattern.vertex_count)
+        if sum((u, v) in host.edges for u, v in itertools.combinations(subset, 2)) == pattern.edge_count
+        and any(_carries(host, pattern, images) for images in itertools.permutations(subset))
+    ]
+
+
+SWEEP_PATTERNS = [
+    *(named_pattern(name).graph for name in ("c4", "p4", "k3", "c5", "house", "k5e", "co-c4")),
+    Graph(0),
+    Graph(1),
+    path_graph(9),
+]
+
+
+def test_matcher_agrees_with_an_independent_sweep():
+    rng = random.Random(6)
+    for _ in range(300):
+        density = rng.random()
+        host = random_graph(rng, rng.randint(0, 8), density)
+        for pattern in SWEEP_PATTERNS:
+            swept = _swept_copies(host, pattern)
+            assert list(enumerate_induced_copies(host, pattern)) == swept
+            witness = find_induced_copy(host, pattern)
+            assert (witness is None) == (not swept)
+            if witness is not None:
+                assert _carries(host, pattern, witness.mapping)
+                assert tuple(sorted(witness.mapping)) in swept
 
 
 def test_induced_subgraph_relabels_in_sorted_order():
