@@ -144,7 +144,7 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise ValueError(f"line {number}: second problem line")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad problem line: {raw!r}")
+                raise ValueError(f"line {number}: bad problem line: {raw!r}")
             try:
                 variable_count, declared_clauses = int(parts[2]), int(parts[3])
             except ValueError:

@@ -6,10 +6,11 @@ clause-to-variable link is a single induced copy of the pattern whose only
 free elements are the clause literal pair and the variable output pair.
 The gadget libraries are small enough to certify outright. Every contract
 is an exact solution set, predicted from the builder's labels and
-machine-checked the first time a process uses it: the subsets of the free
-pairs (for the ladder, one diagonal choice per square) that leave the
-gadget pattern-free must be exactly the predicted ones, the subsets tried
-must touch every free pair, and the free pairs must span no square. A
+machine-checked the first time a process uses it: the free pairs must be
+edges in deletion and non-edges in completion, the subsets of them (for
+the ladder, one diagonal choice per square) that leave the gadget
+pattern-free must be exactly the predicted ones, the subsets tried must
+touch every free pair, and the free pairs must span no square. A
 failed check raises GadgetContractError rather than emitting a wrong
 instance.
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cnf import CnfFormula, duplicate_for_min_occurrences, normalize_3cnf, occurrence_counts
-from .graphs import Graph, edge_key, is_h_free
+from .graphs import Graph, _toggle, edge_key, find_embedding, match_plan
 from .patterns import cycle_graph, house_graph, named_pattern, require
 from .reductions import (
     Polynomial, _GraphBuilder, _wire, reduce_3sat_to_sandwich_comp, reduce_3sat_to_sandwich_del,
@@ -283,12 +284,13 @@ def _diagonal_choices(labels):
         yield frozenset().union(*choice)
 
 
-# Every contract is an exact solution set. _certify builds the gadget, tries
-# each candidate subset of its free pairs, and checks that the subsets
-# leaving it pattern-free are exactly the set the row predicts from the
-# builder's labels, that the candidates touch every free pair, and that the
-# free pairs span no square subgraph. Rows call their builders by module
-# name at run time, so a builder rebound there is the one certified.
+# Every contract is an exact solution set. _certify builds the gadget, checks
+# that its free pairs are of the mode's kind, toggles each candidate subset
+# of them on one adjacency, and checks that the subsets leaving it
+# pattern-free are exactly the set the row predicts from the builder's
+# labels, that the candidates touch every free pair, and that the free pairs
+# span no square subgraph. Rows call their builders by module name at run
+# time, so a builder rebound there is the one certified.
 #
 #   contract: (builder, pattern, mode, predicted solutions, facts,
 #              candidate subsets, None for every subset of the free pairs)
@@ -330,22 +332,28 @@ def _certify(name: str) -> GadgetContract:
     build, pattern, mode, predict, facts, candidates = _CONTRACTS[name]
     builder = _GraphBuilder()
     labels = build(builder)
-    n, edges, free = builder.vertex_count, frozenset(builder.edges), frozenset(builder.free)
+    n, free = builder.vertex_count, frozenset(builder.free)
+    kind = "an edge" if mode == DELETION else "a non-edge"
+    if any((pair in builder.edges) != (mode == DELETION) for pair in free):
+        raise GadgetContractError(f"{name} gadget: a free pair is not {kind}")
     if candidates is None:
         subsets = (
             frozenset(s) for r in range(len(free) + 1) for s in itertools.combinations(sorted(free), r)
         )
     else:
         subsets = candidates(labels)
-    apply = edges.difference if mode == DELETION else edges.union
+    adj = Graph(n, builder.edges).adjacency()
+    plan = match_plan(pattern)
     checked = 0
     covered = set()
     solutions = set()
     for subset in subsets:
         checked += 1
         covered |= subset
-        if is_h_free(Graph(n, apply(subset)), pattern):
+        _toggle(adj, subset)
+        if find_embedding(adj, n, plan) is None:
             solutions.add(subset)
+        _toggle(adj, subset)
     if solutions != predict(labels):
         raise GadgetContractError(f"{name} gadget: solutions are not the predicted set")
     if covered != free:

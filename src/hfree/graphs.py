@@ -5,6 +5,10 @@ stored min-first. All algorithms here are exact and meant for desk-scale
 inputs: connectivity tests brute-force over removal sets, and the induced
 copy search is a plain backtracker with degree and adjacency pruning (no
 symmetry breaking; callers deduplicate by vertex set where needed).
+
+find_embedding is the one induced-copy search: find_induced_copy and
+is_h_free, enumerate_induced_copies, the solver and the gadget contracts
+all call it, and _toggle is the one way a search flips host pairs.
 """
 
 from __future__ import annotations
@@ -214,19 +218,30 @@ def match_plan(pattern: Graph, seed: tuple = ()) -> MatchPlan:
     return MatchPlan(pattern, seed)
 
 
-def find_embedding(host_adj, host_n: int, plan: MatchPlan, blocked=None, step_limit=None, fixed=None):
-    """Find one induced embedding of plan.pattern into the host adjacency.
+def _toggle(adj, pairs) -> None:
+    """Flip each pair of a mutable adjacency: an edge goes, a non-edge
+    comes. The one way searches modify a host; flipping the same pairs
+    again undoes it."""
+    for u, v in pairs:
+        adj[u] ^= {v}
+        adj[v] ^= {u}
+
+
+def find_embedding(host_adj, host_n: int, plan: MatchPlan, blocked=None, fixed=None, visit=None):
+    """Search for induced embeddings of plan.pattern into the host adjacency.
 
     host_adj is indexable by vertex and yields neighbor sets. Embeddings
     that map any pattern pair, edge or non-edge, onto a host pair in
     blocked are rejected; the packing bound uses this to collect
-    element-disjoint copies. fixed pins pattern vertices to host vertices
-    (use a plan seeded with them, or the search degenerates). Returns the
-    host image in plan order, or None.
+    element-disjoint copies. fixed is a tuple of host vertices for the
+    plan's leading positions, its seed: match_plan(pattern, (a, b)) with
+    fixed=(x, y) searches only copies that put a on x and b on y. An image
+    lists host vertices in plan order.
 
-    step_limit truncates the backtracking after that many candidate probes.
-    A truncated search can miss copies, so only callers that never read None
-    as a certificate of absence may pass it.
+    Without visit, returns the first image found, or None. With visit, the
+    search calls visit(image) on every embedding (the list is reused, copy
+    it to keep it) and stops at the first call that returns true; it then
+    returns that image, and None when no call did.
     """
     n = len(plan.order)
     if n > host_n:
@@ -234,16 +249,14 @@ def find_embedding(host_adj, host_n: int, plan: MatchPlan, blocked=None, step_li
     image = [0] * n
     used = [False] * (host_n if host_n else 1)
     blocking = bool(blocked)
-    steps = 0
+    pinned = len(fixed) if fixed else 0
 
     def extend(i: int):
-        nonlocal steps
         if i == n:
-            return True
-        vertex = plan.order[i]
+            return visit is None or visit(image)
         anchor = plan.anchors[i]
-        if fixed is not None and vertex in fixed:
-            candidates = (fixed[vertex],)
+        if i < pinned:
+            candidates = (fixed[i],)
         elif anchor is None:
             # Sparse vertices first: pendant-style copies sit on low-degree
             # vertices and turn up long before dense hubs are explored.
@@ -253,10 +266,6 @@ def find_embedding(host_adj, host_n: int, plan: MatchPlan, blocked=None, step_li
         needed = plan.degrees[i]
         checks = plan.earlier[i]
         for h in candidates:
-            if step_limit is not None:
-                steps += 1
-                if steps > step_limit:
-                    return False
             if used[h] or len(host_adj[h]) < needed:
                 continue
             ok = True
@@ -322,19 +331,19 @@ def induced_subgraph(g: Graph, verts) -> Graph:
     return Graph(len(verts), edges)
 
 
-def enumerate_induced_copies(host: Graph, pattern: Graph):
-    """Yield each vertex set spanning an induced copy of pattern, once.
+def enumerate_induced_copies(host: Graph, pattern: Graph) -> list:
+    """Every vertex set spanning an induced copy of pattern, once each, as
+    sorted tuples in lexicographic order.
 
-    Deduplicates by vertex set (a set may admit several isomorphisms) and
-    yields sorted tuples in lexicographic order. Meant for small hosts; the
-    copy count can be binomial in the host size.
+    The matcher visits every embedding, so a set is seen once per
+    automorphism of the pattern. Meant for small hosts; the copy count can
+    be binomial in the host size.
     """
-    p = pattern.vertex_count
-    want_edges = pattern.edge_count
-    want_degrees = pattern.degree_sequence()
-    for verts in combinations(range(host.vertex_count), p):
-        sub = induced_subgraph(host, verts)
-        if sub.edge_count != want_edges or sub.degree_sequence() != want_degrees:
-            continue
-        if find_induced_copy(sub, pattern) is not None:
-            yield verts
+    found = set()
+
+    def visit(image):
+        found.add(tuple(sorted(image)))
+        return False
+
+    find_embedding(host._adj, host.vertex_count, match_plan(pattern), visit=visit)
+    return sorted(found)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, edge_key, find_embedding, match_plan
+from .graphs import Graph, _toggle, edge_key, find_embedding, match_plan
 from .patterns import Pattern
 
 DELETION = "deletion"
@@ -34,10 +34,6 @@ DEFAULT_NODE_LIMIT = 10_000_000
 # Packing bounds only matter when the budget is tight; above this slack the
 # search relies on dead-copy pruning alone and skips the extra matcher calls.
 _PACKING_SLACK = 16
-
-# The packing bound stays sound if its matcher calls give up early, it just
-# counts fewer copies, so each greedy step gets a hard probe budget.
-_PACKING_STEP_LIMIT = 20_000
 
 
 class SearchLimitError(RuntimeError):
@@ -86,9 +82,8 @@ def apply(instance: SandwichInstance, pairs) -> Graph:
     stray = chosen - instance.free
     if stray:
         raise ValueError(f"pairs outside the free set: {sorted(stray)}")
-    if instance.mode == DELETION:
-        return Graph(instance.graph.vertex_count, instance.graph.edges - chosen)
-    return Graph(instance.graph.vertex_count, instance.graph.edges | chosen)
+    # free pairs are edges in deletion and non-edges in completion
+    return Graph(instance.graph.vertex_count, instance.graph.edges ^ chosen)
 
 
 def is_solution(instance: SandwichInstance, pairs) -> bool:
@@ -119,26 +114,6 @@ class _Search:
             host_of[v] = image[i]
         return [edge_key(host_of[u], host_of[v]) for u, v in self.breakers]
 
-    def _apply(self, pair):
-        u, v = pair
-        if self.deletion:
-            self.adj[u].discard(v)
-            self.adj[v].discard(u)
-        else:
-            self.adj[u].add(v)
-            self.adj[v].add(u)
-        self.chosen.append(pair)
-
-    def _undo(self, pair):
-        u, v = pair
-        if self.deletion:
-            self.adj[u].add(v)
-            self.adj[v].add(u)
-        else:
-            self.adj[u].discard(v)
-            self.adj[v].discard(u)
-        self.chosen.pop()
-
     def _anchored_bound(self, pair, limit: int):
         """Count element-disjoint copies through `pair`, stopping past `limit`.
 
@@ -160,14 +135,7 @@ class _Search:
             for a, b in positions:
                 plan = match_plan(pattern, (a, b))
                 for x, y in ((u, v), (v, u)):
-                    image = find_embedding(
-                        self.adj,
-                        self.n,
-                        plan,
-                        blocked=used,
-                        step_limit=_PACKING_STEP_LIMIT,
-                        fixed={a: x, b: y},
-                    )
+                    image = find_embedding(self.adj, self.n, plan, blocked=used, fixed=(x, y))
                     if image is not None:
                         found = (plan, image)
                         break
@@ -205,11 +173,13 @@ class _Search:
         newly_blocked = []
         found = False
         for pair in candidates:
-            self._apply(pair)
+            _toggle(self.adj, (pair,))
+            self.chosen.append(pair)
             if self._extend():
                 found = True
                 break
-            self._undo(pair)
+            _toggle(self.adj, (pair,))
+            self.chosen.pop()
             self.blocked.add(pair)
             newly_blocked.append(pair)
         for pair in newly_blocked:
@@ -223,6 +193,8 @@ def solve_sandwich(instance: SandwichInstance, budget=None, node_limit: int = DE
     of guessing when the node budget runs out."""
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
+    if node_limit < 0:
+        raise ValueError("node_limit must be nonnegative")
     cap = len(instance.free) if budget is None else min(budget, len(instance.free))
     search = _Search(instance, cap, node_limit)
     if search._extend():

@@ -228,6 +228,14 @@ def test_node_limit_reports_a_skip(tmp_path, capsys):
     assert capsys.readouterr().out == "RESULT skipped solve node-limit\n"
 
 
+def test_negative_node_limit_exits_two(tmp_path, capsys):
+    src = square_deletion_file(tmp_path)
+    for extra in ([], ["--existence"], ["--budget", "1"]):
+        assert main(["solve", "-i", src, "--node-limit", "-3", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "node_limit must be nonnegative" in captured.err
+
+
 def test_pattern_info(capsys):
     assert main(["pattern", "info", "octahedron"]) == 0
     lines = capsys.readouterr().out.splitlines()

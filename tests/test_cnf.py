@@ -110,6 +110,8 @@ def test_dimacs_parser_stops_at_satlib_trailer():
         ("p cnf 2 1\n1 2\n", "trailing literals"),
         ("p cnf 2 2\n1 2 0\n", "declared 2 clauses"),
         ("p dnf 2 1\n1 2 0\n", "bad problem line"),
+        ("p dnf 2 1\n1 2 0\n", "^line 1: bad problem line: 'p dnf 2 1'$"),
+        ("c note\np cnf 2\n1 2 0\n", "^line 2: bad problem line: 'p cnf 2'$"),
         ("p cnf 2 1\n1 x 0\n", "line 2: invalid literal 'x'"),
         ("c note\np cnf 2 1\n\n1 2 0 x\n", "line 4: invalid literal 'x'"),
         ("p cnf x 1\n1 0\n", "line 1: bad count in problem line"),

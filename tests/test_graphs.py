@@ -192,6 +192,49 @@ def test_matcher_agrees_with_an_independent_sweep():
                 assert tuple(sorted(witness.mapping)) in swept
 
 
+def test_anchored_search_pins_the_seed_positions():
+    rng = random.Random(11)
+    for _ in range(40):
+        host = random_graph(rng, rng.randint(2, 7))
+        for name in ("c4", "house", "p4"):
+            pattern = named_pattern(name).graph
+            embeddings = [
+                images
+                for images in itertools.permutations(range(host.vertex_count), pattern.vertex_count)
+                if _carries(host, pattern, images)
+            ]
+            for a, b in itertools.permutations(range(pattern.vertex_count), 2):
+                plan = match_plan(pattern, (a, b))
+                carried = {(images[a], images[b]) for images in embeddings}
+                for x, y in itertools.permutations(range(host.vertex_count), 2):
+                    image = find_embedding(host._adj, host.vertex_count, plan, fixed=(x, y))
+                    assert (image is not None) == ((x, y) in carried)
+                    if image is not None:
+                        assert image[:2] == [x, y]
+                        mapping = [0] * pattern.vertex_count
+                        for vertex, h in zip(plan.order, image):
+                            mapping[vertex] = h
+                        assert _carries(host, pattern, mapping)
+
+
+def test_visit_sees_every_embedding_and_stops_on_true():
+    # The square has 8 embeddings into itself, one per automorphism.
+    host = cycle_graph(4)
+    plan = match_plan(cycle_graph(4))
+    seen = []
+
+    def visit(image):
+        seen.append(list(image))
+        return len(seen) == want
+
+    for want, returned in ((0, None), (3, 3)):
+        seen.clear()
+        image = find_embedding(host._adj, host.vertex_count, plan, visit=visit)
+        assert len(seen) == (8 if returned is None else returned)
+        assert image == (None if returned is None else seen[-1])
+    assert len({tuple(image) for image in seen}) == 3
+
+
 def test_induced_subgraph_relabels_in_sorted_order():
     g = wheel_graph(4)
     sub = induced_subgraph(g, [4, 1, 3])

@@ -107,6 +107,14 @@ def test_negative_budget_is_rejected():
     assert solve_sandwich(inst, budget=0) == frozenset()
 
 
+def test_negative_node_limit_is_rejected():
+    inst = deletion_instance(path_graph(3), named_pattern("c4"))
+    for solve in (solve_sandwich, solve_min):
+        with pytest.raises(ValueError, match="node_limit must be nonnegative"):
+            solve(inst, node_limit=-3)
+    assert solve_sandwich(inst, node_limit=1) == frozenset()
+
+
 def test_node_limit_raises_instead_of_lying():
     host = complete_graph(7)
     inst = deletion_instance(host, make_pattern(complete_graph(3)))
