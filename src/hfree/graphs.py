@@ -3,8 +3,8 @@
 Vertices are the integers 0..vertex_count-1 and edges are unordered pairs
 stored min-first. All algorithms here are exact and meant for desk-scale
 inputs: connectivity tests brute-force over removal sets, and the induced
-copy search is a plain backtracker with degree and adjacency pruning (no
-symmetry breaking; callers deduplicate by vertex set where needed).
+copy search is a plain backtracker with degree and adjacency pruning; its
+one symmetry breaking, ordering twin images, serves vertex-set enumeration.
 
 find_embedding is the one induced-copy search: find_induced_copy and
 is_h_free, enumerate_induced_copies, the solver and the gadget contracts
@@ -173,11 +173,18 @@ class MatchPlan:
     then always prefers vertices with the most already-placed neighbors, so
     connected patterns extend through adjacency (candidates come from one
     placed neighbor).
+
+    levels[i] is (anchor, floor, degree, checks) for order[i]: the first
+    earlier position adjacent to it, whose neighbours are its candidates; the
+    earlier position its image must exceed; its degree; and one (position,
+    adjacent) test per earlier position. Only break_twins sets floors: the
+    previous twin (same neighbours apart from each other). That drops twin
+    permutations only, so K_n and K_n - e embed once per copy.
     """
 
-    __slots__ = ("pattern", "order", "anchors", "earlier", "degrees", "pattern_edges", "pattern_non_edges")
+    __slots__ = ("pattern", "seed", "order", "levels", "pattern_edges", "pattern_non_edges")
 
-    def __init__(self, pattern: Graph, seed=()):
+    def __init__(self, pattern: Graph, seed=(), break_twins=False):
         n = pattern.vertex_count
         order = list(seed)
         placed = set(seed)
@@ -192,30 +199,35 @@ class MatchPlan:
                     best, best_key = v, key
             order.append(best)
             placed.add(best)
-        anchors = [None] * n
-        earlier = [[] for _ in range(n)]
+        self.levels = []
         for i, v in enumerate(order):
-            for j in range(i):
-                w = order[j]
+            anchor = floor = None
+            checks = []
+            for j, w in enumerate(order[:i]):
                 adjacent = w in pattern.neighbors(v)
-                earlier[i].append((j, adjacent))
-                if adjacent and anchors[i] is None:
-                    anchors[i] = j
+                checks.append((j, adjacent))
+                if adjacent and anchor is None:
+                    anchor = j
+                # Twinship is an equivalence, so the latest earlier twin
+                # chains each class into one increasing run.
+                if break_twins and pattern.neighbors(v) - {w} == pattern.neighbors(w) - {v}:
+                    floor = j
+            # Test the twin first: in a dense host its pair is the likeliest to fail.
+            checks.sort(key=lambda check: check[0] != floor)
+            self.levels.append((anchor, floor, pattern.degree(v), checks))
         self.pattern = pattern
+        self.seed = tuple(seed)
         self.order = order
-        self.anchors = anchors
-        self.earlier = earlier
-        self.degrees = [pattern.degree(v) for v in order]
         self.pattern_edges = tuple(sorted(pattern.edges))
         self.pattern_non_edges = tuple(pattern.non_edges())
 
 
 @lru_cache(maxsize=4096)
-def match_plan(pattern: Graph, seed: tuple = ()) -> MatchPlan:
+def match_plan(pattern: Graph, seed: tuple = (), break_twins: bool = False) -> MatchPlan:
     """The cached plan for pattern. Its vertex order starts with the seed
     vertices, so searches that pin those vertices never scan global
-    candidates."""
-    return MatchPlan(pattern, seed)
+    candidates; break_twins orders twin images (see MatchPlan)."""
+    return MatchPlan(pattern, seed, break_twins)
 
 
 def _toggle(adj, pairs) -> None:
@@ -235,26 +247,31 @@ def find_embedding(host_adj, host_n: int, plan: MatchPlan, blocked=None, fixed=N
     blocked are rejected; the packing bound uses this to collect
     element-disjoint copies. fixed is a tuple of host vertices for the
     plan's leading positions, its seed: match_plan(pattern, (a, b)) with
-    fixed=(x, y) searches only copies that put a on x and b on y. An image
-    lists host vertices in plan order.
+    fixed=(x, y) searches only copies that put a on x and b on y; fixed
+    longer than plan.seed is an error. An image lists host vertices in plan
+    order.
 
     Without visit, returns the first image found, or None. With visit, the
-    search calls visit(image) on every embedding (the list is reused, copy
-    it to keep it) and stops at the first call that returns true; it then
-    returns that image, and None when no call did.
+    search calls visit(image) on every embedding the plan admits (all of
+    them, unless the plan breaks twins; the list is reused, copy it to keep
+    it) and stops at the first call that returns true; it then returns that
+    image, and None when no call did.
     """
     n = len(plan.order)
+    pinned = len(fixed) if fixed else 0
+    if pinned > len(plan.seed):
+        raise ValueError(f"fixed pins {pinned} positions but the plan is seeded with {len(plan.seed)}")
     if n > host_n:
         return None
     image = [0] * n
     used = [False] * (host_n if host_n else 1)
     blocking = bool(blocked)
-    pinned = len(fixed) if fixed else 0
+    levels = plan.levels
 
     def extend(i: int):
         if i == n:
             return visit is None or visit(image)
-        anchor = plan.anchors[i]
+        anchor, floor, needed, checks = levels[i]
         if i < pinned:
             candidates = (fixed[i],)
         elif anchor is None:
@@ -263,8 +280,8 @@ def find_embedding(host_adj, host_n: int, plan: MatchPlan, blocked=None, fixed=N
             candidates = sorted(range(host_n), key=lambda h: len(host_adj[h]))
         else:
             candidates = host_adj[image[anchor]]
-        needed = plan.degrees[i]
-        checks = plan.earlier[i]
+        if floor is not None:
+            candidates = [h for h in candidates if h > image[floor]]
         for h in candidates:
             if used[h] or len(host_adj[h]) < needed:
                 continue
@@ -335,9 +352,9 @@ def enumerate_induced_copies(host: Graph, pattern: Graph) -> list:
     """Every vertex set spanning an induced copy of pattern, once each, as
     sorted tuples in lexicographic order.
 
-    The matcher visits every embedding, so a set is seen once per
-    automorphism of the pattern. Meant for small hosts; the copy count can
-    be binomial in the host size.
+    The plan breaks twins, so the matcher sees a set once per automorphism
+    of the pattern that is not a twin permutation: once for K_n and K_n - e.
+    Meant for small hosts; the copy count can be binomial in the host size.
     """
     found = set()
 
@@ -345,5 +362,5 @@ def enumerate_induced_copies(host: Graph, pattern: Graph) -> list:
         found.add(tuple(sorted(image)))
         return False
 
-    find_embedding(host._adj, host.vertex_count, match_plan(pattern), visit=visit)
+    find_embedding(host._adj, host.vertex_count, match_plan(pattern, break_twins=True), visit=visit)
     return sorted(found)

@@ -271,19 +271,13 @@ def reduce_knexdel_to_minones(g: Graph, n: int = 5):
         raise ValueError("need n >= 5")
     edge_vars = tuple(sorted(g.edges))
     index = {pair: i for i, pair in enumerate(edge_vars)}
-    constraints = []
-    for verts, kind in (
-        list((v, f"gn{n}") for v in enumerate_induced_copies(g, complete_minus_edge(n)))
-        + list((v, f"fn{n}") for v in enumerate_induced_copies(g, complete_graph(n)))
-    ):
-        members = tuple(
-            sorted(
-                index[edge_key(u, v)]
-                for u, v in combinations(sorted(verts), 2)
-                if edge_key(u, v) in g.edges
-            )
-        )
-        constraints.append((kind, members))
+    # Copies come as sorted vertex tuples, so their pairs, like edge_vars,
+    # are in lexicographic order and the members come out sorted.
+    constraints = [
+        (f"{kind}{n}", tuple(index[pair] for pair in combinations(verts, 2) if pair in index))
+        for kind, pattern in (("gn", complete_minus_edge(n)), ("fn", complete_graph(n)))
+        for verts in enumerate_induced_copies(g, pattern)
+    ]
     return MinOnesInstance(len(edge_vars), tuple(constraints)), edge_vars
 
 

@@ -108,10 +108,7 @@ class _Search:
         self.breakers = self.plan.pattern_edges if self.deletion else self.plan.pattern_non_edges
 
     def _mapped_pairs(self, image, plan=None):
-        plan = plan or self.plan
-        host_of = {}
-        for i, v in enumerate(plan.order):
-            host_of[v] = image[i]
+        host_of = dict(zip((plan or self.plan).order, image))
         return [edge_key(host_of[u], host_of[v]) for u, v in self.breakers]
 
     def _anchored_bound(self, pair, limit: int):
@@ -131,20 +128,18 @@ class _Search:
         used = set()
         count = 0
         while count <= limit:
-            found = None
+            pairs = None
             for a, b in positions:
                 plan = match_plan(pattern, (a, b))
                 for x, y in ((u, v), (v, u)):
                     image = find_embedding(self.adj, self.n, plan, blocked=used, fixed=(x, y))
                     if image is not None:
-                        found = (plan, image)
+                        pairs = self._mapped_pairs(image, plan)
                         break
-                if found:
+                if pairs is not None:
                     break
-            if found is None:
+            if pairs is None:
                 return count
-            plan, image = found
-            pairs = self._mapped_pairs(image, plan)
             if not any(p in self.free and p not in self.blocked for p in pairs):
                 return None
             used.update(pairs)

@@ -235,6 +235,36 @@ def test_visit_sees_every_embedding_and_stops_on_true():
     assert len({tuple(image) for image in seen}) == 3
 
 
+def test_twin_breaking_meets_each_clique_copy_once():
+    # Every automorphism of K_n and K_n - e permutes twins, so a plan that
+    # breaks twins meets each copy once: 210 visits for K6 in K10, where the
+    # plain plan makes 720 per copy. The square keeps its two rotations.
+    rng = random.Random(10)
+    hosts = [complete_graph(10), random_graph(rng, 10, 0.85), random_graph(rng, 11, 0.9)]
+    for host in hosts:
+        for pattern in (complete_graph(6), complete_minus_edge(6), complete_minus_edge(7)):
+            seen = []
+
+            def visit(image):
+                seen.append(tuple(sorted(image)))
+
+            plan = match_plan(pattern, break_twins=True)
+            assert find_embedding(host._adj, host.vertex_count, plan, visit=visit) is None
+            assert sorted(seen) == _swept_copies(host, pattern)
+    assert len(enumerate_induced_copies(hosts[0], complete_graph(6))) == 210
+    square = cycle_graph(4)
+    seen = []
+    find_embedding(square._adj, 4, match_plan(square, break_twins=True), visit=seen.append)
+    assert len(seen) == 2
+
+
+def test_fixed_longer_than_the_seed_is_rejected():
+    host = cycle_graph(4)
+    with pytest.raises(ValueError, match="seeded with 1"):
+        find_embedding(host._adj, 4, match_plan(cycle_graph(4), (0,)), fixed=(0, 1))
+    assert find_embedding(host._adj, 4, match_plan(cycle_graph(4), (0, 1)), fixed=(2,))[0] == 2
+
+
 def test_induced_subgraph_relabels_in_sorted_order():
     g = wheel_graph(4)
     sub = induced_subgraph(g, [4, 1, 3])
