@@ -1,10 +1,13 @@
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 
+from hfree import solver
 from hfree.graphs import Graph, is_h_free
 from hfree.patterns import complete_graph, cycle_graph, make_pattern, named_pattern, path_graph, wheel_graph
+from hfree.reductions import complement_instance
 from hfree.solver import (
     BudgetedInstance,
     SandwichInstance,
@@ -164,3 +167,74 @@ def test_empty_free_set():
     assert solve_sandwich(inst) is None
     triangle_free = deletion_instance(cycle_graph(4), make_pattern(complete_graph(3)), free=set())
     assert solve_sandwich(triangle_free) == frozenset()
+
+
+def disjoint_copies(name, k):
+    """k disjoint copies of a named pattern, every edge deletable."""
+    pattern = named_pattern(name)
+    p = pattern.vertex_count
+    g = Graph(p * k, [(u + i * p, v + i * p) for i in range(k) for u, v in pattern.edges])
+    return deletion_instance(g, pattern)
+
+
+@pytest.fixture
+def matcher_calls(monkeypatch):
+    """Count the solver's matcher calls: root searches, and searches
+    anchored at a pair (fixed=)."""
+    counts = {"root": 0, "anchored": 0}
+    real = solver.find_embedding
+
+    def counting(*args, **kwargs):
+        counts["anchored" if kwargs.get("fixed") is not None else "root"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "find_embedding", counting)
+    return counts
+
+
+def pinned_random_instance(rng):
+    pattern = named_pattern(rng.choice(("c4", "p4", "c5", "house", "k5e", "co-c4", "p5")))
+    n = rng.randint(pattern.vertex_count + 2, 9)
+    density = rng.choice((0.4, 0.55, 0.7))
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+    mode = rng.choice(("deletion", "completion"))
+    pool = sorted(g.edges) if mode == "deletion" else g.non_edges()
+    return SandwichInstance(g, pattern, mode, frozenset(p for p in pool if rng.random() < 0.8))
+
+
+def verdicts(inst):
+    """Existence at several budgets, a capped search, and the optimum."""
+    found = [solve_sandwich(inst, budget=b) is not None for b in (None, 0, 1, 2, 3, 5)]
+    try:
+        capped = solve_sandwich(inst, node_limit=7) is not None
+    except SearchLimitError:
+        capped = "limit"
+    best = solve_min(inst)
+    return found, capped, None if best is None else len(best)
+
+
+# Upper bounds on the solver's matcher calls, equal to the counts when they
+# were pinned: a change may lower them, never raise them.
+@pytest.mark.parametrize(
+    "name,make,cost,root,anchored",
+    [
+        ("squares", lambda: disjoint_copies("c4", 6), 6, 1825, 1792),
+        ("houses", lambda: disjoint_copies("house", 4), 4, 315, 384),
+        ("co-squares completion", lambda: complement_instance(disjoint_copies("c4", 4)), 4, 117, 108),
+    ],
+)
+def test_solve_min_work_is_pinned(matcher_calls, name, make, cost, root, anchored):
+    inst = make()
+    best = solve_min(inst)
+    assert len(best) == cost and is_solution(inst, best)
+    assert matcher_calls["root"] <= root
+    assert matcher_calls["anchored"] <= anchored
+
+
+def test_random_corpus_work_is_pinned(matcher_calls):
+    rng = random.Random(7)
+    results = [verdicts(pinned_random_instance(rng)) for _ in range(320)]
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "a5a2462ce2caffad5bc21966be6e754ccebfc7a36ebbdfb130615351abfa3de3"
+    assert matcher_calls["root"] <= 18592
+    assert matcher_calls["anchored"] <= 50745
