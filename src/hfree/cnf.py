@@ -159,17 +159,18 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise ValueError(f"line {number}: invalid literal {token!r}") from None
             if lit == 0:
                 if not literals:
-                    raise ValueError("empty clause in DIMACS input")
+                    raise ValueError(f"line {number}: empty clause")
                 clauses.append(tuple(literals))
                 literals = []
             elif abs(lit) > variable_count:
                 raise ValueError(f"line {number}: literal {lit} out of range")
             else:
                 literals.append(lit)
+                open_line = number
     if variable_count is None:
         raise ValueError("missing problem line")
     if literals:
-        raise ValueError("trailing literals without terminating 0")
+        raise ValueError(f"line {open_line}: trailing literals without terminating 0")
     if declared_clauses != len(clauses):
         raise ValueError(f"declared {declared_clauses} clauses, found {len(clauses)}")
     return CnfFormula(variable_count, tuple(clauses))

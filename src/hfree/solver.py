@@ -11,7 +11,9 @@ That is complete because a copy, once induced, can only be destroyed by
 modifying one of its own internal pairs: deletions elsewhere never add
 edges inside it and completions elsewhere never remove them. A copy none of
 whose internal pairs is free (or all of whose free pairs are already
-committed to stay) therefore kills its whole branch.
+committed to stay) therefore kills its whole branch. The search is one
+loop over an explicit stack with a frame per modified pair, so no
+recursion limit caps the size of a solution.
 
 Under a tight budget the search also bounds from below: every copy created
 by the previous modification contains the modified pair internally, so a
@@ -92,26 +94,30 @@ def is_solution(instance: SandwichInstance, pairs) -> bool:
     return is_h_free(apply(instance, pairs), instance.pattern.graph)
 
 
-class _Search:
-    def __init__(self, instance: SandwichInstance, budget: int, node_limit: int):
-        self.adj = instance.graph.adjacency()
-        self.n = instance.graph.vertex_count
-        self.plan = match_plan(instance.pattern.graph)
-        self.free = instance.free
-        self.deletion = instance.mode == DELETION
-        self.budget = budget
-        self.node_limit = node_limit
-        self.nodes = 0
-        self.chosen = []
-        self.blocked = set()
-        # Internal pairs that can destroy a copy, in original pattern labels.
-        self.breakers = self.plan.pattern_edges if self.deletion else self.plan.pattern_non_edges
+def _search(instance: SandwichInstance, budget: int, node_limit: int):
+    """A solution of at most budget pairs, or None.
 
-    def _mapped_pairs(self, image, plan=None):
-        host_of = dict(zip((plan or self.plan).order, image))
-        return [edge_key(host_of[u], host_of[v]) for u, v in self.breakers]
+    Each stack frame is [candidates, tried]: one node's sorted usable pairs
+    and how many it has tried; chosen[i] is the pair frame i is trying. A
+    failed candidate stays blocked for the rest of its frame, and nothing
+    else blocks it, so an exhausted frame unblocks its candidates.
+    """
+    adj = instance.graph.adjacency()
+    n = instance.graph.vertex_count
+    plan = match_plan(instance.pattern.graph)
+    free = instance.free
+    deletion = instance.mode == DELETION
+    # Internal pairs that can destroy a copy, in original pattern labels.
+    breakers = plan.pattern_edges if deletion else plan.pattern_non_edges
+    chosen = []
+    blocked = set()
+    stack = []
 
-    def _anchored_bound(self, pair, limit: int):
+    def mapped_pairs(order, image):
+        host_of = dict(zip(order, image))
+        return [edge_key(host_of[u], host_of[v]) for u, v in breakers]
+
+    def anchored_bound(pair, limit: int):
         """Count element-disjoint copies through `pair`, stopping past `limit`.
 
         Deletion exposes copies with the pair as an internal non-edge,
@@ -123,63 +129,55 @@ class _Search:
         pair turns up: that branch is dead outright.
         """
         u, v = pair
-        positions = self.plan.pattern_non_edges if self.deletion else self.plan.pattern_edges
-        pattern = self.plan.pattern
+        positions = plan.pattern_non_edges if deletion else plan.pattern_edges
         used = set()
         count = 0
         while count <= limit:
             pairs = None
             for a, b in positions:
-                plan = match_plan(pattern, (a, b))
+                seeded = match_plan(plan.pattern, (a, b))
                 for x, y in ((u, v), (v, u)):
-                    image = find_embedding(self.adj, self.n, plan, blocked=used, fixed=(x, y))
+                    image = find_embedding(adj, n, seeded, blocked=used, fixed=(x, y))
                     if image is not None:
-                        pairs = self._mapped_pairs(image, plan)
+                        pairs = mapped_pairs(seeded.order, image)
                         break
                 if pairs is not None:
                     break
             if pairs is None:
                 return count
-            if not any(p in self.free and p not in self.blocked for p in pairs):
+            if not any(p in free and p not in blocked for p in pairs):
                 return None
             used.update(pairs)
             count += 1
         return count
 
-    def _extend(self) -> bool:
-        self.nodes += 1
-        if self.nodes > self.node_limit:
-            raise SearchLimitError(f"exceeded {self.node_limit} search nodes")
-        image = find_embedding(self.adj, self.n, self.plan)
+    for _ in range(node_limit):
+        image = find_embedding(adj, n, plan)
         if image is None:
-            return True
-        remaining = self.budget - len(self.chosen)
-        if remaining <= 0:
-            return False
-        candidates = sorted(
-            p for p in self._mapped_pairs(image) if p in self.free and p not in self.blocked
-        )
-        if not candidates:
-            return False
-        if remaining <= _PACKING_SLACK and self.chosen:
-            bound = self._anchored_bound(self.chosen[-1], remaining)
-            if bound is None or bound > remaining:
-                return False
-        newly_blocked = []
-        found = False
-        for pair in candidates:
-            _toggle(self.adj, (pair,))
-            self.chosen.append(pair)
-            if self._extend():
-                found = True
-                break
-            _toggle(self.adj, (pair,))
-            self.chosen.pop()
-            self.blocked.add(pair)
-            newly_blocked.append(pair)
-        for pair in newly_blocked:
-            self.blocked.remove(pair)
-        return found
+            return frozenset(chosen)
+        remaining = budget - len(chosen)
+        candidates = []
+        if remaining > 0:
+            candidates = sorted(p for p in mapped_pairs(plan.order, image) if p in free and p not in blocked)
+            if candidates and remaining <= _PACKING_SLACK and chosen:
+                bound = anchored_bound(chosen[-1], remaining)
+                if bound is None or bound > remaining:
+                    candidates = []
+        stack.append([candidates, 0])
+        while stack[-1][1] == len(stack[-1][0]):
+            # Exhausted: unblock its candidates, then undo and block the
+            # pair its parent tried.
+            blocked.difference_update(stack.pop()[0])
+            if not stack:
+                return None
+            pair = chosen.pop()
+            _toggle(adj, (pair,))
+            blocked.add(pair)
+        candidates, tried = frame = stack[-1]
+        frame[1] = tried + 1
+        _toggle(adj, (candidates[tried],))
+        chosen.append(candidates[tried])
+    raise SearchLimitError(f"exceeded {node_limit} search nodes")
 
 
 def solve_sandwich(instance: SandwichInstance, budget=None, node_limit: int = DEFAULT_NODE_LIMIT):
@@ -191,10 +189,7 @@ def solve_sandwich(instance: SandwichInstance, budget=None, node_limit: int = DE
     if node_limit < 0:
         raise ValueError("node_limit must be nonnegative")
     cap = len(instance.free) if budget is None else min(budget, len(instance.free))
-    search = _Search(instance, cap, node_limit)
-    if search._extend():
-        return frozenset(search.chosen)
-    return None
+    return _search(instance, cap, node_limit)
 
 
 def solve_budgeted(budgeted: BudgetedInstance, node_limit: int = DEFAULT_NODE_LIMIT):

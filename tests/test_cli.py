@@ -7,6 +7,7 @@ all exercised the way a shell user would hit them.
 
 import io
 import itertools
+import sys
 
 import pytest
 
@@ -17,6 +18,8 @@ from hfree.formats import parse_instance, render_instance
 from hfree.graphs import Graph
 from hfree.patterns import named_pattern
 from hfree.solver import DELETION, SandwichInstance
+
+from test_solver import disjoint_copies
 
 TWO_CLAUSES = render_dimacs(formula(3, [(1, -2, 3), (-1, 2, -3)]))
 
@@ -226,6 +229,13 @@ def test_node_limit_reports_a_skip(tmp_path, capsys):
     assert main(["reduce", "sat2del", "-i", cnf, "--pattern", "wheel4", "-o", str(inst)]) == 0
     assert main(["solve", "-i", inst.as_posix(), "--node-limit", "5"]) == 3
     assert capsys.readouterr().out == "RESULT skipped solve node-limit\n"
+
+
+def test_existence_past_the_recursion_limit(tmp_path, capsys):
+    squares = disjoint_copies("c4", sys.getrecursionlimit() + 100)
+    src = write(tmp_path / "squares.hfi", render_instance(squares))
+    assert main(["solve", "--existence", "-i", src]) == 0
+    assert capsys.readouterr().out == "RESULT yes solve\n"
 
 
 def test_negative_node_limit_exits_two(tmp_path, capsys):

@@ -108,6 +108,8 @@ def test_dimacs_parser_stops_at_satlib_trailer():
         ("p cnf 3 1\n1 -2 3 0 %\n", "invalid literal"),
         ("p cnf 3 1\n1 -2 3 0\n%%\n", "invalid literal"),
         ("p cnf 2 1\n1 2\n", "trailing literals"),
+        ("p cnf 2 1\n1 2\n", "^line 2: trailing literals without terminating 0$"),
+        ("p cnf 2 1\n0\n", "^line 2: empty clause$"),
         ("p cnf 2 2\n1 2 0\n", "declared 2 clauses"),
         ("p dnf 2 1\n1 2 0\n", "bad problem line"),
         ("p dnf 2 1\n1 2 0\n", "^line 1: bad problem line: 'p dnf 2 1'$"),

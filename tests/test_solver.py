@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -175,6 +176,14 @@ def disjoint_copies(name, k):
     p = pattern.vertex_count
     g = Graph(p * k, [(u + i * p, v + i * p) for i in range(k) for u, v in pattern.edges])
     return deletion_instance(g, pattern)
+
+
+def test_solution_larger_than_the_recursion_limit():
+    k = sys.getrecursionlimit() + 100
+    inst = disjoint_copies("c4", k)
+    solution = solve_sandwich(inst)
+    assert len(solution) == k and solution <= inst.free
+    assert {u // 4 for u, _ in solution} == set(range(k))
 
 
 @pytest.fixture
