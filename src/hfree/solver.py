@@ -151,7 +151,7 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
             count += 1
         return count
 
-    for _ in range(node_limit):
+    for _ in range(node_limit):  # one pass per search node
         image = find_embedding(adj, n, plan)
         if image is None:
             return frozenset(chosen)
@@ -200,7 +200,8 @@ def solve_min(instance: SandwichInstance, node_limit: int = DEFAULT_NODE_LIMIT):
     """Minimum-size solution via iterative deepening on the budget, or None.
 
     The unbudgeted pass settles existence first; deepening then only runs
-    below the size of the solution it found.
+    below the size of the solution it found. node_limit caps each of these
+    searches on its own, not their total.
     """
     best = solve_sandwich(instance, node_limit=node_limit)
     if best is None:
