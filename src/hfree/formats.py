@@ -148,6 +148,8 @@ def parse_instance(text: str, default_pattern=None) -> InstanceFile:
                     raise FormatError(f"line {number}: a nonedge line must be marked free")
                 if mode != COMPLETION:
                     raise FormatError(f"line {number}: fillable pairs belong to completion instances")
+                if pair in free:
+                    raise FormatError(f"line {number}: duplicate nonedge {pair}")
                 free.add(pair)
         elif key == "budget":
             if len(rest) != 1 or not rest[0].isdigit():

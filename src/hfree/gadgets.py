@@ -351,7 +351,7 @@ def _certify(name: str) -> GadgetContract:
         checked += 1
         covered |= subset
         _toggle(adj, subset)
-        if find_embedding(adj, n, plan) is None:
+        if find_embedding(adj, plan) is None:
             solutions.add(subset)
         _toggle(adj, subset)
     if solutions != predict(labels):

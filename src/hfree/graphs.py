@@ -8,12 +8,13 @@ one symmetry breaking, ordering twin images, serves vertex-set enumeration.
 
 find_embedding is the one induced-copy search: find_induced_copy and
 is_h_free, enumerate_induced_copies, the solver and the gadget contracts
-all call it, and _toggle is the one way a search flips host pairs.
+all call it, and _toggle is the one way a search flips host pairs. Every
+copy it reports is indexed by pattern vertex, entry p being the host
+vertex that carries p, so reading one back needs no plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -93,38 +94,9 @@ class Graph:
         return f"Graph({self.vertex_count}, {sorted(self.edges)})"
 
 
-@dataclass(frozen=True)
-class VertexCorrespondence:
-    """Injective map from pattern vertices to host vertices.
-
-    mapping[p] is the host vertex carrying pattern vertex p; the domain is
-    exactly 0..pattern.vertex_count-1 and the image has no repeats.
-    """
-
-    mapping: tuple
-
-    def __getitem__(self, pattern_vertex: int) -> int:
-        return self.mapping[pattern_vertex]
-
-    def image(self) -> frozenset:
-        return frozenset(self.mapping)
-
-    def check(self, host: Graph, pattern: Graph) -> None:
-        """Assert the map is a witness: edges and non-edges both preserved."""
-        assert len(self.mapping) == pattern.vertex_count
-        assert len(set(self.mapping)) == len(self.mapping), "not injective"
-        for p in range(pattern.vertex_count):
-            for q in range(p + 1, pattern.vertex_count):
-                want = (p, q) in pattern.edges
-                got = host.has_edge(self.mapping[p], self.mapping[q])
-                assert want == got, f"pair ({p},{q}) not preserved"
-
-
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly g's non-edges."""
-    n = g.vertex_count
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in g.edges]
-    return Graph(n, edges)
+    return Graph(g.vertex_count, g.non_edges())
 
 
 def _connected_without(g: Graph, removed) -> bool:
@@ -169,20 +141,22 @@ def is_3_connected(g: Graph) -> bool:
 class MatchPlan:
     """Precomputed vertex ordering and consistency lists for one pattern.
 
-    order starts at a maximum-degree vertex (or the given seed vertices) and
-    then always prefers vertices with the most already-placed neighbors, so
-    connected patterns extend through adjacency (candidates come from one
-    placed neighbor).
+    The order starts at a maximum-degree vertex (or the given seed vertices)
+    and then always prefers vertices with the most already-placed
+    neighbors, so connected patterns extend through adjacency (candidates
+    come from one placed neighbor).
 
-    levels[i] is (anchor, floor, degree, checks) for order[i]: the first
-    earlier position adjacent to it, whose neighbours are its candidates; the
-    earlier position its image must exceed; its degree; and one (position,
-    adjacent) test per earlier position. Only break_twins sets floors: the
-    previous twin (same neighbours apart from each other). That drops twin
-    permutations only, so K_n and K_n - e embed once per copy.
+    levels holds one (vertex, anchor, floor, degree, checks) entry per
+    pattern vertex, in plan order. anchor is the first earlier vertex
+    adjacent to vertex, whose neighbours are its candidates; floor is the
+    earlier vertex its image must exceed; degree is vertex's own; checks
+    holds one (earlier vertex, adjacent) test per earlier vertex. All of
+    them name pattern vertices, not positions. Only break_twins sets
+    floors: the previous twin (same neighbours apart from each other). That
+    drops twin permutations only, so K_n and K_n - e embed once per copy.
     """
 
-    __slots__ = ("pattern", "seed", "order", "levels", "pattern_edges", "pattern_non_edges")
+    __slots__ = ("pattern", "seed", "levels")
 
     def __init__(self, pattern: Graph, seed=(), break_twins=False):
         n = pattern.vertex_count
@@ -203,23 +177,20 @@ class MatchPlan:
         for i, v in enumerate(order):
             anchor = floor = None
             checks = []
-            for j, w in enumerate(order[:i]):
+            for w in order[:i]:
                 adjacent = w in pattern.neighbors(v)
-                checks.append((j, adjacent))
+                checks.append((w, adjacent))
                 if adjacent and anchor is None:
-                    anchor = j
+                    anchor = w
                 # Twinship is an equivalence, so the latest earlier twin
                 # chains each class into one increasing run.
                 if break_twins and pattern.neighbors(v) - {w} == pattern.neighbors(w) - {v}:
-                    floor = j
+                    floor = w
             # Test the twin first: in a dense host its pair is the likeliest to fail.
             checks.sort(key=lambda check: check[0] != floor)
-            self.levels.append((anchor, floor, pattern.degree(v), checks))
+            self.levels.append((v, anchor, floor, pattern.degree(v), checks))
         self.pattern = pattern
         self.seed = tuple(seed)
-        self.order = order
-        self.pattern_edges = tuple(sorted(pattern.edges))
-        self.pattern_non_edges = tuple(pattern.non_edges())
 
 
 @lru_cache(maxsize=4096)
@@ -239,17 +210,17 @@ def _toggle(adj, pairs) -> None:
         adj[v] ^= {u}
 
 
-def find_embedding(host_adj, host_n: int, plan: MatchPlan, blocked=None, fixed=None, visit=None):
+def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=None):
     """Search for induced embeddings of plan.pattern into the host adjacency.
 
     host_adj is indexable by vertex and yields neighbor sets. Embeddings
     that map any pattern pair, edge or non-edge, onto a host pair in
     blocked are rejected; the packing bound uses this to collect
     element-disjoint copies. fixed is a tuple of host vertices for the
-    plan's leading positions, its seed: match_plan(pattern, (a, b)) with
-    fixed=(x, y) searches only copies that put a on x and b on y; fixed
-    longer than plan.seed is an error. An image lists host vertices in plan
-    order.
+    plan's seed vertices: match_plan(pattern, (a, b)) with fixed=(x, y)
+    searches only copies that put a on x and b on y; fixed longer than
+    plan.seed is an error. An image lists the host vertex of each pattern
+    vertex: image[p] carries p.
 
     Without visit, returns the first image found, or None. With visit, the
     search calls visit(image) on every embedding the plan admits (all of
@@ -257,27 +228,28 @@ def find_embedding(host_adj, host_n: int, plan: MatchPlan, blocked=None, fixed=N
     it) and stops at the first call that returns true; it then returns that
     image, and None when no call did.
     """
-    n = len(plan.order)
+    n = len(plan.levels)
+    host_count = len(host_adj)
     pinned = len(fixed) if fixed else 0
     if pinned > len(plan.seed):
         raise ValueError(f"fixed pins {pinned} positions but the plan is seeded with {len(plan.seed)}")
-    if n > host_n:
+    if n > host_count:
         return None
     image = [0] * n
-    used = [False] * (host_n if host_n else 1)
+    used = [False] * host_count
     blocking = bool(blocked)
     levels = plan.levels
 
     def extend(i: int):
         if i == n:
             return visit is None or visit(image)
-        anchor, floor, needed, checks = levels[i]
+        vertex, anchor, floor, needed, checks = levels[i]
         if i < pinned:
             candidates = (fixed[i],)
         elif anchor is None:
             # Sparse vertices first: pendant-style copies sit on low-degree
             # vertices and turn up long before dense hubs are explored.
-            candidates = sorted(range(host_n), key=lambda h: len(host_adj[h]))
+            candidates = sorted(range(host_count), key=lambda h: len(host_adj[h]))
         else:
             candidates = host_adj[image[anchor]]
         if floor is not None:
@@ -286,8 +258,8 @@ def find_embedding(host_adj, host_n: int, plan: MatchPlan, blocked=None, fixed=N
             if used[h] or len(host_adj[h]) < needed:
                 continue
             ok = True
-            for j, adjacent in checks:
-                other = image[j]
+            for w, adjacent in checks:
+                other = image[w]
                 if adjacent:
                     if other not in host_adj[h]:
                         ok = False
@@ -301,7 +273,7 @@ def find_embedding(host_adj, host_n: int, plan: MatchPlan, blocked=None, fixed=N
                     break
             if not ok:
                 continue
-            image[i] = h
+            image[vertex] = h
             used[h] = True
             if extend(i + 1):
                 return True
@@ -314,21 +286,14 @@ def find_embedding(host_adj, host_n: int, plan: MatchPlan, blocked=None, fixed=N
 
 
 def find_induced_copy(host: Graph, pattern: Graph):
-    """One induced copy of pattern in host, or None.
+    """One induced copy of pattern in host, as a tuple whose entry p is the
+    host vertex carrying pattern vertex p, or None.
 
-    The witness preserves adjacency and non-adjacency (induced, not just
-    subgraph). Empty patterns embed trivially.
+    The copy preserves adjacency and non-adjacency (induced, not just
+    subgraph). Empty patterns embed trivially, as ().
     """
-    if pattern.vertex_count == 0:
-        return VertexCorrespondence(())
-    plan = match_plan(pattern)
-    image = find_embedding(host._adj, host.vertex_count, plan)
-    if image is None:
-        return None
-    mapping = [0] * pattern.vertex_count
-    for i, v in enumerate(plan.order):
-        mapping[v] = image[i]
-    return VertexCorrespondence(tuple(mapping))
+    image = find_embedding(host._adj, match_plan(pattern))
+    return None if image is None else tuple(image)
 
 
 def is_h_free(host: Graph, pattern: Graph) -> bool:
@@ -362,5 +327,5 @@ def enumerate_induced_copies(host: Graph, pattern: Graph) -> list:
         found.add(tuple(sorted(image)))
         return False
 
-    find_embedding(host._adj, host.vertex_count, match_plan(pattern, break_twins=True), visit=visit)
+    find_embedding(host._adj, match_plan(pattern, break_twins=True), visit=visit)
     return sorted(found)

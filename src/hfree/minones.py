@@ -24,7 +24,7 @@ from itertools import combinations
 from .gadgets import lift_specific
 from .graphs import Graph, edge_key, enumerate_induced_copies
 from .patterns import complete_graph, complete_minus_edge, named_pattern
-from .reductions import Polynomial, _GraphBuilder
+from .reductions import Polynomial, _GraphBuilder, _build_chain
 from .solver import DELETION, SandwichInstance
 
 BRUTE_FORCE_VARIABLE_LIMIT = 24
@@ -139,23 +139,6 @@ class EdgeGroupMap:
             raise ValueError("groups must be pairwise disjoint")
 
 
-def _wire_occurrence(builder, clique, out_pair, slot_pair):
-    """Three gluing cliques from a variable's out edge to a constraint slot.
-
-    Consecutive cliques overlap in exactly one deletable edge, and the
-    shared edges of each clique sit on disjoint vertex pairs (local
-    positions 0,1 and 2,3), so one deletion anywhere leaves a clique one
-    edge short of complete and forces its other shared edge as well.
-    Returns the two freshly created labeled pairs.
-    """
-    first = builder.plant(clique, {0: out_pair[0], 1: out_pair[1]})
-    near = edge_key(first[2], first[3])
-    second = builder.plant(clique, {0: near[0], 1: near[1]})
-    far = edge_key(second[2], second[3])
-    builder.plant(clique, {0: far[0], 1: far[1], 2: slot_pair[0], 3: slot_pair[1]})
-    return near, far
-
-
 def reduce_minones_to_quarantined(inst: MinOnesInstance, n: int = 5, pendant_base=None):
     """Clique complex whose deletion optimum is group_size times the ones optimum.
 
@@ -213,7 +196,10 @@ def reduce_minones_to_quarantined(inst: MinOnesInstance, n: int = 5, pendant_bas
         for position, x in enumerate(args):
             slot = edge_key(verts[0], verts[position + 1])
             groups[x].add(slot)
-            groups[x].update(_wire_occurrence(builder, clique, in_out[x][1], slot))
+            # Three cliques glued from the out edge to the slot, each
+            # sharing one edge (local pairs 0,1 and 2,3) with the next, so
+            # one deletion anywhere forces the whole chain.
+            groups[x].update(_build_chain(builder, clique, (0, 1), (2, 3), 3, in_out[x][1], slot))
     for x in range(count):
         pendants = base - 3 * occurrences[x] + (1 if x in pinned else 0)
         for _ in range(pendants):

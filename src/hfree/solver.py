@@ -103,19 +103,19 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
     else blocks it, so an exhausted frame unblocks its candidates.
     """
     adj = instance.graph.adjacency()
-    n = instance.graph.vertex_count
-    plan = match_plan(instance.pattern.graph)
+    pattern = instance.pattern
+    plan = match_plan(pattern.graph)
     free = instance.free
-    deletion = instance.mode == DELETION
-    # Internal pairs that can destroy a copy, in original pattern labels.
-    breakers = plan.pattern_edges if deletion else plan.pattern_non_edges
+    edges, non_edges = sorted(pattern.edges), pattern.non_edges
+    # Internal pairs that can destroy a copy, and the pattern pairs a
+    # modified pair can newly sit on; both lexicographic.
+    breakers, positions = (edges, non_edges) if instance.mode == DELETION else (non_edges, edges)
     chosen = []
     blocked = set()
     stack = []
 
-    def mapped_pairs(order, image):
-        host_of = dict(zip(order, image))
-        return [edge_key(host_of[u], host_of[v]) for u, v in breakers]
+    def mapped_pairs(image):
+        return [edge_key(image[u], image[v]) for u, v in breakers]
 
     def anchored_bound(pair, limit: int):
         """Count element-disjoint copies through `pair`, stopping past `limit`.
@@ -129,17 +129,16 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
         pair turns up: that branch is dead outright.
         """
         u, v = pair
-        positions = plan.pattern_non_edges if deletion else plan.pattern_edges
         used = set()
         count = 0
         while count <= limit:
             pairs = None
             for a, b in positions:
-                seeded = match_plan(plan.pattern, (a, b))
+                seeded = match_plan(pattern.graph, (a, b))
                 for x, y in ((u, v), (v, u)):
-                    image = find_embedding(adj, n, seeded, blocked=used, fixed=(x, y))
+                    image = find_embedding(adj, seeded, blocked=used, fixed=(x, y))
                     if image is not None:
-                        pairs = mapped_pairs(seeded.order, image)
+                        pairs = mapped_pairs(image)
                         break
                 if pairs is not None:
                     break
@@ -152,13 +151,13 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
         return count
 
     for _ in range(node_limit):  # one pass per search node
-        image = find_embedding(adj, n, plan)
+        image = find_embedding(adj, plan)
         if image is None:
             return frozenset(chosen)
         remaining = budget - len(chosen)
         candidates = []
         if remaining > 0:
-            candidates = sorted(p for p in mapped_pairs(plan.order, image) if p in free and p not in blocked)
+            candidates = sorted(p for p in mapped_pairs(image) if p in free and p not in blocked)
             if candidates and remaining <= _PACKING_SLACK and chosen:
                 bound = anchored_bound(chosen[-1], remaining)
                 if bound is None or bound > remaining:

@@ -65,6 +65,9 @@ def test_instance_parse_errors():
         ("edge 0 1 free", "edge 0 x free", "must be integers"),
         ("edge 0 1 free", "edge 0 1 free\nedge 1 0", "duplicate edge"),
         ("edge 0 1 free", "edge 0 1 free\nnonedge 0 2 free", "belong to completion"),
+        ("mode deletion\npattern c4\nvertices 4\nedge 0 1 free",
+         "mode completion\npattern c4\nvertices 4\nedge 0 1\nnonedge 0 2 free\nnonedge 0 2 free",
+         r"line 7: duplicate nonedge \(0, 2\)"),
         ("edge 0 1 free", "edge 0 1 free\nbudget 1\nbudget 2", "budget given twice"),
         ("vertices 4", "vertices 4\nvertices 9", "line 5: vertices given twice"),
         ("vertices 4", "mode deletion\nvertices 4", "line 4: mode given twice"),

@@ -296,7 +296,7 @@ def test_house_deletion_guard_witness():
                      set(lifted.instance.graph.edges) - {(0, 1)})
     witness = find_induced_copy(stripped, house_graph())
     assert witness is not None
-    image = set(witness.image())
+    image = set(witness)
     assert {0, 1} <= image
     degrees = sorted(induced_subgraph(stripped, sorted(image)).degree_sequence())
     assert degrees == [2, 2, 2, 3, 3]
