@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from hfree.graphs import (
     Graph,
+    _toggle,
     complement,
     edge_key,
     enumerate_induced_copies,
@@ -296,3 +298,85 @@ def test_find_embedding_rejects_blocked_pairs_of_either_kind():
     assert embeds({(0, 4)})
     assert not embeds({(0, 1)})  # under a pattern edge
     assert not embeds({(0, 2)})  # under a pattern non-edge
+
+
+DIGEST_PATTERNS = [
+    *(
+        named_pattern(name).graph
+        for name in ("c4", "c5", "p4", "p5", "k3", "house", "wheel4", "octahedron", "k5e", "co-c4")
+    ),
+    Graph(0),
+    Graph(1),
+]
+
+
+def _churned_adjacency(rng, host):
+    """host's mutable adjacency after random batches of pairs were flipped
+    through _toggle and back, so each set's iteration order carries that
+    history rather than only its contents."""
+    adj = host.adjacency()
+    pairs = list(itertools.combinations(range(host.vertex_count), 2))
+    for _ in range(3):
+        flips = rng.sample(pairs, rng.randint(0, len(pairs)))
+        _toggle(adj, flips)
+        _toggle(adj, reversed(flips))
+    return adj
+
+
+def _matcher_record(rng, adj, pattern):
+    """Everything the matcher returns or visits on one host and pattern:
+    the root call, plain and twin-breaking visit sequences (one cut short),
+    and seeded plans pinned by fixed under a non-empty blocked set."""
+    host_count = len(adj)
+    pairs = list(itertools.combinations(range(host_count), 2))
+    record = [find_embedding(adj, match_plan(pattern))]
+
+    def visit(image):
+        seen.append(tuple(image))
+        return len(seen) == stop
+
+    for break_twins in (False, True):
+        plan = match_plan(pattern, break_twins=break_twins)
+        for stop, blocked in ((None, None), (3, None), (None, set(rng.sample(pairs, min(2, len(pairs)))))):
+            seen = []
+            record.append((find_embedding(adj, plan, blocked=blocked, visit=visit), seen))
+    n = pattern.vertex_count
+    for size in (1, 2):
+        if n < size or host_count < size:
+            continue
+        for _ in range(3):
+            plan = match_plan(pattern, tuple(rng.sample(range(n), size)))
+            blocked = set(rng.sample(pairs, rng.randint(1, 4))) if pairs else {(0, 1)}
+            for pinned in range(size + 1):
+                fixed = tuple(rng.sample(range(host_count), pinned))
+                record.append(find_embedding(adj, plan, blocked=blocked, fixed=fixed))
+                seen, stop = [], None
+                record.append((find_embedding(adj, plan, fixed=fixed, visit=visit), seen))
+    return record
+
+
+def test_matcher_outputs_are_pinned():
+    # The solver branches on the first copy the matcher finds, so a faster
+    # matcher must find the same copies in the same order; set iteration
+    # order decides it, so the hosts carry flip history.
+    rng = random.Random(909)
+    digest = hashlib.sha256()
+    churned = 0
+    for _ in range(20):
+        host = random_graph(rng, rng.randint(8, 13), rng.choice((0.3, 0.5, 0.7, 0.85)))
+        adj = _churned_adjacency(rng, host)
+        churned += sum(list(s) != sorted(s) for s in adj)
+        for pattern in DIGEST_PATTERNS:
+            digest.update(repr(_matcher_record(rng, adj, pattern)).encode())
+    # Long patterns, with more levels than CPython allows statically nested
+    # blocks, on a path host with a pendant, a detour and a chord that
+    # closes a cycle.
+    for length in (24, 29):
+        n = length + 3
+        edges = [(i, i + 1) for i in range(n - 1)] + [(3, n), (10, n + 1), (12, n + 1), (0, length - 5)]
+        host = Graph(n + 2, edges)
+        adj = _churned_adjacency(rng, host)
+        for pattern in (path_graph(length - 2), cycle_graph(length - 4), path_graph(length + 3)):
+            digest.update(repr(_matcher_record(rng, adj, pattern)).encode())
+    assert churned > 0
+    assert digest.hexdigest() == "36c06b01036df9c9046d74757f4f0551668942a3a4716617a1563ab538f650f3"
