@@ -3,8 +3,9 @@
 Vertices are the integers 0..vertex_count-1 and edges are unordered pairs
 stored min-first. All algorithms here are exact and meant for desk-scale
 inputs: connectivity tests brute-force over removal sets, and the induced
-copy search is a plain backtracker with degree and adjacency pruning; its
-one symmetry breaking, ordering twin images, serves vertex-set enumeration.
+copy search is a backtracker with degree and adjacency pruning, compiled
+per pattern plan into nested Python loops; its one symmetry breaking,
+ordering twin images, serves vertex-set enumeration.
 
 find_embedding is the one induced-copy search: find_induced_copy and
 is_h_free, enumerate_induced_copies, the solver and the gadget contracts
@@ -154,9 +155,13 @@ class MatchPlan:
     them name pattern vertices, not positions. Only break_twins sets
     floors: the previous twin (same neighbours apart from each other). That
     drops twin permutations only, so K_n and K_n - e embed once per copy.
+
+    searches caches the functions find_embedding runs for this plan, one
+    per call shape (pinned positions, blocking or not, visiting or not),
+    each generated from levels by _compile_search on the first such call.
     """
 
-    __slots__ = ("pattern", "seed", "levels")
+    __slots__ = ("pattern", "seed", "levels", "searches")
 
     def __init__(self, pattern: Graph, seed=(), break_twins=False):
         n = pattern.vertex_count
@@ -186,11 +191,10 @@ class MatchPlan:
                 # chains each class into one increasing run.
                 if break_twins and pattern.neighbors(v) - {w} == pattern.neighbors(w) - {v}:
                     floor = w
-            # Test the twin first: in a dense host its pair is the likeliest to fail.
-            checks.sort(key=lambda check: check[0] != floor)
             self.levels.append((v, anchor, floor, pattern.degree(v), checks))
         self.pattern = pattern
         self.seed = tuple(seed)
+        self.searches = {}
 
 
 @lru_cache(maxsize=4096)
@@ -210,6 +214,113 @@ def _toggle(adj, pairs) -> None:
         adj[v] ^= {u}
 
 
+# CPython refuses more than 20 statically nested blocks in one function, so
+# a long plan's loops go out in chunks, each a function that calls the next.
+_CHUNK_LOOPS = 16
+# A level with more earlier vertices than this tests them through a tuple
+# of their images, so the source grows linearly with the pattern, not
+# quadratically; shorter levels spell each test out, which runs faster.
+_SPELLED = 8
+
+
+def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool):
+    """Compile plan.levels into nested loops, one per unpinned level.
+
+    The result is search(A, F, B, visit, I): host adjacency, fixed, blocked,
+    visit, and the image list it fills by pattern vertex. It returns True
+    once it found an embedding (or visit accepted one).
+
+    Level i binds v<p> for its pattern vertex p: to F[i] when pinned, else
+    in a loop over the candidates a level-by-level backtracker takes, in the
+    same order: the anchor image's neighbour set as it iterates, or all host
+    vertices in a stable sort by degree. One test per level rejects a
+    candidate on degree, floor, adjacency, non-adjacency, blocked pairs, and
+    equality with a non-adjacent earlier image (an adjacent one differs
+    already). Levels past _SPELLED earlier vertices test the tuple P<i> of
+    all earlier images instead: the candidate is not in it, and its
+    neighbours meet it in exactly the adjacent ones. Each chunk after the
+    first takes that tuple as its argument and reads back from I the few
+    earlier images it names.
+    """
+    levels = plan.levels
+    order = [level[0] for level in levels]
+    starts = [0, *range(pinned + _CHUNK_LOOPS, len(levels), _CHUNK_LOOPS)]
+    ends = starts[1:] + [len(levels)]
+
+    def earlier_images(i):
+        if i - 1 > _SPELLED:
+            return f"P{i - 1} + (v{order[i - 1]},)"
+        return "(" + "".join(f"v{w}, " for w in order[:i]) + ")"
+
+    chunks = []
+    for k, (start, end) in enumerate(zip(starts, ends)):
+        depth = 1 if k == 0 else 2
+        lines = []
+        if k:
+            named = sorted({
+                w for vertex, anchor, floor, _, checks in levels[start:end]
+                for w in (anchor, floor, *(w for w, adjacent in checks if adjacent))
+            }.intersection(order[:start]))
+            lines.append(f" def c{k}(P{start}):")
+            if named:
+                lines.append(f"  {''.join(f'v{w}, ' for w in named)}= {''.join(f'I[{w}], ' for w in named)}")
+        sorted_here = False
+        for i in range(start, end):
+            vertex, anchor, floor, needed, checks = levels[i]
+            v = f"v{vertex}"
+            pad = " " * depth
+            if i > _SPELLED and i != start:
+                lines.append(f"{pad}P{i} = {earlier_images(i)}")
+            if i < pinned:
+                lines.append(f"{pad}{v} = F[{i}]")
+                anchor, fail = None, "return False"
+            else:
+                if anchor is None and not sorted_here:
+                    lines.append(f"{pad}S = sorted(range(len(A)), key=list(map(len, A)).__getitem__)")
+                    sorted_here = True
+                lines.append(f"{pad}for {v} in {'S' if anchor is None else f'A[v{anchor}]'}:")
+                fail = "continue"
+                depth += 1
+                pad = " " * depth
+            near = [f"v{w}" for w, adjacent in checks if adjacent and w != anchor]
+            apart = [f"v{w}" for w, adjacent in checks if not adjacent]
+            # A neighbour of the anchor image has degree 1 at least.
+            terms = [f"len(N) < {needed}"] if needed > (anchor is not None) else []
+            if floor is not None:
+                terms.append(f"{v} <= v{floor}")
+            terms.extend(f"{w} not in N" for w in near)
+            if i > _SPELLED:
+                terms.append(f"{v} in P{i}")
+                terms.append(f"len(N.intersection(P{i})) != {len(checks) - len(apart)}")
+                if blocking:
+                    terms.append(f"any((({v}, w) if {v} < w else (w, {v})) in B for w in P{i})")
+            else:
+                terms.extend(f"{v} == {w}" for w in apart)
+                terms.extend(f"{w} in N" for w in apart)
+                if blocking:
+                    terms.extend(f"(({v}, v{w}) if {v} < v{w} else (v{w}, {v})) in B" for w, _ in checks)
+            if terms:
+                lines.append(f"{pad}N = A[{v}]")
+                lines.append(f"{pad}if {' or '.join(terms)}: {fail}")
+        pad = " " * depth
+        if end > start:
+            placed = order[start:end]
+            lines.append(f"{pad}{''.join(f'I[{p}], ' for p in placed)}= {''.join(f'v{p}, ' for p in placed)}")
+        if end < len(levels):
+            lines.append(f"{pad}if c{k + 1}({earlier_images(end)}): return True")
+        elif visiting:
+            lines.append(f"{pad}if visit(I): return True")
+        else:
+            lines.append(f"{pad}return True")
+        lines.append(" " * (1 if k == 0 else 2) + "return False")
+        chunks.append(lines)
+    # The later chunks are closures over the search's arguments.
+    source = ["def search(A, F, B, visit, I):", *(line for lines in chunks[1:] + chunks[:1] for line in lines)]
+    namespace = {}
+    exec(compile("\n".join(source), "<match plan>", "exec"), namespace)
+    return namespace["search"]
+
+
 def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=None):
     """Search for induced embeddings of plan.pattern into the host adjacency.
 
@@ -227,60 +338,25 @@ def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=No
     them, unless the plan breaks twins; the list is reused, copy it to keep
     it) and stops at the first call that returns true; it then returns that
     image, and None when no call did.
+
+    The search runs the nested loops _compile_search generated from the
+    plan for this call shape, cached in plan.searches. They try candidates
+    in the order of a level-by-level backtracker over plan.levels: the
+    solver branches on the first copy found, so that order is part of the
+    contract, down to the iteration order of the host's adjacency sets.
     """
-    n = len(plan.levels)
-    host_count = len(host_adj)
     pinned = len(fixed) if fixed else 0
     if pinned > len(plan.seed):
         raise ValueError(f"fixed pins {pinned} positions but the plan is seeded with {len(plan.seed)}")
-    if n > host_count:
+    n = len(plan.levels)
+    if n > len(host_adj):
         return None
+    shape = (pinned, bool(blocked), visit is not None)
+    search = plan.searches.get(shape)
+    if search is None:
+        search = plan.searches[shape] = _compile_search(plan, *shape)
     image = [0] * n
-    used = [False] * host_count
-    blocking = bool(blocked)
-    levels = plan.levels
-
-    def extend(i: int):
-        if i == n:
-            return visit is None or visit(image)
-        vertex, anchor, floor, needed, checks = levels[i]
-        if i < pinned:
-            candidates = (fixed[i],)
-        elif anchor is None:
-            # Sparse vertices first: pendant-style copies sit on low-degree
-            # vertices and turn up long before dense hubs are explored.
-            candidates = sorted(range(host_count), key=lambda h: len(host_adj[h]))
-        else:
-            candidates = host_adj[image[anchor]]
-        if floor is not None:
-            candidates = [h for h in candidates if h > image[floor]]
-        for h in candidates:
-            if used[h] or len(host_adj[h]) < needed:
-                continue
-            ok = True
-            for w, adjacent in checks:
-                other = image[w]
-                if adjacent:
-                    if other not in host_adj[h]:
-                        ok = False
-                        break
-                elif other in host_adj[h]:
-                    ok = False
-                    break
-                # edge_key(h, other), inlined on the hottest path
-                if blocking and ((h, other) if h < other else (other, h)) in blocked:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[vertex] = h
-            used[h] = True
-            if extend(i + 1):
-                return True
-            used[h] = False
-        return False
-
-    if extend(0):
+    if search(host_adj, fixed, blocked, visit, image):
         return list(image)
     return None
 

@@ -1,9 +1,13 @@
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hfree import graphs
 from hfree.graphs import (
     Graph,
     _toggle,
@@ -380,3 +384,144 @@ def test_matcher_outputs_are_pinned():
             digest.update(repr(_matcher_record(rng, adj, pattern)).encode())
     assert churned > 0
     assert digest.hexdigest() == "36c06b01036df9c9046d74757f4f0551668942a3a4716617a1563ab538f650f3"
+
+
+def _carried_long_copies(host, pattern):
+    """Every vertex subset of pattern's size whose induced subgraph is a
+    path (pattern a path) or a cycle (pattern a cycle): connected, with the
+    right edge count and every degree at most two. Written from the edge
+    sets alone; a permutation sweep is out of reach at these sizes."""
+    p, cycle = pattern.vertex_count, pattern.edge_count == pattern.vertex_count
+    found = []
+    for subset in itertools.combinations(range(host.vertex_count), p):
+        inside = set(subset)
+        edges = [(u, v) for u, v in host.edges if u in inside and v in inside]
+        degrees = [sum(u in edge for edge in edges) for u in subset]
+        if len(edges) == pattern.edge_count and max(degrees) <= 2 and (cycle or min(degrees) >= 1):
+            if is_connected(induced_subgraph(host, subset)):
+                found.append(subset)
+    return found
+
+
+def test_patterns_longer_than_twenty_vertices_agree_with_a_sweep():
+    # More levels than CPython allows statically nested blocks: the plan
+    # compiles in chained chunks.
+    rng = random.Random(21)
+    for pattern in (path_graph(21), cycle_graph(22)):
+        automorphisms = 2 if pattern.edge_count < pattern.vertex_count else 2 * pattern.vertex_count
+        carried = 0
+        for _ in range(12):
+            # A ring two vertices longer than the pattern, with one short
+            # chord and perhaps a cut.
+            n = pattern.vertex_count + 2
+            ring = rng.sample(range(n), n)
+            edges = {edge_key(ring[i - 1], ring[i]) for i in range(n)}
+            i = rng.randrange(n)
+            edges.add(edge_key(ring[i], ring[(i + rng.randint(2, 3)) % n]))
+            edges -= set(rng.sample(sorted(edges), rng.randint(0, 1)))
+            host = Graph(n, edges)
+            swept = _carried_long_copies(host, pattern)
+            visited = []
+            plan = match_plan(pattern)
+            assert find_embedding(host._adj, plan, visit=lambda image: visited.append(tuple(image))) is None
+            assert len(visited) == len(set(visited)) == automorphisms * len(swept)
+            assert sorted({tuple(sorted(image)) for image in visited}) == swept
+            assert all(_carries(host, pattern, image) for image in visited)
+            image = find_induced_copy(host, pattern)
+            assert (image is None) == (not swept)
+            assert image is None or tuple(image) == visited[0]
+            carried += bool(swept)
+        assert carried >= 3
+
+
+def test_a_path_pattern_deeper_than_the_recursion_limit_embeds():
+    pattern, host = path_graph(300), path_graph(320)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        image = find_embedding(host._adj, match_plan(pattern))
+        seen = []
+        find_embedding(host._adj, match_plan(pattern), visit=seen.append)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert image is not None and _carries(host, pattern, image)
+    assert len(seen) == 2 * 21
+
+
+@st.composite
+def _differential_cases(draw):
+    """A host of up to 8 vertices and a pattern of up to 6 (any graph, a
+    connected one, or one with a twin), a plan seed, fixed, blocked, twin
+    breaking, and whether and when visit stops the search."""
+
+    def graph(n):
+        pairs = list(itertools.combinations(range(n), 2))
+        return draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+
+    host_count = draw(st.integers(0, 8))
+    host = Graph(host_count, graph(host_count))
+    kind = draw(st.sampled_from(("any", "connected", "twin")))
+    n = draw(st.integers(1, 5 if kind == "twin" else 6))
+    edges = graph(n)
+    if kind == "connected":
+        edges |= {(i, i + 1) for i in range(n - 1)}
+    elif kind == "twin":
+        t = draw(st.integers(0, n - 1))
+        edges |= {edge_key(u, n) for u in range(n) if u != t and edge_key(u, t) in edges}
+        if draw(st.booleans()):
+            edges.add((t, n))
+        n += 1
+    pattern = Graph(n, edges)
+    seed = tuple(draw(st.permutations(range(n)))[: draw(st.integers(0, min(2, n)))])
+    fixed = ()
+    if host.vertex_count:
+        fixed = tuple(draw(st.lists(st.integers(0, host.vertex_count - 1), max_size=len(seed))))
+    host_pairs = list(itertools.combinations(range(host.vertex_count), 2))
+    blocked = set(draw(st.lists(st.sampled_from(host_pairs), max_size=3))) if host_pairs else set()
+    break_twins = not fixed and draw(st.booleans())
+    stop = draw(st.sampled_from((None, None, 0, 1, 2, 5)))
+    return host, pattern, seed, fixed, blocked, break_twins, stop
+
+
+# (_SPELLED, _CHUNK_LOOPS): the stock code, then every level tested through
+# the tuple of earlier images, in chunks of one and two loops.
+@pytest.mark.parametrize("spelled,chunk", [(8, 16), (0, 1), (0, 2)])
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_differential_cases())
+def test_matcher_agrees_with_the_sweep_on_random_cases(monkeypatch, spelled, chunk, case):
+    monkeypatch.setattr(graphs, "_SPELLED", spelled)
+    monkeypatch.setattr(graphs, "_CHUNK_LOOPS", chunk)
+    host, pattern, seed, fixed, blocked, break_twins, stop = case
+    blocked_pairs = {(u, v) for u, v in blocked}
+    expected = {
+        images
+        for subset in _swept_copies(host, pattern)
+        for images in itertools.permutations(subset)
+        if _carries(host, pattern, images)
+        and all(images[a] == x for a, x in zip(seed, fixed))
+        and not any(edge_key(x, y) in blocked_pairs for x, y in itertools.combinations(images, 2))
+    }
+    # A fresh plan, compiled under the constants above.
+    plan = graphs.MatchPlan(pattern, seed, break_twins)
+    image = find_embedding(host._adj, plan, blocked=blocked, fixed=fixed)
+    assert (image is None) == (not expected)
+    assert image is None or tuple(image) in expected
+    seen = []
+
+    def visit(image):
+        seen.append(tuple(image))
+        return len(seen) == stop
+
+    returned = find_embedding(host._adj, plan, blocked=blocked, fixed=fixed, visit=visit)
+    assert len(seen) == len(set(seen)) and set(seen) <= expected
+    if stop and len(seen) == stop:
+        assert returned == list(seen[-1])
+        return
+    assert returned is None
+    if break_twins:
+        # One embedding per copy and twin class arrangement: floors hold.
+        assert {tuple(sorted(s)) for s in seen} == {tuple(sorted(s)) for s in expected}
+        assert all(s[vertex] > s[floor] for s in seen for vertex, _, floor, _, _ in plan.levels if floor is not None)
+    else:
+        assert set(seen) == expected
