@@ -217,9 +217,10 @@ def _toggle(adj, pairs) -> None:
 # CPython refuses more than 20 statically nested blocks in one function, so
 # a long plan's loops go out in chunks, each a function that calls the next.
 _CHUNK_LOOPS = 16
-# A level with more earlier vertices than this tests them through a tuple
-# of their images, so the source grows linearly with the pattern, not
-# quadratically; shorter levels spell each test out, which runs faster.
+# Levels up to this many earlier vertices spell out one test per earlier
+# vertex, which runs fastest; later levels test the set of earlier images,
+# so the source grows linearly with the pattern and each test costs the
+# candidate's degree, not the pattern's size.
 _SPELLED = 8
 
 
@@ -236,41 +237,36 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
     vertices in a stable sort by degree. One test per level rejects a
     candidate on degree, floor, adjacency, non-adjacency, blocked pairs, and
     equality with a non-adjacent earlier image (an adjacent one differs
-    already). Levels past _SPELLED earlier vertices test the tuple P<i> of
-    all earlier images instead: the candidate is not in it, and its
-    neighbours meet it in exactly the adjacent ones. Each chunk after the
-    first takes that tuple as its argument and reads back from I the few
-    earlier images it names.
+    already). Levels past _SPELLED earlier vertices keep the earlier images
+    in a set U instead, added to on the way down and taken from on the way
+    back: the candidate must be outside U, and its neighbours must meet U in
+    exactly its adjacent earlier images. Each chunk after the first takes U
+    as its argument and reads back from I the few earlier images it names.
     """
     levels = plan.levels
     order = [level[0] for level in levels]
     starts = [0, *range(pinned + _CHUNK_LOOPS, len(levels), _CHUNK_LOOPS)]
     ends = starts[1:] + [len(levels)]
-
-    def earlier_images(i):
-        if i - 1 > _SPELLED:
-            return f"P{i - 1} + (v{order[i - 1]},)"
-        return "(" + "".join(f"v{w}, " for w in order[:i]) + ")"
-
     chunks = []
     for k, (start, end) in enumerate(zip(starts, ends)):
-        depth = 1 if k == 0 else 2
+        base = depth = 1 if k == 0 else 2
         lines = []
         if k:
+            # Every level here is past _SPELLED, so only its anchor, floor
+            # and adjacent earlier vertices are named.
             named = sorted({
                 w for vertex, anchor, floor, _, checks in levels[start:end]
                 for w in (anchor, floor, *(w for w, adjacent in checks if adjacent))
             }.intersection(order[:start]))
-            lines.append(f" def c{k}(P{start}):")
+            lines.append(f" def c{k}(U):")
             if named:
                 lines.append(f"  {''.join(f'v{w}, ' for w in named)}= {''.join(f'I[{w}], ' for w in named)}")
         sorted_here = False
+        closing = []
         for i in range(start, end):
             vertex, anchor, floor, needed, checks = levels[i]
             v = f"v{vertex}"
             pad = " " * depth
-            if i > _SPELLED and i != start:
-                lines.append(f"{pad}P{i} = {earlier_images(i)}")
             if i < pinned:
                 lines.append(f"{pad}{v} = F[{i}]")
                 anchor, fail = None, "return False"
@@ -290,10 +286,9 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
                 terms.append(f"{v} <= v{floor}")
             terms.extend(f"{w} not in N" for w in near)
             if i > _SPELLED:
-                terms.append(f"{v} in P{i}")
-                terms.append(f"len(N.intersection(P{i})) != {len(checks) - len(apart)}")
+                terms.append(f"{v} in U or len(N & U) != {len(checks) - len(apart)}")
                 if blocking:
-                    terms.append(f"any((({v}, w) if {v} < w else (w, {v})) in B for w in P{i})")
+                    terms.append(f"any((({v}, w) if {v} < w else (w, {v})) in B for w in U)")
             else:
                 terms.extend(f"{v} == {w}" for w in apart)
                 terms.extend(f"{w} in N" for w in apart)
@@ -302,17 +297,23 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
             if terms:
                 lines.append(f"{pad}N = A[{v}]")
                 lines.append(f"{pad}if {' or '.join(terms)}: {fail}")
+            if i + 1 < len(levels) and i == _SPELLED:
+                lines.append(f"{pad}U = {{{''.join(f'v{w}, ' for w in order[:i + 1])}}}")
+            elif i + 1 < len(levels) and i > _SPELLED:
+                lines.append(f"{pad}U.add({v})")
+                closing.append(f"{pad}U.discard({v})")
         pad = " " * depth
         if end > start:
             placed = order[start:end]
             lines.append(f"{pad}{''.join(f'I[{p}], ' for p in placed)}= {''.join(f'v{p}, ' for p in placed)}")
         if end < len(levels):
-            lines.append(f"{pad}if c{k + 1}({earlier_images(end)}): return True")
+            lines.append(f"{pad}if c{k + 1}(U): return True")
         elif visiting:
             lines.append(f"{pad}if visit(I): return True")
         else:
             lines.append(f"{pad}return True")
-        lines.append(" " * (1 if k == 0 else 2) + "return False")
+        lines.extend(reversed(closing))
+        lines.append(" " * base + "return False")
         chunks.append(lines)
     # The later chunks are closures over the search's arguments.
     source = ["def search(A, F, B, visit, I):", *(line for lines in chunks[1:] + chunks[:1] for line in lines)]
