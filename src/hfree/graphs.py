@@ -255,7 +255,7 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
             # Every level here is past _SPELLED, so only its anchor, floor
             # and adjacent earlier vertices are named.
             named = sorted({
-                w for vertex, anchor, floor, _, checks in levels[start:end]
+                w for _, anchor, floor, _, checks in levels[start:end]
                 for w in (anchor, floor, *(w for w, adjacent in checks if adjacent))
             }.intersection(order[:start]))
             lines.append(f" def c{k}(U):")
@@ -303,8 +303,8 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
                 lines.append(f"{pad}U.add({v})")
                 closing.append(f"{pad}U.discard({v})")
         pad = " " * depth
-        if end > start:
-            placed = order[start:end]
+        placed = order[start:end]
+        if placed:
             lines.append(f"{pad}{''.join(f'I[{p}], ' for p in placed)}= {''.join(f'v{p}, ' for p in placed)}")
         if end < len(levels):
             lines.append(f"{pad}if c{k + 1}(U): return True")
