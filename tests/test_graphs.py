@@ -483,8 +483,8 @@ def _differential_cases(draw):
     return host, pattern, seed, fixed, blocked, break_twins, stop
 
 
-# (_SPELLED, _CHUNK_LOOPS): the stock code, then every level tested through
-# the tuple of earlier images, in chunks of one and two loops.
+# (_SPELLED, _CHUNK_LOOPS): the stock code, then every level tested against
+# the set of earlier images, in chunks of one and two loops.
 @pytest.mark.parametrize("spelled,chunk", [(8, 16), (0, 1), (0, 2)])
 @settings(derandomize=True, max_examples=150, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -493,14 +493,13 @@ def test_matcher_agrees_with_the_sweep_on_random_cases(monkeypatch, spelled, chu
     monkeypatch.setattr(graphs, "_SPELLED", spelled)
     monkeypatch.setattr(graphs, "_CHUNK_LOOPS", chunk)
     host, pattern, seed, fixed, blocked, break_twins, stop = case
-    blocked_pairs = {(u, v) for u, v in blocked}
     expected = {
         images
         for subset in _swept_copies(host, pattern)
         for images in itertools.permutations(subset)
         if _carries(host, pattern, images)
         and all(images[a] == x for a, x in zip(seed, fixed))
-        and not any(edge_key(x, y) in blocked_pairs for x, y in itertools.combinations(images, 2))
+        and not any(edge_key(x, y) in blocked for x, y in itertools.combinations(images, 2))
     }
     # A fresh plan, compiled under the constants above.
     plan = graphs.MatchPlan(pattern, seed, break_twins)
