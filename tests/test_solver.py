@@ -8,7 +8,7 @@ import pytest
 from hfree import solver
 from hfree.graphs import Graph, is_h_free
 from hfree.patterns import complete_graph, cycle_graph, make_pattern, named_pattern, path_graph, wheel_graph
-from hfree.reductions import complement_instance
+from hfree.reductions import Polynomial, complement_instance
 from hfree.solver import (
     BudgetedInstance,
     SandwichInstance,
@@ -19,6 +19,7 @@ from hfree.solver import (
     solve_min,
     solve_sandwich,
 )
+from hfree.verify import verify_gap
 
 
 def deletion_instance(graph, pattern, free=None):
@@ -247,3 +248,30 @@ def test_random_corpus_work_is_pinned(matcher_calls):
     assert digest == "a5a2462ce2caffad5bc21966be6e754ccebfc7a36ebbdfb130615351abfa3de3"
     assert matcher_calls["root"] <= 18592
     assert matcher_calls["anchored"] <= 50745
+
+
+def test_hub_host_work_is_pinned(monkeypatch, matcher_calls):
+    # Gap-corpus house-del item 46: a rigid square whose every vertex is
+    # joined to one fresh vertex by a free edge. Its lift is the slowest gap
+    # check, on a host with hubs, where the matcher meets far more dead
+    # branches than on the small random hosts of its own pinned digest; so
+    # pin every copy the solver branches on, in order.
+    square = cycle_graph(4)
+    free = frozenset((u, 4) for u in range(4))
+    inst = SandwichInstance(Graph(5, square.edges | free), named_pattern("c4"), "deletion", free)
+    roots = []
+    counting = solver.find_embedding
+
+    def recording(*args, **kwargs):
+        image = counting(*args, **kwargs)
+        if kwargs.get("fixed") is None:
+            roots.append(image)
+        return image
+
+    monkeypatch.setattr(solver, "find_embedding", recording)
+    report = verify_gap(inst, "house-del", Polynomial(1, 1, 1))
+    assert (report.verdict, report.details["checked"]) == ("pass", "absent<=5")
+    digest = hashlib.sha256(repr(roots).encode()).hexdigest()
+    assert digest == "eccb4b6660624921c7905c581dfaed07c6bb4823d3b90a9cb1d56b70b02c4aea"
+    assert matcher_calls["root"] <= 2685
+    assert matcher_calls["anchored"] <= 5498
