@@ -451,18 +451,33 @@ def test_a_path_pattern_deeper_than_the_recursion_limit_embeds():
 @st.composite
 def _differential_cases(draw):
     """A host of up to 8 vertices and a pattern of up to 6 (any graph, a
-    connected one, or one with a twin), a plan seed, fixed, blocked, twin
-    breaking, and whether and when visit stops the search."""
+    connected one, one with a twin, or a cycle with chords planted next to
+    a hub), a plan seed, fixed, blocked, twin breaking, and whether and
+    when visit stops the search."""
 
     def graph(n):
         pairs = list(itertools.combinations(range(n), 2))
         return draw(st.sets(st.sampled_from(pairs))) if pairs else set()
 
-    host_count = draw(st.integers(0, 8))
-    host = Graph(host_count, graph(host_count))
-    kind = draw(st.sampled_from(("any", "connected", "twin")))
-    n = draw(st.integers(1, 5 if kind == "twin" else 6))
-    edges = graph(n)
+    kind = draw(st.sampled_from(("any", "connected", "twin", "hub")))
+    if kind == "hub":
+        # The pattern sits induced on the first n host vertices; one later
+        # vertex is adjacent to all but at most two others. The level
+        # before the last then meets many candidates that leave the last
+        # level no image, which the lookahead of _compile_search prunes.
+        n = draw(st.integers(4, 6))
+        edges = graph(n) | {edge_key(i, (i + 1) % n) for i in range(n)}
+        host_count = draw(st.integers(n + 1, 8))
+        hub = draw(st.integers(n, host_count - 1))
+        missing = set(draw(st.lists(st.integers(0, host_count - 1), max_size=2)))
+        host_edges = edges | {(u, v) for u, v in graph(host_count) if v >= n}
+        host_edges |= {edge_key(hub, v) for v in range(host_count) if v != hub and v not in missing}
+        host = Graph(host_count, host_edges)
+    else:
+        host_count = draw(st.integers(0, 8))
+        host = Graph(host_count, graph(host_count))
+        n = draw(st.integers(1, 5 if kind == "twin" else 6))
+        edges = graph(n)
     if kind == "connected":
         edges |= {(i, i + 1) for i in range(n - 1)}
     elif kind == "twin":
