@@ -4,7 +4,8 @@ Vertices are the integers 0..vertex_count-1 and edges are unordered pairs
 stored min-first. All algorithms here are exact and meant for desk-scale
 inputs: connectivity tests brute-force over removal sets, and the induced
 copy search is a backtracker with degree and adjacency pruning, compiled
-per pattern plan into nested Python loops; its one symmetry breaking,
+per pattern plan into nested Python loops, that looks ahead from the level
+before the last to the last one's candidates; its one symmetry breaking,
 ordering twin images, serves vertex-set enumeration.
 
 find_embedding is the one induced-copy search: find_induced_copy and
@@ -242,9 +243,39 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
     back: the candidate must be outside U, and its neighbours must meet U in
     exactly its adjacent earlier images. Each chunk after the first takes U
     as its argument and reads back from I the few earlier images it names.
+
+    One lookahead prunes dead branches. Let g be the level before the last.
+    When the last level's anchor comes before g, g is unpinned and its
+    pattern vertex is adjacent to the last one, the last image must lie in
+    a set L that the images before g fix: the anchor image's neighbours
+    that neighbour every other image adjacent to the last vertex and
+    neither equal nor neighbour any image not adjacent to it. So on the
+    first candidate of g that passes its test, the loop computes L once
+    (each image before g that changes resets it). If L is empty, no
+    candidate of g leads anywhere and the loop ends; a candidate with no
+    neighbour in L is skipped. The cut branches hold no embedding and
+    nothing else moves, so embeddings come in the same order as without
+    it. L stays lazy: on sparse hosts the last loop is short and most
+    partial embeddings never reach g, so computing it earlier costs more
+    than it prunes.
     """
     levels = plan.levels
     order = [level[0] for level in levels]
+    # The lookahead from level g to the last level: its candidates among
+    # the anchor image's neighbours, as far as the images before g decide.
+    g, ahead = len(levels) - 2, []
+    if g >= pinned:
+        _, anchor, _, _, checks = levels[-1]
+        if anchor not in (None, order[g]) and checks[-1] == (order[g], True):
+            inside = [w for w, adjacent in checks[:-1] if adjacent]
+            outside = [w for w, adjacent in checks if not adjacent]
+            ahead = inside + outside
+            lookahead = " & ".join(f"A[v{w}]" for w in inside)
+            if len(inside) > 1:
+                lookahead = f"({lookahead})"
+            if outside:
+                images = ", ".join(f"v{w}" for w in outside)
+                lookahead += f".difference({''.join(f'A[v{w}], ' for w in outside)}{{{images}}})"
     starts = [0, *range(pinned + _CHUNK_LOOPS, len(levels), _CHUNK_LOOPS)]
     ends = starts[1:] + [len(levels)]
     chunks = []
@@ -253,11 +284,11 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
         lines = []
         if k:
             # Every level here is past _SPELLED, so only its anchor, floor
-            # and adjacent earlier vertices are named.
+            # and adjacent earlier vertices are named, and the lookahead's.
             named = sorted({
                 w for _, anchor, floor, _, checks in levels[start:end]
                 for w in (anchor, floor, *(w for w, adjacent in checks if adjacent))
-            }.intersection(order[:start]))
+            }.union(ahead if start <= g < end else ()).intersection(order[:start]))
             lines.append(f" def c{k}(U):")
             if named:
                 lines.append(f"  {''.join(f'v{w}, ' for w in named)}= {''.join(f'I[{w}], ' for w in named)}")
@@ -271,6 +302,8 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
                 lines.append(f"{pad}{v} = F[{i}]")
                 anchor, fail = None, "return False"
             else:
+                if i == g and ahead:
+                    lines.append(f"{pad}L = None")
                 if anchor is None and not sorted_here:
                     lines.append(f"{pad}S = sorted(range(len(A)), key=list(map(len, A)).__getitem__)")
                     sorted_here = True
@@ -297,6 +330,13 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
             if terms:
                 lines.append(f"{pad}N = A[{v}]")
                 lines.append(f"{pad}if {' or '.join(terms)}: {fail}")
+            if i == g and ahead:
+                # Level g is adjacent to the last, so it tested its degree
+                # and set N.
+                lines.append(f"{pad}if L is None:")
+                lines.append(f"{pad} L = {lookahead}")
+                lines.append(f"{pad} if not L: break")
+                lines.append(f"{pad}if L.isdisjoint(N): continue")
             if i + 1 < len(levels) and i == _SPELLED:
                 lines.append(f"{pad}U = {{{''.join(f'v{w}, ' for w in order[:i + 1])}}}")
             elif i + 1 < len(levels) and i > _SPELLED:
