@@ -255,9 +255,9 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
     candidate of g leads anywhere and the loop ends; a candidate with no
     neighbour in L is skipped. The cut branches hold no embedding and
     nothing else moves, so embeddings come in the same order as without
-    it. L stays lazy: on sparse hosts the last loop is short and most
-    partial embeddings never reach g, so computing it earlier costs more
-    than it prunes.
+    it. L stays lazy: on sparse hosts g's loop mostly has no candidate
+    that passes and the last loop is short, so computing L as g's loop
+    starts would cost more than it prunes.
     """
     levels = plan.levels
     order = [level[0] for level in levels]
