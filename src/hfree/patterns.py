@@ -127,16 +127,16 @@ def named_pattern(name: str) -> Pattern:
         return make_pattern(wheel_graph(4), "wheel4")
     if key == "octahedron":
         return make_pattern(octahedron_graph(), "octahedron")
-    m = re.fullmatch(r"c(\d+)", key)
+    m = re.fullmatch(r"c([0-9]+)", key)
     if m:
         return make_pattern(cycle_graph(int(m.group(1))), key)
-    m = re.fullmatch(r"p(\d+)", key)
+    m = re.fullmatch(r"p([0-9]+)", key)
     if m:
         return make_pattern(path_graph(int(m.group(1))), key)
-    m = re.fullmatch(r"k(\d+)e", key)
+    m = re.fullmatch(r"k([0-9]+)e", key)
     if m:
         return make_pattern(complete_minus_edge(int(m.group(1))), key)
-    m = re.fullmatch(r"k(\d+)", key)
+    m = re.fullmatch(r"k([0-9]+)", key)
     if m:
         return make_pattern(complete_graph(int(m.group(1))), key)
     raise ValueError(f"unknown pattern name: {name!r}")

@@ -20,6 +20,11 @@ by the previous modification contains the modified pair internally, so a
 greedy packing of element-disjoint copies anchored at that pair counts
 obstructions the remaining budget must still pay for. Anchored searches pin
 two vertices and stay cheap even on hosts with huge pendant bundles.
+
+Minimization packs once more, in the unmodified host: copies whose breaker
+pairs (the internal pairs a modification can flip) are pairwise disjoint
+each need a pair of their own, so iterative deepening starts at their
+count. Those packing calls are matcher calls, not search nodes.
 """
 
 from __future__ import annotations
@@ -94,6 +99,18 @@ def is_solution(instance: SandwichInstance, pairs) -> bool:
     return is_h_free(apply(instance, pairs), instance.pattern.graph)
 
 
+def _breakers(instance: SandwichInstance):
+    """The internal pattern pairs a modification can flip (edges in deletion,
+    non-edges in completion), and the pattern pairs a modified pair can newly
+    sit on; both lexicographic."""
+    edges, non_edges = sorted(instance.pattern.edges), instance.pattern.non_edges
+    return (edges, non_edges) if instance.mode == DELETION else (non_edges, edges)
+
+
+def _mapped_pairs(image, breakers) -> list:
+    return [edge_key(image[u], image[v]) for u, v in breakers]
+
+
 def _search(instance: SandwichInstance, budget: int, node_limit: int):
     """A solution of at most budget pairs, or None.
 
@@ -106,16 +123,10 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
     pattern = instance.pattern
     plan = match_plan(pattern.graph)
     free = instance.free
-    edges, non_edges = sorted(pattern.edges), pattern.non_edges
-    # Internal pairs that can destroy a copy, and the pattern pairs a
-    # modified pair can newly sit on; both lexicographic.
-    breakers, positions = (edges, non_edges) if instance.mode == DELETION else (non_edges, edges)
+    breakers, positions = _breakers(instance)
     chosen = []
     blocked = set()
     stack = []
-
-    def mapped_pairs(image):
-        return [edge_key(image[u], image[v]) for u, v in breakers]
 
     def anchored_bound(pair, limit: int):
         """Count element-disjoint copies through `pair`, stopping past `limit`.
@@ -138,7 +149,7 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
                 for x, y in ((u, v), (v, u)):
                     image = find_embedding(adj, seeded, blocked=used, fixed=(x, y))
                     if image is not None:
-                        pairs = mapped_pairs(image)
+                        pairs = _mapped_pairs(image, breakers)
                         break
                 if pairs is not None:
                     break
@@ -157,7 +168,7 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
         remaining = budget - len(chosen)
         candidates = []
         if remaining > 0:
-            candidates = sorted(p for p in mapped_pairs(image) if p in free and p not in blocked)
+            candidates = sorted(p for p in _mapped_pairs(image, breakers) if p in free and p not in blocked)
             if candidates and remaining <= _PACKING_SLACK and chosen:
                 bound = anchored_bound(chosen[-1], remaining)
                 if bound is None or bound > remaining:
@@ -195,17 +206,45 @@ def solve_budgeted(budgeted: BudgetedInstance, node_limit: int = DEFAULT_NODE_LI
     return solve_sandwich(budgeted.instance, budget=budgeted.budget, node_limit=node_limit)
 
 
+def _root_packing(instance: SandwichInstance, limit: int) -> list:
+    """Up to `limit` induced copies in the unmodified host whose breaker
+    pairs are pairwise disjoint, found greedily in matcher order.
+
+    A host copy dies only when one of its own breaker pairs flips, so every
+    solution holds a distinct pair of each copy: the count is a lower bound
+    on the optimum.
+    """
+    adj = instance.graph.adjacency()
+    plan = match_plan(instance.pattern.graph)
+    breakers = _breakers(instance)[0]
+    used = set()
+    copies = []
+    while len(copies) < limit:
+        image = find_embedding(adj, plan, blocked=used)
+        if image is None:
+            break
+        copies.append(image)
+        used.update(_mapped_pairs(image, breakers))
+    return copies
+
+
 def solve_min(instance: SandwichInstance, node_limit: int = DEFAULT_NODE_LIMIT):
     """Minimum-size solution via iterative deepening on the budget, or None.
 
-    The unbudgeted pass settles existence first; deepening then only runs
-    below the size of the solution it found. node_limit caps each of these
-    searches on its own, not their total.
+    The unbudgeted pass settles existence first. Deepening then starts at a
+    greedy packing of root copies with disjoint breaker pairs, a lower bound
+    on the optimum, and runs only below the size of the solution the first
+    pass found, so it returns as soon as the packing meets that size. Every
+    budget it skips provably fails, so it returns the set that deepening
+    from budget 0 would. node_limit caps each search on its own, not their
+    total; the packing's matcher calls are not search nodes.
     """
     best = solve_sandwich(instance, node_limit=node_limit)
     if best is None:
         return None
-    for bound in range(len(best)):
+    # A non-empty best proves budget 0 fails: the host holds a copy.
+    low = len(_root_packing(instance, len(best))) if len(best) > 1 else len(best)
+    for bound in range(low, len(best)):
         candidate = solve_sandwich(instance, budget=bound, node_limit=node_limit)
         if candidate is not None:
             return candidate

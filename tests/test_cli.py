@@ -158,6 +158,19 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("name", ["c\u0664", "k\uff15"])
+def test_non_ascii_pattern_digits_are_unknown_names(tmp_path, capsys, name):
+    src = square_deletion_file(tmp_path)
+    out = tmp_path / "out.txt"
+    for argv in (
+        ["lift", "--family", "c4-del", "--poly", "1,1,1", "--pattern", name, "-i", src, "-o", str(out)],
+        ["pattern", "info", name, "-o", str(out)],
+    ):
+        assert main(argv) == 2
+        assert "unknown pattern name" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "c4del", "--node-limit", "5"],
     ["complement", "--node-limit", "5"],

@@ -28,6 +28,13 @@ def test_named_patterns():
         named_pattern("pentagon")
 
 
+# Unicode digits that int() accepts but the ASCII instance format cannot carry.
+@pytest.mark.parametrize("name", ["c\u0664", "k\uff15", "p\u0663", "k\uff15e", "co-c\u0664"])
+def test_pattern_names_take_ascii_digits_only(name):
+    with pytest.raises(ValueError, match="unknown pattern name"):
+        named_pattern(name)
+
+
 def test_require_checks_in_fixed_order():
     house = named_pattern("house")
     with pytest.raises(ValueError, match="not 3-connected"):

@@ -4,9 +4,11 @@ import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfree import solver
-from hfree.graphs import Graph, is_h_free
+from hfree.graphs import Graph, edge_key, is_h_free
 from hfree.patterns import complete_graph, cycle_graph, make_pattern, named_pattern, path_graph, wheel_graph
 from hfree.reductions import Polynomial, complement_instance
 from hfree.solver import (
@@ -224,18 +226,24 @@ def verdicts(inst):
 
 
 # Upper bounds on the solver's matcher calls, equal to the counts when they
-# were pinned: a change may lower them, never raise them.
+# were pinned: a change may lower them, never raise them. Deepening from
+# budget 0 instead of the root packing bound exceeds the node limit on 10
+# squares and 7 houses.
 @pytest.mark.parametrize(
     "name,make,cost,root,anchored",
     [
-        ("squares", lambda: disjoint_copies("c4", 6), 6, 1825, 1792),
-        ("houses", lambda: disjoint_copies("house", 4), 4, 315, 384),
-        ("co-squares completion", lambda: complement_instance(disjoint_copies("c4", 4)), 4, 117, 108),
+        ("squares", lambda: disjoint_copies("c4", 6), 6, 13, 0),
+        ("10 squares", lambda: disjoint_copies("c4", 10), 10, 21, 0),
+        ("64 squares", lambda: disjoint_copies("c4", 64), 64, 129, 0),
+        ("houses", lambda: disjoint_copies("house", 4), 4, 9, 0),
+        ("7 houses", lambda: disjoint_copies("house", 7), 7, 15, 0),
+        ("16 houses", lambda: disjoint_copies("house", 16), 16, 33, 0),
+        ("co-squares completion", lambda: complement_instance(disjoint_copies("c4", 4)), 4, 9, 12),
     ],
 )
 def test_solve_min_work_is_pinned(matcher_calls, name, make, cost, root, anchored):
     inst = make()
-    best = solve_min(inst)
+    best = solve_min(inst, node_limit=25_000)
     assert len(best) == cost and is_solution(inst, best)
     assert matcher_calls["root"] <= root
     assert matcher_calls["anchored"] <= anchored
@@ -246,8 +254,8 @@ def test_random_corpus_work_is_pinned(matcher_calls):
     results = [verdicts(pinned_random_instance(rng)) for _ in range(320)]
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
     assert digest == "a5a2462ce2caffad5bc21966be6e754ccebfc7a36ebbdfb130615351abfa3de3"
-    assert matcher_calls["root"] <= 18592
-    assert matcher_calls["anchored"] <= 50745
+    assert matcher_calls["root"] <= 17922
+    assert matcher_calls["anchored"] <= 49106
 
 
 def test_hub_host_work_is_pinned(monkeypatch, matcher_calls):
@@ -275,3 +283,92 @@ def test_hub_host_work_is_pinned(monkeypatch, matcher_calls):
     assert digest == "eccb4b6660624921c7905c581dfaed07c6bb4823d3b90a9cb1d56b70b02c4aea"
     assert matcher_calls["root"] <= 2685
     assert matcher_calls["anchored"] <= 5498
+
+
+STOCK_PATTERNS = ("c4", "p4", "c5", "p5", "house", "k5e", "co-c4")
+
+
+def planted_instance(seed, name, mode):
+    """Up to three copies of the pattern planted on random vertices of a
+    random host at most three vertices larger, later ones overwriting
+    earlier ones, and up to eight free pairs, most inside planted copies,
+    so a sweep over their subsets stays cheap."""
+    rng = random.Random(seed)
+    pattern = named_pattern(name)
+    n = rng.randint(pattern.vertex_count, pattern.vertex_count + 3)
+    density = rng.choice((0.3, 0.5, 0.7))
+    edges = {pair for pair in combinations(range(n), 2) if rng.random() < density}
+    inside = set()
+    for _ in range(rng.randint(1, 3)):
+        image = rng.sample(range(n), pattern.vertex_count)
+        for a, b in combinations(range(pattern.vertex_count), 2):
+            pair = edge_key(image[a], image[b])
+            inside.add(pair)
+            (edges.add if (a, b) in pattern.edges else edges.discard)(pair)
+    g = Graph(n, edges)
+    pool = sorted(g.edges) if mode == "deletion" else g.non_edges()
+    planted = [pair for pair in pool if pair in inside]
+    others = [pair for pair in pool if pair not in inside]
+    free = rng.sample(planted, min(rng.randint(4, 6), len(planted)))
+    free += rng.sample(others, min(rng.randint(0, 2), len(others)))
+    return SandwichInstance(g, pattern, mode, frozenset(free))
+
+
+def naive_optimum(instance):
+    """Size of the smallest solution by a sweep over free subsets, or None."""
+    pool = sorted(instance.free)
+    for size in range(len(pool) + 1):
+        if any(is_solution(instance, chosen) for chosen in combinations(pool, size)):
+            return size
+    return None
+
+
+def deepening_from_zero(instance):
+    """Iterative deepening from budget 0, whose returned set solve_min
+    must reproduce."""
+    best = solve_sandwich(instance)
+    if best is None:
+        return None
+    for bound in range(len(best)):
+        candidate = solve_sandwich(instance, budget=bound)
+        if candidate is not None:
+            return candidate
+    return best
+
+
+cases_settings = settings(derandomize=True, max_examples=50, deadline=None, database=None)
+
+
+@pytest.mark.parametrize("mode", ["deletion", "completion"])
+@pytest.mark.parametrize("name", STOCK_PATTERNS)
+@cases_settings
+@given(seed=st.integers(0, 2**32))
+def test_solve_min_agrees_with_the_sweep_on_random_cases(name, mode, seed):
+    inst = planted_instance(seed, name, mode)
+    best = solve_min(inst)
+    optimum = naive_optimum(inst)
+    assert (best is None) == (optimum is None)
+    assert best is None or (len(best) == optimum and is_solution(inst, best))
+    assert best == deepening_from_zero(inst)
+
+
+@pytest.mark.parametrize("mode", ["deletion", "completion"])
+@pytest.mark.parametrize("name", STOCK_PATTERNS)
+@cases_settings
+@given(seed=st.integers(0, 2**32))
+def test_root_packing_is_a_lower_bound(name, mode, seed):
+    inst = planted_instance(seed, name, mode)
+    pattern, host = inst.pattern, inst.graph
+    copies = solver._root_packing(inst, host.vertex_count**2)
+    flippable = pattern.edges if mode == "deletion" else pattern.non_edges
+    seen = set()
+    for image in copies:
+        assert len(set(image)) == pattern.vertex_count
+        for a, b in combinations(range(pattern.vertex_count), 2):
+            assert ((a, b) in pattern.edges) == (edge_key(image[a], image[b]) in host.edges)
+        pairs = {edge_key(image[a], image[b]) for a, b in flippable}
+        assert not pairs & seen
+        seen |= pairs
+    optimum = naive_optimum(inst)
+    assert optimum is None or len(copies) <= optimum
+    assert len(solver._root_packing(inst, 1)) == min(1, len(copies))
