@@ -73,8 +73,8 @@ def _flag_pattern(args):
 
 def _clique_order(args) -> int:
     """Clique order for the counting translations, taken from --pattern."""
-    name = args.pattern or "k5e"
-    match = re.fullmatch(r"k(\d+)e", name)
+    name = named_pattern(args.pattern or "k5e").name
+    match = re.fullmatch(r"k([0-9]+)e", name)
     if match is None or int(match.group(1)) < 5:
         raise ValueError("counting translations need a k<n>e pattern with n >= 5")
     return int(match.group(1))

@@ -9,8 +9,20 @@ literal and splits long clauses with fresh variables.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import product
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _read_int(token: str) -> int:
+    """An integer token of the DIMACS, hfi or minones format: an optional
+    "-", then ASCII digits. int() alone would also take "+", "_" and the
+    digits of other scripts. Raises ValueError on anything else."""
+    if _INTEGER.fullmatch(token) is None:
+        raise ValueError(f"invalid integer {token!r}")
+    return int(token)
 
 
 @dataclass(frozen=True)
@@ -146,7 +158,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"line {number}: bad problem line: {raw!r}")
             try:
-                variable_count, declared_clauses = int(parts[2]), int(parts[3])
+                variable_count, declared_clauses = _read_int(parts[2]), _read_int(parts[3])
             except ValueError:
                 raise ValueError(f"line {number}: bad count in problem line: {raw!r}") from None
             continue
@@ -154,7 +166,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             raise ValueError(f"line {number}: missing problem line before this clause")
         for token in line.split():
             try:
-                lit = int(token)
+                lit = _read_int(token)
             except ValueError:
                 raise ValueError(f"line {number}: invalid literal {token!r}") from None
             if lit == 0:

@@ -17,6 +17,7 @@ followed by one constraint per line in instance order: `f1 a b c`,
 
 from dataclasses import dataclass, field
 
+from .cnf import _read_int
 from .graphs import Graph, edge_key
 from .minones import MinOnesInstance, constraint_arity
 from .patterns import named_pattern
@@ -78,7 +79,7 @@ def _meaningful_lines(text):
 
 def _parse_pair(words, number, vertex_count):
     try:
-        u, v = int(words[0]), int(words[1])
+        u, v = _read_int(words[0]), _read_int(words[1])
     except ValueError:
         raise FormatError(f"line {number}: endpoints must be integers") from None
     if u == v:
@@ -86,6 +87,17 @@ def _parse_pair(words, number, vertex_count):
     if not (0 <= u < vertex_count and 0 <= v < vertex_count):
         raise FormatError(f"line {number}: endpoint out of range")
     return edge_key(u, v)
+
+
+def _count(words, number, message):
+    """The value of words when it is one unsigned integer token, else
+    FormatError(message) for that line."""
+    if len(words) == 1 and not words[0].startswith("-"):
+        try:
+            return _read_int(words[0])
+        except ValueError:
+            pass
+    raise FormatError(f"line {number}: {message}")
 
 
 def parse_instance(text: str, default_pattern=None) -> InstanceFile:
@@ -126,9 +138,7 @@ def parse_instance(text: str, default_pattern=None) -> InstanceFile:
                 raise FormatError(f"line {number}: pattern takes one name")
             pattern = named_pattern(rest[0])
         elif key == "vertices":
-            if len(rest) != 1 or not rest[0].isdigit():
-                raise FormatError(f"line {number}: vertices takes one count")
-            vertex_count = int(rest[0])
+            vertex_count = _count(rest, number, "vertices takes one count")
         elif key in ("edge", "nonedge"):
             if mode is None or vertex_count is None:
                 raise FormatError(f"line {number}: {key} before mode and vertices")
@@ -152,9 +162,7 @@ def parse_instance(text: str, default_pattern=None) -> InstanceFile:
                     raise FormatError(f"line {number}: duplicate nonedge {pair}")
                 free.add(pair)
         elif key == "budget":
-            if len(rest) != 1 or not rest[0].isdigit():
-                raise FormatError(f"line {number}: budget takes one nonnegative integer")
-            budget = int(rest[0])
+            budget = _count(rest, number, "budget takes one nonnegative integer")
         elif key == "label":
             if len(rest) != 3 or vertex_count is None:
                 raise FormatError(f"line {number}: expected 'label name u v' after vertices")
@@ -202,17 +210,14 @@ def parse_minones(text: str) -> MinOnesInstance:
         if key == "nvars":
             if variable_count is not None:
                 raise FormatError(f"line {number}: nvars given twice")
-            if len(rest) != 1 or not rest[0].isdigit():
-                raise FormatError(f"line {number}: nvars takes one count")
-            variable_count = int(rest[0])
+            variable_count = _count(rest, number, "nvars takes one count")
             continue
         if variable_count is None:
             raise FormatError(f"line {number}: constraints before nvars")
         if key in ("f1", "f2"):
             kind = key
         elif key in ("fn", "gn"):
-            if not rest or not rest[0].isdigit():
-                raise FormatError(f"line {number}: {key} needs its clique order first")
+            _count(rest[:1], number, f"{key} needs its clique order first")
             kind, rest = key + rest[0], rest[1:]
         else:
             raise FormatError(f"line {number}: unknown constraint {key!r}")
@@ -221,7 +226,7 @@ def parse_minones(text: str) -> MinOnesInstance:
         except ValueError:
             raise FormatError(f"line {number}: unsupported constraint kind {kind!r}") from None
         try:
-            args = tuple(int(x) for x in rest)
+            args = tuple(_read_int(x) for x in rest)
         except ValueError:
             raise FormatError(f"line {number}: arguments must be integers") from None
         constraints.append((kind, args))

@@ -21,6 +21,7 @@ exact solution-set correspondence.
 from dataclasses import dataclass
 from itertools import combinations
 
+from .cnf import _INTEGER
 from .gadgets import lift_specific
 from .graphs import Graph, edge_key, enumerate_induced_copies
 from .patterns import complete_graph, complete_minus_edge, named_pattern
@@ -41,7 +42,7 @@ def constraint_arity(kind: str) -> int:
         return 3
     if kind == "f2":
         return 1
-    if len(kind) > 2 and kind[:2] in ("fn", "gn") and kind[2:].isdigit():
+    if kind[:2] in ("fn", "gn") and _INTEGER.fullmatch(kind[2:]):
         n = int(kind[2:])
         if n >= 5:
             t = n * (n - 1) // 2

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .cnf import CnfFormula
-from .graphs import Graph, edge_key
+from .graphs import Graph, complement, edge_key
 from .patterns import Pattern, complement_pattern, require
 from .solver import COMPLETION, DELETION, SandwichInstance
 
@@ -345,8 +345,6 @@ def solution_from_assignment(formula: CnfFormula, trace: ReductionTrace, assignm
 def complement_instance(instance: SandwichInstance) -> SandwichInstance:
     """Complement the graph and the pattern and flip the mode; the free
     pairs stay put. Applying this twice gives back the original instance."""
-    from .graphs import complement
-
     flipped = COMPLETION if instance.mode == DELETION else DELETION
     return SandwichInstance(
         complement(instance.graph),

@@ -15,23 +15,22 @@ committed to stay) therefore kills its whole branch. The search is one
 loop over an explicit stack with a frame per modified pair, so no
 recursion limit caps the size of a solution.
 
-Under a tight budget the search also bounds from below: every copy created
-by the previous modification contains the modified pair internally, so a
-greedy packing of element-disjoint copies anchored at that pair counts
-obstructions the remaining budget must still pay for. Anchored searches pin
-two vertices and stay cheap even on hosts with huge pendant bundles.
-
-Minimization packs once more, in the unmodified host: copies whose breaker
-pairs (the internal pairs a modification can flip) are pairwise disjoint
-each need a pair of their own, so iterative deepening starts at their
+Both lower bounds come from one greedy packing of copies whose breaker
+pairs (the internal pairs a modification can flip) are pairwise disjoint:
+each such copy needs a pair of its own. Under a tight budget the search
+packs the copies through the last modified pair, which every copy that
+modification created holds internally; pinned at two vertices, those
+searches stay cheap even on hosts with huge pendant bundles. Minimization
+packs once in the unmodified host, and iterative deepening starts at the
 count. Those packing calls are matcher calls, not search nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .graphs import Graph, _toggle, edge_key, find_embedding, match_plan
+from .graphs import Graph, _toggle, edge_key, find_embedding, is_h_free, match_plan
 from .patterns import Pattern
 
 DELETION = "deletion"
@@ -94,8 +93,6 @@ def apply(instance: SandwichInstance, pairs) -> Graph:
 
 
 def is_solution(instance: SandwichInstance, pairs) -> bool:
-    from .graphs import is_h_free
-
     return is_h_free(apply(instance, pairs), instance.pattern.graph)
 
 
@@ -111,6 +108,28 @@ def _mapped_pairs(image, breakers) -> list:
     return [edge_key(image[u], image[v]) for u, v in breakers]
 
 
+def _packing(adj, shapes, breakers):
+    """Greedy packing of induced copies with pairwise disjoint breaker pairs.
+
+    For each next copy, tries the (plan, fixed) shapes in order and yields
+    the first copy found, as (image, its breaker pairs); later copies avoid
+    the breaker pairs of every copy yielded so far. A copy dies only when
+    one of its own breaker pairs flips, so a solution holds a distinct pair
+    of each copy: their count is a lower bound on what it must modify.
+    """
+    used = set()
+    while True:
+        for plan, fixed in shapes:
+            image = find_embedding(adj, plan, blocked=used, fixed=fixed)
+            if image is not None:
+                break
+        else:
+            return
+        pairs = _mapped_pairs(image, breakers)
+        yield image, pairs
+        used.update(pairs)
+
+
 def _search(instance: SandwichInstance, budget: int, node_limit: int):
     """A solution of at most budget pairs, or None.
 
@@ -124,42 +143,10 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
     plan = match_plan(pattern.graph)
     free = instance.free
     breakers, positions = _breakers(instance)
+    seeded = None  # plans pinned at each of `positions`, made at first use
     chosen = []
     blocked = set()
     stack = []
-
-    def anchored_bound(pair, limit: int):
-        """Count element-disjoint copies through `pair`, stopping past `limit`.
-
-        Deletion exposes copies with the pair as an internal non-edge,
-        completion with the pair as an internal edge, so the search pins the
-        pair onto each such pattern position in both orientations. Each
-        counted copy needs one further modification of its own and the
-        matcher-level blocking keeps those pair sets disjoint, so the count
-        is a valid lower bound. Returns None when a copy with no usable free
-        pair turns up: that branch is dead outright.
-        """
-        u, v = pair
-        used = set()
-        count = 0
-        while count <= limit:
-            pairs = None
-            for a, b in positions:
-                seeded = match_plan(pattern.graph, (a, b))
-                for x, y in ((u, v), (v, u)):
-                    image = find_embedding(adj, seeded, blocked=used, fixed=(x, y))
-                    if image is not None:
-                        pairs = _mapped_pairs(image, breakers)
-                        break
-                if pairs is not None:
-                    break
-            if pairs is None:
-                return count
-            if not any(p in free and p not in blocked for p in pairs):
-                return None
-            used.update(pairs)
-            count += 1
-        return count
 
     for _ in range(node_limit):  # one pass per search node
         image = find_embedding(adj, plan)
@@ -170,9 +157,18 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
         if remaining > 0:
             candidates = sorted(p for p in _mapped_pairs(image, breakers) if p in free and p not in blocked)
             if candidates and remaining <= _PACKING_SLACK and chosen:
-                bound = anchored_bound(chosen[-1], remaining)
-                if bound is None or bound > remaining:
-                    candidates = []
+                # Every copy the last modification created holds its pair
+                # at one of `positions`, pinned there in both orientations.
+                # Each packed copy needs a modification of its own, so one
+                # with no usable free pair, or more than `remaining` of
+                # them, kills the branch.
+                seeded = seeded or [match_plan(pattern.graph, position) for position in positions]
+                u, v = chosen[-1]
+                shapes = [(anchored, fixed) for anchored in seeded for fixed in ((u, v), (v, u))]
+                for count, (_, pairs) in enumerate(_packing(adj, shapes, breakers), 1):
+                    if count > remaining or not any(p in free and p not in blocked for p in pairs):
+                        candidates = []
+                        break
         stack.append([candidates, 0])
         while stack[-1][1] == len(stack[-1][0]):
             # Exhausted: unblock its candidates, then undo and block the
@@ -207,25 +203,10 @@ def solve_budgeted(budgeted: BudgetedInstance, node_limit: int = DEFAULT_NODE_LI
 
 
 def _root_packing(instance: SandwichInstance, limit: int) -> list:
-    """Up to `limit` induced copies in the unmodified host whose breaker
-    pairs are pairwise disjoint, found greedily in matcher order.
-
-    A host copy dies only when one of its own breaker pairs flips, so every
-    solution holds a distinct pair of each copy: the count is a lower bound
-    on the optimum.
-    """
-    adj = instance.graph.adjacency()
-    plan = match_plan(instance.pattern.graph)
-    breakers = _breakers(instance)[0]
-    used = set()
-    copies = []
-    while len(copies) < limit:
-        image = find_embedding(adj, plan, blocked=used)
-        if image is None:
-            break
-        copies.append(image)
-        used.update(_mapped_pairs(image, breakers))
-    return copies
+    """Up to `limit` copies of the packing in the unmodified host."""
+    shapes = [(match_plan(instance.pattern.graph), None)]
+    packing = _packing(instance.graph.adjacency(), shapes, _breakers(instance)[0])
+    return [image for image, _ in islice(packing, limit)]
 
 
 def solve_min(instance: SandwichInstance, node_limit: int = DEFAULT_NODE_LIMIT):

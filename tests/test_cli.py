@@ -8,6 +8,7 @@ all exercised the way a shell user would hit them.
 import io
 import itertools
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +92,9 @@ def test_minones_translations(tmp_path, capsys):
     mo = write(tmp_path / "inst.mo", "minones 1\nnvars 2\nf1 0 0 1\nf2 1\n")
     quarantined = tmp_path / "quarantined.hfi"
     assert main(["reduce", "minones2graph", "-i", mo, "-o", str(quarantined)]) == 0
+    upper = tmp_path / "upper.hfi"
+    assert main(["reduce", "minones2graph", "--pattern", "K5E", "-i", mo, "-o", str(upper)]) == 0
+    assert upper.read_bytes() == quarantined.read_bytes()
     file = parse_instance(quarantined.read_text(encoding="ascii"))
     assert file.instance.pattern.name == "k5e"
     names = {name for name, _ in file.labels}
@@ -158,13 +162,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert info.value.code == 2
 
 
-@pytest.mark.parametrize("name", ["c\u0664", "k\uff15"])
+@pytest.mark.parametrize("name", ["c\u0664", "k\uff15", "k\u0665e"])
 def test_non_ascii_pattern_digits_are_unknown_names(tmp_path, capsys, name):
     src = square_deletion_file(tmp_path)
+    constraints = write(tmp_path / "in.mo", "minones 1\nnvars 1\nf2 0\n")
     out = tmp_path / "out.txt"
     for argv in (
         ["lift", "--family", "c4-del", "--poly", "1,1,1", "--pattern", name, "-i", src, "-o", str(out)],
         ["pattern", "info", name, "-o", str(out)],
+        ["reduce", "minones2graph", "--pattern", name, "-i", constraints, "-o", str(out)],
     ):
         assert main(argv) == 2
         assert "unknown pattern name" in capsys.readouterr().err
@@ -185,7 +191,7 @@ def test_options_only_where_read(argv):
 
 
 def test_stdin_is_read_as_ascii_like_input_files(tmp_path, capsys, monkeypatch):
-    text = open(square_deletion_file(tmp_path), encoding="ascii").read() + "label x1 0 1\n"
+    text = Path(square_deletion_file(tmp_path)).read_text(encoding="ascii") + "label x1 0 1\n"
     for data in (text.encode("ascii"), text.replace("x1", "x\u00e91").encode("utf-8")):
         src = tmp_path / "in.hfi"
         src.write_bytes(data)

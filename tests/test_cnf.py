@@ -118,6 +118,12 @@ def test_dimacs_parser_stops_at_satlib_trailer():
         ("c note\np cnf 2 1\n\n1 2 0 x\n", "line 4: invalid literal 'x'"),
         ("p cnf x 1\n1 0\n", "line 1: bad count in problem line"),
         ("p cnf 2 y\n1 0\n", "line 1: bad count in problem line"),
+        ("p cnf 1_0 1\n1 0\n", "line 1: bad count in problem line"),
+        ("p cnf 2 +1\n1 0\n", "line 1: bad count in problem line"),
+        ("p cnf \u00b2 1\n1 0\n", "line 1: bad count in problem line"),
+        ("p cnf 2 1\n+1 0\n", r"line 2: invalid literal '\+1'"),
+        ("p cnf 12 1\n1_2 0\n", "line 2: invalid literal '1_2'"),
+        ("p cnf 2 1\n-\u0662 0\n", "line 2: invalid literal"),
         ("p cnf 2 1\np cnf 3 1\n1 3 0\n", "line 2: second problem line"),
         ("1 2 0\np cnf 2 1\n", "line 1: missing problem line"),
         ("c note\np cnf 2 1\n1 -3 0\n", "line 3: literal -3 out of range"),

@@ -63,6 +63,9 @@ def test_instance_parse_errors():
         ("edge 0 1 free", "edge 0 0 free", "endpoints must differ"),
         ("edge 0 1 free", "edge 0 9 free", "out of range"),
         ("edge 0 1 free", "edge 0 x free", "must be integers"),
+        ("edge 0 1 free", "edge 1_0 +2 free", "must be integers"),
+        ("edge 0 1 free", "edge 0 \u0662 free", "must be integers"),
+        ("edge 0 1 free", "edge 0 1 free\nlabel a 0 +1", "must be integers"),
         ("edge 0 1 free", "edge 0 1 free\nedge 1 0", "duplicate edge"),
         ("edge 0 1 free", "edge 0 1 free\nnonedge 0 2 free", "belong to completion"),
         ("mode deletion\npattern c4\nvertices 4\nedge 0 1 free",
@@ -73,6 +76,11 @@ def test_instance_parse_errors():
         ("vertices 4", "mode deletion\nvertices 4", "line 4: mode given twice"),
         ("vertices 4", "pattern c5\nvertices 4", "line 4: pattern given twice"),
         ("edge 0 1 free", "edge 0 1 free\nbudget -1", "nonnegative integer"),
+        ("edge 0 1 free", "edge 0 1 free\nbudget +1", "nonnegative integer"),
+        ("edge 0 1 free", "edge 0 1 free\nbudget \u00b2", "nonnegative integer"),
+        ("vertices 4", "vertices -0", "line 4: vertices takes one count"),
+        ("vertices 4", "vertices 4_0", "line 4: vertices takes one count"),
+        ("vertices 4", "vertices \u00b2", "line 4: vertices takes one count"),
         ("edge 0 1 free", "edge 0 1 free\nhub 0", "unknown directive"),
         ("vertices 4", "verts 4", "unknown directive"),
     ]
@@ -134,6 +142,15 @@ def test_minones_parse_errors():
         parse_minones("minones 1\nnvars 9\nfn 4 0 1 2 3 4 5\n")
     with pytest.raises(FormatError, match="clique order first"):
         parse_minones("minones 1\nnvars 9\ngn x 1 2\n")
+    with pytest.raises(FormatError, match="fn needs its clique order first"):
+        parse_minones("minones 1\nnvars 9\nfn \u0665 0 1 2 3 4 5 6 7 8 9\n")
+    with pytest.raises(FormatError, match="gn needs its clique order first"):
+        parse_minones("minones 1\nnvars 9\ngn -5 0 1 2 3 4 5 6 7 8\n")
+    with pytest.raises(FormatError, match="arguments must be integers"):
+        parse_minones("minones 1\nnvars 3\nf1 0 +1 0_2\n")
+    for count in ("\u00b2", "+3", "-3", "3_0"):
+        with pytest.raises(FormatError, match="line 2: nvars takes one count"):
+            parse_minones(f"minones 1\nnvars {count}\n")
     with pytest.raises(FormatError, match="takes 3 arguments"):
         parse_minones("minones 1\nnvars 3\nf1 0 1\n")
     with pytest.raises(FormatError, match="out of range"):

@@ -1,14 +1,14 @@
 import hashlib
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfree import solver
-from hfree.graphs import Graph, edge_key, is_h_free
+from hfree.graphs import Graph, _toggle, edge_key, is_h_free, match_plan
 from hfree.patterns import complete_graph, cycle_graph, make_pattern, named_pattern, path_graph, wheel_graph
 from hfree.reductions import Polynomial, complement_instance
 from hfree.solver import (
@@ -352,6 +352,20 @@ def test_solve_min_agrees_with_the_sweep_on_random_cases(name, mode, seed):
     assert best == deepening_from_zero(inst)
 
 
+def assert_packed(images, pattern, host_edges, flippable):
+    """Each image is an induced copy in the host, checked pair by pair
+    without the matcher, and the copies' flippable pairs are pairwise
+    disjoint."""
+    seen = set()
+    for image in images:
+        assert len(set(image)) == pattern.vertex_count
+        for a, b in combinations(range(pattern.vertex_count), 2):
+            assert ((a, b) in pattern.edges) == (edge_key(image[a], image[b]) in host_edges)
+        pairs = {edge_key(image[a], image[b]) for a, b in flippable}
+        assert not pairs & seen
+        seen |= pairs
+
+
 @pytest.mark.parametrize("mode", ["deletion", "completion"])
 @pytest.mark.parametrize("name", STOCK_PATTERNS)
 @cases_settings
@@ -359,16 +373,26 @@ def test_solve_min_agrees_with_the_sweep_on_random_cases(name, mode, seed):
 def test_root_packing_is_a_lower_bound(name, mode, seed):
     inst = planted_instance(seed, name, mode)
     pattern, host = inst.pattern, inst.graph
-    copies = solver._root_packing(inst, host.vertex_count**2)
     flippable = pattern.edges if mode == "deletion" else pattern.non_edges
-    seen = set()
-    for image in copies:
-        assert len(set(image)) == pattern.vertex_count
-        for a, b in combinations(range(pattern.vertex_count), 2):
-            assert ((a, b) in pattern.edges) == (edge_key(image[a], image[b]) in host.edges)
-        pairs = {edge_key(image[a], image[b]) for a, b in flippable}
-        assert not pairs & seen
-        seen |= pairs
+    copies = solver._root_packing(inst, host.vertex_count**2)
+    assert_packed(copies, pattern, host.edges, flippable)
     optimum = naive_optimum(inst)
     assert optimum is None or len(copies) <= optimum
     assert len(solver._root_packing(inst, 1)) == min(1, len(copies))
+
+    # The search's packing after one modification: copies through the
+    # flipped pair, each needing a further pair of its own.
+    free = sorted(inst.free)
+    pair = free[seed % len(free)]
+    adj = host.adjacency()
+    _toggle(adj, (pair,))
+    breakers, positions = solver._breakers(inst)
+    shapes = [(match_plan(pattern.graph, position), fixed) for position in positions for fixed in (pair, pair[::-1])]
+    packed = list(islice(solver._packing(adj, shapes, breakers), host.vertex_count**2))
+    flipped = SandwichInstance(apply(inst, [pair]), pattern, mode, inst.free - {pair})
+    assert_packed([image for image, _ in packed], pattern, flipped.graph.edges, flippable)
+    for image, pairs in packed:
+        assert pair in {edge_key(image[a], image[b]) for a, b in positions}
+        assert sorted(pairs) == sorted(edge_key(image[a], image[b]) for a, b in flippable)
+    optimum = naive_optimum(flipped)
+    assert optimum is None or len(packed) <= optimum
