@@ -16,10 +16,9 @@ from __future__ import annotations
 import argparse
 import itertools
 import random
-import re
 import sys
 
-from .cnf import parse_dimacs
+from .cnf import _read_int, parse_dimacs
 from .formats import parse_instance, parse_minones, render_instance, render_minones
 from .gadgets import FORMULA_TARGETS, LIFT_FAMILIES, lift_specific, reduce_formula
 from .graphs import Graph
@@ -28,7 +27,7 @@ from .minones import (
     reduce_knexdel_to_minones,
     reduce_minones_to_quarantined,
 )
-from .patterns import complement_pattern, named_pattern
+from .patterns import complement_pattern, complete_minus_edge, named_pattern
 from .reductions import Polynomial, complement_instance
 from .solver import (
     DEFAULT_NODE_LIMIT,
@@ -73,11 +72,10 @@ def _flag_pattern(args):
 
 def _clique_order(args) -> int:
     """Clique order for the counting translations, taken from --pattern."""
-    name = named_pattern(args.pattern or "k5e").name
-    match = re.fullmatch(r"k([0-9]+)e", name)
-    if match is None or int(match.group(1)) < 5:
+    pattern = named_pattern(args.pattern or "k5e")
+    if pattern.vertex_count < 5 or pattern.graph != complete_minus_edge(pattern.vertex_count):
         raise ValueError("counting translations need a k<n>e pattern with n >= 5")
-    return int(match.group(1))
+    return pattern.vertex_count
 
 
 def _variable_labels(pairs):
@@ -261,13 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     comp_p.set_defaults(handler=_cmd_complement)
 
     solve_p = sub.add_parser("solve", parents=[common], help="run the exact sandwich oracle")
-    solve_p.add_argument("--budget", type=int, metavar="K", help="cap the solution size")
+    solve_p.add_argument("--budget", type=_read_int, metavar="K", help="cap the solution size")
     solve_p.add_argument(
         "--existence", action="store_true", help="report yes or no without a witness"
     )
     solve_p.add_argument(
         "--node-limit",
-        type=int,
+        type=_read_int,
         default=DEFAULT_NODE_LIMIT,
         help="abort oracle searches after this many nodes",
     )
@@ -282,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_p.add_argument("--family", choices=LIFT_FAMILIES, help="gap lift family")
     verify_p.add_argument("--poly", metavar="A,D,C", help="gap certification polynomial")
-    verify_p.add_argument("--budget", type=int, metavar="K", help="duality budget, default 2")
-    verify_p.add_argument("--seed", type=int, default=0, help="seed for the generated duality graph")
+    verify_p.add_argument("--budget", type=_read_int, metavar="K", help="duality budget, default 2")
+    verify_p.add_argument("--seed", type=_read_int, default=0, help="seed for the generated duality graph")
     verify_p.set_defaults(handler=_cmd_verify)
 
     pattern_p = sub.add_parser("pattern", parents=[common], help="describe a named pattern")

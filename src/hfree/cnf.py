@@ -25,6 +25,13 @@ def _read_int(token: str) -> int:
     return int(token)
 
 
+def _read_count(token: str) -> int:
+    """A count token: the integer rule without the sign."""
+    if token.startswith("-"):
+        raise ValueError(f"invalid count {token!r}")
+    return _read_int(token)
+
+
 @dataclass(frozen=True)
 class CnfFormula:
     variable_count: int
@@ -158,7 +165,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"line {number}: bad problem line: {raw!r}")
             try:
-                variable_count, declared_clauses = _read_int(parts[2]), _read_int(parts[3])
+                variable_count, declared_clauses = _read_count(parts[2]), _read_count(parts[3])
             except ValueError:
                 raise ValueError(f"line {number}: bad count in problem line: {raw!r}") from None
             continue

@@ -17,7 +17,7 @@ followed by one constraint per line in instance order: `f1 a b c`,
 
 from dataclasses import dataclass, field
 
-from .cnf import _read_int
+from .cnf import _read_count, _read_int
 from .graphs import Graph, edge_key
 from .minones import MinOnesInstance, constraint_arity
 from .patterns import named_pattern
@@ -92,12 +92,11 @@ def _parse_pair(words, number, vertex_count):
 def _count(words, number, message):
     """The value of words when it is one unsigned integer token, else
     FormatError(message) for that line."""
-    if len(words) == 1 and not words[0].startswith("-"):
-        try:
-            return _read_int(words[0])
-        except ValueError:
-            pass
-    raise FormatError(f"line {number}: {message}")
+    try:
+        (token,) = words
+        return _read_count(token)
+    except ValueError:
+        raise FormatError(f"line {number}: {message}") from None
 
 
 def parse_instance(text: str, default_pattern=None) -> InstanceFile:
@@ -217,8 +216,8 @@ def parse_minones(text: str) -> MinOnesInstance:
         if key in ("f1", "f2"):
             kind = key
         elif key in ("fn", "gn"):
-            _count(rest[:1], number, f"{key} needs its clique order first")
-            kind, rest = key + rest[0], rest[1:]
+            order = _count(rest[:1], number, f"{key} needs its clique order first")
+            kind, rest = f"{key}{order}", rest[1:]
         else:
             raise FormatError(f"line {number}: unknown constraint {key!r}")
         try:

@@ -162,7 +162,7 @@ class MatchPlan:
     each generated from levels by _compile_search on the first such call.
     """
 
-    __slots__ = ("pattern", "seed", "levels", "searches")
+    __slots__ = ("seed", "levels", "searches")
 
     def __init__(self, pattern: Graph, seed=(), break_twins=False):
         n = pattern.vertex_count
@@ -193,7 +193,6 @@ class MatchPlan:
                 if break_twins and pattern.neighbors(v) - {w} == pattern.neighbors(w) - {v}:
                     floor = w
             self.levels.append((v, anchor, floor, pattern.degree(v), checks))
-        self.pattern = pattern
         self.seed = tuple(seed)
         self.searches = {}
 
@@ -363,7 +362,7 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
 
 
 def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=None):
-    """Search for induced embeddings of plan.pattern into the host adjacency.
+    """Search for induced embeddings of the plan's pattern into the host adjacency.
 
     host_adj is indexable by vertex and yields neighbor sets. Embeddings
     that map any pattern pair, edge or non-edge, onto a host pair in

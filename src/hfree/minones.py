@@ -35,8 +35,9 @@ def constraint_arity(kind: str) -> int:
     """Argument count demanded by a constraint kind.
 
     Kinds are "f1" (ternary, false iff exactly one argument is true), "f2"
-    (unary, the argument itself), and "fn<n>" / "gn<n>" for n >= 5 with
-    arities t and t - 1 where t = n(n-1)/2 counts the edges of a clique.
+    (unary, the argument itself), and "fn<n>" / "gn<n>" for n >= 5 without
+    leading zeros, of arities t and t - 1 where t = n(n-1)/2 counts the
+    edges of a clique.
     """
     if kind == "f1":
         return 3
@@ -44,7 +45,7 @@ def constraint_arity(kind: str) -> int:
         return 1
     if kind[:2] in ("fn", "gn") and _INTEGER.fullmatch(kind[2:]):
         n = int(kind[2:])
-        if n >= 5:
+        if n >= 5 and kind[2:] == str(n):
             t = n * (n - 1) // 2
             return t if kind[:2] == "fn" else t - 1
     raise ValueError(f"unknown constraint kind {kind!r}")

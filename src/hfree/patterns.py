@@ -3,6 +3,11 @@
 A Pattern wraps a graph together with the derived facts the reductions
 check before building anything: the lexicographic non-edge list and whether
 the pattern is 3-connected (at least 3 vertices, survives removal of any 2).
+
+named_pattern reads every pattern name from files and flags: the fixed
+names (house, wheel4, octahedron) from one table, the families cN, pN, kN
+and kNe from another through one regex, N in ASCII digits. Names are
+case-insensitive and recorded canonically: "C05" is recorded as "c5".
 """
 
 from __future__ import annotations
@@ -111,32 +116,22 @@ def complement_pattern(pattern: Pattern) -> Pattern:
     return make_pattern(complement(pattern.graph), name)
 
 
-def named_pattern(name: str) -> Pattern:
-    """Look up a pattern by name.
+# A family name is a letter, the order and an optional "e"; kNe is keyed "ke".
+_FIXED = {"house": house_graph, "wheel4": lambda: wheel_graph(4), "octahedron": octahedron_graph}
+_FAMILIES = {"c": cycle_graph, "p": path_graph, "k": complete_graph, "ke": complete_minus_edge}
+_FAMILY_NAME = re.compile(r"([a-z])([0-9]+)(e?)")
 
-    Fixed names: house, wheel4, octahedron. Parameterized families: cN
-    (cycle), pN (path), kN (complete), kNe (complete minus one edge). A
-    "co-" prefix takes the complement of the rest.
-    """
+
+def named_pattern(name: str) -> Pattern:
+    """Look up a pattern by name; a "co-" prefix takes the complement."""
     key = name.strip().lower()
     if key.startswith("co-"):
         return complement_pattern(named_pattern(key[3:]))
-    if key == "house":
-        return make_pattern(house_graph(), "house")
-    if key == "wheel4":
-        return make_pattern(wheel_graph(4), "wheel4")
-    if key == "octahedron":
-        return make_pattern(octahedron_graph(), "octahedron")
-    m = re.fullmatch(r"c([0-9]+)", key)
-    if m:
-        return make_pattern(cycle_graph(int(m.group(1))), key)
-    m = re.fullmatch(r"p([0-9]+)", key)
-    if m:
-        return make_pattern(path_graph(int(m.group(1))), key)
-    m = re.fullmatch(r"k([0-9]+)e", key)
-    if m:
-        return make_pattern(complete_minus_edge(int(m.group(1))), key)
-    m = re.fullmatch(r"k([0-9]+)", key)
-    if m:
-        return make_pattern(complete_graph(int(m.group(1))), key)
-    raise ValueError(f"unknown pattern name: {name!r}")
+    if key in _FIXED:
+        return make_pattern(_FIXED[key](), key)
+    match = _FAMILY_NAME.fullmatch(key)
+    family = match and _FAMILIES.get(match[1] + match[3])
+    if family is None:
+        raise ValueError(f"unknown pattern name: {name!r}")
+    n = int(match[2])
+    return make_pattern(family(n), f"{match[1]}{n}{match[3]}")

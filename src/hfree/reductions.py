@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .cnf import CnfFormula
+from .cnf import CnfFormula, _read_int
 from .graphs import Graph, complement, edge_key
 from .patterns import Pattern, complement_pattern, require
 from .solver import COMPLETION, DELETION, SandwichInstance
@@ -70,7 +70,7 @@ class Polynomial:
     @classmethod
     def parse(cls, text: str) -> "Polynomial":
         try:
-            scale, degree, shift = (int(part) for part in text.split(","))
+            scale, degree, shift = (_read_int(part) for part in text.split(","))
         except ValueError:
             raise ValueError(f"expected 'scale,degree,shift', got {text!r}") from None
         return cls(scale, degree, shift)

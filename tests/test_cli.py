@@ -5,6 +5,7 @@ the argument wiring, the file round trips, and the exit code contract are
 all exercised the way a shell user would hit them.
 """
 
+import argparse
 import io
 import itertools
 import sys
@@ -14,7 +15,7 @@ import pytest
 
 from hfree import cli
 from hfree.cli import main
-from hfree.cnf import formula, render_dimacs
+from hfree.cnf import _read_int, formula, render_dimacs
 from hfree.formats import parse_instance, render_instance
 from hfree.graphs import Graph
 from hfree.patterns import named_pattern
@@ -182,12 +183,26 @@ def test_non_ascii_pattern_digits_are_unknown_names(tmp_path, capsys, name):
     ["complement", "--node-limit", "5"],
     ["reduce", "c4del", "--seed", "1"],
     ["solve", "--seed", "1"],
+    ["solve", "--budget", "1_0"],
+    ["solve", "--node-limit", "+5"],
+    ["verify", "duality", "--seed", "\u0663"],
+    ["verify", "duality", "--budget", "1_0"],
 ])
 def test_options_only_where_read(argv):
-    # --node-limit belongs to solve and --seed to verify duality alone
+    # --node-limit belongs to solve and --seed to verify duality alone, and
+    # integer flags take the file formats' integers, not all that int() reads
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
+
+
+def test_every_typed_option_reads_integers_by_the_file_rule():
+    # a later flag declared with type=int would take "+1", "1_0" and "\u0663" again
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    typed = [a for p in (parser, *commands.choices.values()) for a in p._actions if a.type is not None]
+    assert len(typed) == 4
+    assert all(action.type is _read_int for action in typed)
 
 
 def test_stdin_is_read_as_ascii_like_input_files(tmp_path, capsys, monkeypatch):

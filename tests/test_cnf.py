@@ -121,6 +121,8 @@ def test_dimacs_parser_stops_at_satlib_trailer():
         ("p cnf 1_0 1\n1 0\n", "line 1: bad count in problem line"),
         ("p cnf 2 +1\n1 0\n", "line 1: bad count in problem line"),
         ("p cnf \u00b2 1\n1 0\n", "line 1: bad count in problem line"),
+        ("p cnf -1 0\n", "^line 1: bad count in problem line: 'p cnf -1 0'$"),
+        ("p cnf 2 -1\n", "^line 1: bad count in problem line: 'p cnf 2 -1'$"),
         ("p cnf 2 1\n+1 0\n", r"line 2: invalid literal '\+1'"),
         ("p cnf 12 1\n1_2 0\n", "line 2: invalid literal '1_2'"),
         ("p cnf 2 1\n-\u0662 0\n", "line 2: invalid literal"),

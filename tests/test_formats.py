@@ -129,6 +129,10 @@ def test_minones_round_trip():
     assert "gn 5 0 1 2 3 4 5 6 7 8" in text.splitlines()
     assert parse_minones(text) == inst
     assert render_minones(parse_minones(text)) == text
+    # the clique order is read as an integer, so its spelling is not kept
+    padded = parse_minones(text.replace("fn 5", "fn 05"))
+    assert padded == inst
+    assert "fn 5 2 3 4 5 6 7 8 9 10 11" in render_minones(padded).splitlines()
 
 
 def test_minones_parse_errors():

@@ -49,7 +49,7 @@ def test_constraint_arity():
     assert constraint_arity("fn5") == 10
     assert constraint_arity("gn5") == 9
     assert constraint_arity("fn6") == 15
-    for kind in ("f3", "fn4", "gn", "fnx", ""):
+    for kind in ("f3", "fn4", "gn", "fnx", "", "fn05", "gn007"):
         with pytest.raises(ValueError, match="unknown constraint kind"):
             constraint_arity(kind)
 

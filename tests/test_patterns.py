@@ -24,8 +24,13 @@ def test_named_patterns():
     assert named_pattern("k5e").edge_count == 9
     assert named_pattern("k5e").non_edges == ((0, 1),)
     assert named_pattern("K5E").name == "k5e"
-    with pytest.raises(ValueError):
-        named_pattern("pentagon")
+    # orders are read as integers, so the recorded name is canonical
+    assert named_pattern("c05").name == "c5"
+    assert named_pattern("K05E").name == "k5e"
+    assert named_pattern("co-c04").name == "co-c4"
+    for name in ("pentagon", "ke5", "c5e", "k5ee"):
+        with pytest.raises(ValueError, match="unknown pattern name"):
+            named_pattern(name)
 
 
 # Unicode digits that int() accepts but the ASCII instance format cannot carry.

@@ -133,6 +133,10 @@ def test_polynomial():
         Polynomial.parse("1,2")
     with pytest.raises(ValueError, match="got '1,a,1'"):
         Polynomial.parse("1,a,1")
+    # each part follows the file formats' integer rule: no "+", "_" or non-ASCII digit
+    for text in ("1_0,1,1", "+1,1,1", "1,1,\u0665", " 1,1,1", "1_0,+1,\u0665"):
+        with pytest.raises(ValueError, match="expected 'scale,degree,shift'"):
+            Polynomial.parse(text)
 
 
 def test_lift_del_yes_and_no():
