@@ -1,10 +1,10 @@
 """Command line front end over the reductions, lifts, oracles, and checks.
 
 Formulas travel as DIMACS CNF, sandwich instances as hfi text, and counting
-instances as minones text. Every command reads one input (`-i FILE`, stdin
-when absent) and writes one output (`-o FILE`, stdout when absent). Output
-is deterministic: the same input bytes and flags produce the same output
-bytes.
+instances as minones text. Every command but `pattern` reads one input
+(`-i FILE`, stdin when absent), and every command writes one output (`-o
+FILE`, stdout when absent). Output is deterministic: the same input bytes
+and flags produce the same output bytes.
 
 Exit codes: 0 on success or a passing check, 1 on a failing check, 2 on a
 usage or parse error, 3 when a guard or the node limit cut the run short,
@@ -205,6 +205,8 @@ def _cmd_verify(args) -> int:
     elif args.check == "scaling":
         report = verify_opt_scaling(parse_minones(_read_text(args)), n=_clique_order(args))
     else:
+        if args.input is not None or args.pattern is not None:
+            raise ValueError("verify gadgets reads no -i or --pattern")
         report = verify_gadget_contracts()
     _write_text(args, _report_text(report))
     return _VERDICT_EXIT[report.verdict]
@@ -226,9 +228,13 @@ def _cmd_pattern(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-i", "--input", metavar="FILE", help="read from FILE instead of stdin")
-    common.add_argument("-o", "--output", metavar="FILE", help="write to FILE instead of stdout")
+    # `pattern` writes but reads no file and no --pattern; every other
+    # command takes all three
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("-i", "--input", metavar="FILE", help="read from FILE instead of stdin")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", metavar="FILE", help="write to FILE instead of stdout")
+    common = argparse.ArgumentParser(add_help=False, parents=[source, output])
     common.add_argument(
         "--pattern", metavar="NAME", help="pattern name, e.g. house, c4, k5e, co-p5"
     )
@@ -284,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--seed", type=_read_int, default=0, help="seed for the generated duality graph")
     verify_p.set_defaults(handler=_cmd_verify)
 
-    pattern_p = sub.add_parser("pattern", parents=[common], help="describe a named pattern")
+    pattern_p = sub.add_parser("pattern", parents=[output], help="describe a named pattern")
     pattern_p.add_argument("action", choices=("info",))
     pattern_p.add_argument("name")
     pattern_p.set_defaults(handler=_cmd_pattern)

@@ -37,8 +37,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cnf import CnfFormula, duplicate_for_min_occurrences, normalize_3cnf, occurrence_counts
-from .graphs import Graph, _toggle, edge_key, find_embedding, match_plan
-from .patterns import cycle_graph, house_graph, named_pattern, require
+from .graphs import Graph, _toggle, edge_key, find_embedding, is_h_free, match_plan
+from .patterns import (
+    complete_graph, complete_minus_edge, cycle_graph, house_graph, named_pattern, require,
+)
 from .reductions import (
     Polynomial, _GraphBuilder, _wire, reduce_3sat_to_sandwich_comp, reduce_3sat_to_sandwich_del,
 )
@@ -63,16 +65,16 @@ class GadgetContract:
 def has_c4_subgraph(graph: Graph) -> bool:
     """True when some four-cycle exists as a subgraph, induced or not.
 
-    Equivalent to two vertices sharing two common neighbours. The specific
+    Four vertices that carry a four-cycle induce a square, K4 - e or K4,
+    so this asks the matcher for each of the three. The specific
     reductions keep their free pairs C4-subgraph-free so that every induced
     square in any reachable graph still contains a fixed element.
     """
-    for u in range(graph.vertex_count):
-        nu = graph.neighbors(u)
-        for v in range(u + 1, graph.vertex_count):
-            if len(nu & graph.neighbors(v)) >= 2:
-                return True
-    return False
+    return not (
+        is_h_free(graph, cycle_graph(4))
+        and is_h_free(graph, complete_minus_edge(4))
+        and is_h_free(graph, complete_graph(4))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +388,7 @@ def check_c4_completion_gadgets() -> tuple:
 
 
 def _require_exact_3cnf(formula: CnfFormula):
-    if any(len(clause) != 3 for clause in formula.clauses):
+    if not formula.is_exact_3cnf():
         raise ValueError("formula must be exact-3CNF; normalize it first")
     # Two taps from one clause into the same variable gadget close a rigid
     # square through the clause internals, so direct wiring cannot host
@@ -626,14 +628,15 @@ def _house(f, pattern):
     return reduce_c4comp_to_house_comp(instance), trace
 
 
-#   `hfree reduce` target: (reduction of an exact-3CNF formula and pattern, takes a pattern)
+#   `hfree reduce` target: (reduction of an exact-3CNF formula and pattern,
+#   takes a pattern, the `hfree verify equivalence` target that checks it)
 FORMULA_TARGETS = {
-    "sat2del": (lambda f, pattern: reduce_3sat_to_sandwich_del(f, pattern), True),
-    "sat2comp": (lambda f, pattern: reduce_3sat_to_sandwich_comp(f, pattern), True),
-    "c4del": (lambda f, _: reduce_3sat_to_c4del(f), False),
-    "c5del": (lambda f, _: reduce_3sat_to_c5del(f), False),
-    "c4comp": (_ladder, False),
-    "house-comp": (_house, False),
+    "sat2del": (lambda f, pattern: reduce_3sat_to_sandwich_del(f, pattern), True, "general-del"),
+    "sat2comp": (lambda f, pattern: reduce_3sat_to_sandwich_comp(f, pattern), True, "general-comp"),
+    "c4del": (lambda f, _: reduce_3sat_to_c4del(f), False, "c4-del"),
+    "c5del": (lambda f, _: reduce_3sat_to_c5del(f), False, "c5-del"),
+    "c4comp": (_ladder, False, "c4-comp"),
+    "house-comp": (_house, False, "house-comp-via-c4"),
 }
 
 
@@ -641,5 +644,5 @@ def reduce_formula(target: str, formula: CnfFormula, pattern=None):
     """Normalize formula to exact-3CNF and build target's row of
     FORMULA_TARGETS from it: the instance and a trace whose variable_pairs
     label it. Only the general targets read pattern."""
-    build, _ = FORMULA_TARGETS[target]
+    build = FORMULA_TARGETS[target][0]
     return build(normalize_3cnf(formula), pattern)

@@ -9,8 +9,9 @@ before the last to the last one's candidates; its one symmetry breaking,
 ordering twin images, serves vertex-set enumeration.
 
 find_embedding is the one induced-copy search: find_induced_copy and
-is_h_free, enumerate_induced_copies, the solver and the gadget contracts
-all call it, and _toggle is the one way a search flips host pairs. Every
+is_h_free, enumerate_induced_copies, the solver, the gadget contracts
+and gadgets.has_c4_subgraph (three is_h_free calls) all call it, and
+_toggle is the one way a search flips host pairs. Every
 copy it reports is indexed by pattern vertex, entry p being the host
 vertex that carries p, so reading one back needs no plan.
 """

@@ -91,9 +91,6 @@ class ReductionTrace:
     gadget's vertices.
     """
 
-    mode: str
-    variable_count: int
-    clause_count: int
     variable_pairs: tuple
     variable_solutions: tuple
     clause_pairs: tuple
@@ -215,9 +212,6 @@ def _wire(formula, pattern, mode, variable_gadget, clause_gadget, connect, claus
     graph = Graph(builder.vertex_count, builder.edges)
     instance = SandwichInstance(graph, pattern, mode, frozenset(builder.free))
     trace = ReductionTrace(
-        mode=mode,
-        variable_count=formula.variable_count,
-        clause_count=formula.clause_count,
         variable_pairs=tuple((true[0], false[0]) for true, false in variables),
         variable_solutions=tuple(variables),
         clause_pairs=tuple(clause["literals"] for clause in clauses),
@@ -324,7 +318,7 @@ def assignment_from_solution(trace: ReductionTrace, pairs) -> tuple:
     """Read the encoded assignment off a solution: variable i is true iff
     its true-side pair was modified."""
     pairs = frozenset(edge_key(u, v) for u, v in pairs)
-    return tuple(trace.variable_pairs[i][0] in pairs for i in range(trace.variable_count))
+    return tuple(true in pairs for true, _ in trace.variable_pairs)
 
 
 def solution_from_assignment(formula: CnfFormula, trace: ReductionTrace, assignment) -> frozenset:

@@ -31,7 +31,6 @@ from .minones import (
 from .reductions import Polynomial, complement_instance
 from .solver import (
     DELETION,
-    BudgetedInstance,
     SandwichInstance,
     solve_budgeted,
     solve_min,
@@ -46,14 +45,7 @@ DUALITY_BUDGET_GUARD = 3
 SCALING_FREE_GUARD = 40
 
 # public target name: the `hfree reduce` target it checks
-EQUIVALENCE_TARGETS = {
-    "general-del": "sat2del",
-    "general-comp": "sat2comp",
-    "c4-del": "c4del",
-    "c5-del": "c5del",
-    "c4-comp": "c4comp",
-    "house-comp-via-c4": "house-comp",
-}
+EQUIVALENCE_TARGETS = {row[2]: target for target, row in FORMULA_TARGETS.items()}
 
 
 @dataclass
@@ -72,6 +64,20 @@ class VerificationReport:
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def _skipped(check: str, digest: str, details: dict, reason: str) -> VerificationReport:
+    details["reason"] = reason
+    return VerificationReport(check, digest, "skipped", details)
+
+
+def _judged(check: str, digest: str, details: dict, held: bool, witness) -> VerificationReport:
+    """Pass when held; otherwise fail with witness(), a text that pins the
+    input, flattened to one line. Only a fail renders it."""
+    if held:
+        return VerificationReport(check, digest, "pass", details)
+    details["witness"] = witness().replace("\n", "|")
+    return VerificationReport(check, digest, "fail", details)
 
 
 def _beyond_equivalence_guards(f: CnfFormula) -> bool:
@@ -98,22 +104,17 @@ def verify_sat_equivalence(f: CnfFormula, target: str, pattern=None) -> Verifica
     details = {"target": target, "variables": f.variable_count, "clauses": f.clause_count}
     normal = normalize_3cnf(f)
     if _beyond_equivalence_guards(normal):
-        details["reason"] = (
-            f"guard is {EQUIVALENCE_VARIABLE_GUARD} variables / {EQUIVALENCE_CLAUSE_GUARD} clauses"
-        )
+        reason = f"guard is {EQUIVALENCE_VARIABLE_GUARD} variables / {EQUIVALENCE_CLAUSE_GUARD} clauses"
         if not _beyond_equivalence_guards(f):
-            details["reason"] += f", {normal.variable_count} / {normal.clause_count} once normalized"
-        return VerificationReport("sat-equivalence", digest, "skipped", details)
+            reason += f", {normal.variable_count} / {normal.clause_count} once normalized"
+        return _skipped("sat-equivalence", digest, details, reason)
 
     satisfiable = sat_brute_force(f) is not None
     instance, _ = reduce_formula(reduce_target, normal, pattern)
     solvable = solve_sandwich(instance) is not None
     details["sat"] = "yes" if satisfiable else "no"
     details["sandwich"] = "yes" if solvable else "no"
-    if satisfiable != solvable:
-        details["witness"] = render_dimacs(f).replace("\n", "|")
-        return VerificationReport("sat-equivalence", digest, "fail", details)
-    return VerificationReport("sat-equivalence", digest, "pass", details)
+    return _judged("sat-equivalence", digest, details, satisfiable == solvable, lambda: render_dimacs(f))
 
 
 def verify_gap(instance: SandwichInstance, family: str, polynomial: Polynomial) -> VerificationReport:
@@ -127,8 +128,7 @@ def verify_gap(instance: SandwichInstance, family: str, polynomial: Polynomial) 
     digest = _digest(render_instance(instance) + family + repr(polynomial))
     details = {"family": family, "free": len(instance.free)}
     if len(instance.free) > GAP_FREE_GUARD:
-        details["reason"] = f"guard is {GAP_FREE_GUARD} free elements"
-        return VerificationReport("gap-lift", digest, "skipped", details)
+        return _skipped("gap-lift", digest, details, f"guard is {GAP_FREE_GUARD} free elements")
 
     solvable = solve_sandwich(instance) is not None
     lifted = lift_specific(instance, family, polynomial)
@@ -141,10 +141,7 @@ def verify_gap(instance: SandwichInstance, family: str, polynomial: Polynomial) 
         cap = polynomial(lifted.budget)
         held = solve_sandwich(lifted.instance, budget=cap) is None
         details["checked"] = f"absent<={cap}"
-    if not held:
-        details["witness"] = render_instance(instance).replace("\n", "|")
-        return VerificationReport("gap-lift", digest, "fail", details)
-    return VerificationReport("gap-lift", digest, "pass", details)
+    return _judged("gap-lift", digest, details, held, lambda: render_instance(instance))
 
 
 def verify_duality(g: Graph, pattern, k: int) -> VerificationReport:
@@ -153,21 +150,16 @@ def verify_duality(g: Graph, pattern, k: int) -> VerificationReport:
     digest = _digest(f"{g.vertex_count};{sorted(g.edges)};{pattern.name};{k}")
     details = {"vertices": g.vertex_count, "pattern": pattern.name or "unnamed", "budget": k}
     if g.vertex_count > DUALITY_VERTEX_GUARD or k > DUALITY_BUDGET_GUARD:
-        details["reason"] = (
-            f"guard is {DUALITY_VERTEX_GUARD} vertices and budget {DUALITY_BUDGET_GUARD}"
-        )
-        return VerificationReport("duality", digest, "skipped", details)
+        reason = f"guard is {DUALITY_VERTEX_GUARD} vertices and budget {DUALITY_BUDGET_GUARD}"
+        return _skipped("duality", digest, details, reason)
 
     deletion = SandwichInstance(g, pattern, DELETION, g.edges)
     completion = complement_instance(deletion)
-    primal = solve_budgeted(BudgetedInstance(deletion, k)) is not None
-    dual = solve_budgeted(BudgetedInstance(completion, k)) is not None
+    primal = solve_sandwich(deletion, budget=k) is not None
+    dual = solve_sandwich(completion, budget=k) is not None
     details["deletion"] = "yes" if primal else "no"
     details["completion"] = "yes" if dual else "no"
-    if primal != dual:
-        details["witness"] = f"edges={sorted(g.edges)}"
-        return VerificationReport("duality", digest, "fail", details)
-    return VerificationReport("duality", digest, "pass", details)
+    return _judged("duality", digest, details, primal == dual, lambda: f"edges={sorted(g.edges)}")
 
 
 def verify_opt_scaling(inst: MinOnesInstance, n: int = 5, pendant_base=None) -> VerificationReport:
@@ -178,8 +170,8 @@ def verify_opt_scaling(inst: MinOnesInstance, n: int = 5, pendant_base=None) -> 
     details["group_size"] = groups.group_size
     free = groups.group_size * inst.variable_count
     if free > SCALING_FREE_GUARD:
-        details["reason"] = f"{free} deletable edges exceed the guard {SCALING_FREE_GUARD}"
-        return VerificationReport("opt-scaling", digest, "skipped", details)
+        reason = f"{free} deletable edges exceed the guard {SCALING_FREE_GUARD}"
+        return _skipped("opt-scaling", digest, details, reason)
 
     result = minones_brute_force(inst)
     solution = solve_min(quarantined_instance(graph, quarantine, n))
@@ -190,10 +182,7 @@ def verify_opt_scaling(inst: MinOnesInstance, n: int = 5, pendant_base=None) -> 
         if result is None or solution is None
         else len(solution) == groups.group_size * result[1]
     )
-    if not agreed:
-        details["witness"] = render_minones(inst).replace("\n", "|")
-        return VerificationReport("opt-scaling", digest, "fail", details)
-    return VerificationReport("opt-scaling", digest, "pass", details)
+    return _judged("opt-scaling", digest, details, agreed, lambda: render_minones(inst))
 
 
 def verify_gadget_contracts() -> VerificationReport:

@@ -8,6 +8,8 @@ all exercised the way a shell user would hit them.
 import argparse
 import io
 import itertools
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -138,6 +140,19 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert main(["verify", "gadgets"]) == 0
     assert "contracts=6" in capsys.readouterr().out
 
+    # duality on a file takes the file's pattern unless --pattern names one
+    assert main(["verify", "duality", "-i", src]) == 0
+    assert " vertices=4 pattern=c4 budget=2 " in capsys.readouterr().out
+    assert main(["verify", "duality", "-i", src, "--pattern", "house"]) == 0
+    assert " vertices=4 pattern=house budget=2 " in capsys.readouterr().out
+
+    one = write(tmp_path / "one.mo", "minones 1\nnvars 1\nf2 0\n")
+    assert main(["verify", "scaling", "-i", one]) == 0
+    assert capsys.readouterr().out.startswith("RESULT pass opt-scaling")
+    two = write(tmp_path / "two.mo", "minones 1\nnvars 2\nf2 0\n")
+    assert main(["verify", "scaling", "-i", two]) == 3
+    assert capsys.readouterr().out.startswith("RESULT skipped opt-scaling")
+
 
 def test_usage_errors_exit_two(tmp_path, capsys):
     cnf = write(tmp_path / "f.cnf", TWO_CLAUSES)
@@ -157,6 +172,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
 
     assert main(["verify", "equivalence", "-i", cnf]) == 2
     assert "needs --target" in capsys.readouterr().err
+
+    assert main(["verify", "gap", "-i", src, "--poly", "1,1,1"]) == 2
+    assert "needs --family and --poly" in capsys.readouterr().err
+
+    constraints = write(tmp_path / "in.mo", "minones 1\nnvars 1\nf2 0\n")
+    assert main(["verify", "scaling", "-i", constraints, "--pattern", "k4e"]) == 2
+    assert "counting translations need a k<n>e pattern" in capsys.readouterr().err
 
     with pytest.raises(SystemExit) as info:
         main(["lift", "-i", src, "--poly", "1,1,1"])
@@ -187,6 +209,8 @@ def test_non_ascii_pattern_digits_are_unknown_names(tmp_path, capsys, name):
     ["solve", "--node-limit", "+5"],
     ["verify", "duality", "--seed", "\u0663"],
     ["verify", "duality", "--budget", "1_0"],
+    ["pattern", "info", "house", "-i", "/nonexistent"],
+    ["pattern", "info", "house", "--pattern", "c4"],
 ])
 def test_options_only_where_read(argv):
     # --node-limit belongs to solve and --seed to verify duality alone, and
@@ -194,6 +218,19 @@ def test_options_only_where_read(argv):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "gadgets", "-i", "/nonexistent"],
+    ["verify", "gadgets", "--pattern", "zz"],
+    ["verify", "gadgets", "--pattern", "c4"],
+])
+def test_verify_gadgets_reads_no_input_or_pattern(argv, capsys):
+    # verify shares its options among the checks, so gadgets refuses these itself
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verify gadgets reads no -i or --pattern" in captured.err
 
 
 def test_every_typed_option_reads_integers_by_the_file_rule():
@@ -287,3 +324,16 @@ def test_pattern_info(capsys):
     assert "vertices 6" in lines and "edges 12" in lines
     assert "three-connected yes" in lines and "complement co-octahedron" in lines
     assert main(["pattern", "info", "nosuch"]) == 2
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    assert main(["pattern", "info", "house"]) == 0
+    expected = capsys.readouterr().out
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run(
+        [sys.executable, "-m", "hfree", "pattern", "info", "house"],
+        capture_output=True, env=env, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.decode("ascii") == expected

@@ -91,6 +91,25 @@ def test_has_c4_subgraph():
     assert not has_c4_subgraph(cycle_graph(6))
     assert not has_c4_subgraph(complete_graph(3))
 
+    def sweep(g):
+        # every 4-vertex set and its three 4-cycles a-b-c-d, a-b-d-c, a-c-b-d
+        for a, b, c, d in itertools.combinations(range(g.vertex_count), 4):
+            for w, x, y, z in ((a, b, c, d), (a, b, d, c), (a, c, b, d)):
+                if all(g.has_edge(p, q) for p, q in ((w, x), (x, y), (y, z), (z, w))):
+                    return True
+        return False
+
+    rng = random.Random(41)
+    seen = set()
+    for n in range(4, 10):
+        for density in (0.15, 0.3, 0.5, 0.8):
+            for _ in range(12):
+                g = Graph(n, [pair for pair in itertools.combinations(range(n), 2) if rng.random() < density])
+                expected = sweep(g)
+                seen.add(expected)
+                assert has_c4_subgraph(g) == expected, sorted(g.edges)
+    assert seen == {True, False}
+
 
 def test_gadget_contracts_certify():
     for contracts, sizes in (

@@ -137,13 +137,32 @@ def test_gadget_contract_report():
     assert report.details["subsets"] > 1000
 
 
-def test_fail_reports_carry_a_witness(monkeypatch):
-    # a solver that refuses everything makes the satisfiable side disagree
-    monkeypatch.setattr("hfree.verify.solve_sandwich", lambda *a, **k: None)
-    report = verify_sat_equivalence(formula(3, [(1, 2, 3)]), "c4-del")
+def _refuse_completion(instance, budget=None):
+    return None if instance.mode == COMPLETION else frozenset()
+
+
+# (check, solver call to replace, replacement, run): each replacement makes
+# the one solver answer the check compares disagree with the other route
+FAILING_CHECKS = [
+    ("sat-equivalence", "solve_sandwich", lambda *a, **k: None,
+     lambda: verify_sat_equivalence(formula(3, [(1, 2, 3)]), "c4-del")),
+    ("gap-lift", "solve_budgeted", lambda *a, **k: None,
+     lambda: verify_gap(SandwichInstance(cycle_graph(4), named_pattern("c4"), DELETION, {(0, 1)}), "c4-del", GROW)),
+    ("duality", "solve_sandwich", _refuse_completion,
+     lambda: verify_duality(cycle_graph(5), named_pattern("c5"), 1)),
+    ("opt-scaling", "solve_min", lambda *a, **k: None,
+     lambda: verify_opt_scaling(MinOnesInstance(1, (("f2", (0,)),)), 5)),
+]
+
+
+@pytest.mark.parametrize("check, solver, replacement, run", FAILING_CHECKS, ids=[c[0] for c in FAILING_CHECKS])
+def test_fail_reports_carry_a_witness(monkeypatch, check, solver, replacement, run):
+    monkeypatch.setattr(f"hfree.verify.{solver}", replacement)
+    report = run()
     assert report.verdict == "fail"
-    assert "witness" in report.details
-    assert report.result_line().startswith("RESULT fail sat-equivalence")
+    assert report.details["witness"] and "\n" not in report.details["witness"]
+    assert report.result_line().startswith(f"RESULT fail {check} ")
+    assert len(report.result_line().splitlines()) == 1
 
 
 def test_result_lines_are_deterministic():
