@@ -1,19 +1,25 @@
 """Command line front end over the reductions, lifts, oracles, and checks.
 
 Formulas travel as DIMACS CNF, sandwich instances as hfi text, and counting
-instances as minones text. Every command but `pattern` reads one input
-(`-i FILE`, stdin when absent), and every command writes one output (`-o
-FILE`, stdout when absent). Output is deterministic: the same input bytes
-and flags produce the same output bytes.
+instances as minones text. Every route but `pattern info` and `verify
+gadgets` reads one input (`-i FILE`, stdin when absent), and every route
+writes one output (`-o FILE`, stdout when absent). Output is deterministic:
+the same input bytes and flags produce the same output bytes. Each reduce
+target and verify check is a sub-parser that declares exactly the flags
+its handler reads.
 
 Exit codes: 0 on success or a passing check, 1 on a failing check, 2 on a
 usage or parse error, 3 when a guard or the node limit cut the run short,
-4 on an internal error.
+4 on an internal error. A flag the route does not take, or a required one
+left out, exits 2 from argparse before any file is read; content that
+cannot be read (a malformed file, an unknown pattern name, a pattern a
+target fixes itself) exits 2 from the ValueError it raises.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import random
 import sys
@@ -46,8 +52,6 @@ from .verify import (
     verify_sat_equivalence,
 )
 
-REDUCE_TARGETS = (*FORMULA_TARGETS, "house-del", "minones2graph", "graph2minones")
-VERIFY_CHECKS = ("equivalence", "gap", "duality", "scaling", "gadgets")
 _VERDICT_EXIT = {"pass": 0, "fail": 1, "skipped": 3}
 
 
@@ -78,62 +82,43 @@ def _clique_order(args) -> int:
     return pattern.vertex_count
 
 
-def _variable_labels(pairs):
-    """Label entries for per-variable (true, false) marker pairs."""
-    labels = []
-    for i, (true_pair, false_pair) in enumerate(pairs, start=1):
-        labels.append((f"x{i}-true", true_pair))
-        labels.append((f"x{i}-false", false_pair))
-    return labels
-
-
-def _cmd_reduce(args) -> int:
-    target = args.target
-    if target == "minones2graph":
-        n = _clique_order(args)
-        inst = parse_minones(_read_text(args))
-        graph, quarantine, groups = reduce_minones_to_quarantined(inst, n)
-        labels = [
-            (f"x{i}", pair)
-            for i, group in enumerate(groups.groups)
-            for pair in sorted(group)
-        ]
-        _write_text(args, render_instance(quarantined_instance(graph, quarantine, n), labels=labels))
-        return 0
-    if target == "graph2minones":
-        n = _clique_order(args)
-        file = parse_instance(_read_text(args), named_pattern(f"k{n}e"))
-        inst, _ = reduce_knexdel_to_minones(file.instance.graph, n)
-        _write_text(args, render_minones(inst))
-        return 0
-
-    general = target in FORMULA_TARGETS and FORMULA_TARGETS[target][1]
-    if general and args.pattern is None:
-        raise ValueError(f"reduce {target} needs --pattern")
-    if not general and args.pattern is not None:
-        raise ValueError(f"reduce {target} fixes its own pattern")
-    if target == "house-del":
-        if args.poly is None:
-            raise ValueError("reduce house-del needs --poly")
-        return _lift(args, "house-del", named_pattern("c4"))
-
-    instance, trace = reduce_formula(target, parse_dimacs(_read_text(args)), _flag_pattern(args))
-    _write_text(args, render_instance(instance, labels=_variable_labels(trace.variable_pairs)))
+def _cmd_formula(args) -> int:
+    instance, trace = reduce_formula(args.target, parse_dimacs(_read_text(args)), _flag_pattern(args))
+    # each variable's (true, false) marker pairs
+    labels = [
+        (f"x{i}-{side}", pair)
+        for i, pairs in enumerate(trace.variable_pairs, start=1)
+        for side, pair in zip(("true", "false"), pairs)
+    ]
+    _write_text(args, render_instance(instance, labels=labels))
     return 0
 
 
-def _lift(args, family, default_pattern) -> int:
-    file = parse_instance(_read_text(args), default_pattern)
-    budgeted = lift_specific(file.instance, family, Polynomial.parse(args.poly))
+def _cmd_minones2graph(args) -> int:
+    n = _clique_order(args)
+    inst = parse_minones(_read_text(args))
+    graph, quarantine, groups = reduce_minones_to_quarantined(inst, n)
+    labels = [(f"x{i}", pair) for i, group in enumerate(groups.groups) for pair in sorted(group)]
+    _write_text(args, render_instance(quarantined_instance(graph, quarantine, n), labels=labels))
+    return 0
+
+
+def _cmd_graph2minones(args) -> int:
+    n = _clique_order(args)
+    file = parse_instance(_read_text(args), named_pattern(f"k{n}e"))
+    inst, _ = reduce_knexdel_to_minones(file.instance.graph, n)
+    _write_text(args, render_minones(inst))
+    return 0
+
+
+def _cmd_lift(args) -> int:
+    file = parse_instance(_read_text(args), _flag_pattern(args))
+    budgeted = lift_specific(file.instance, args.family, Polynomial.parse(args.poly))
     _write_text(
         args,
         render_instance(budgeted.instance, budget=budgeted.budget, labels=file.labels),
     )
     return 0
-
-
-def _cmd_lift(args) -> int:
-    return _lift(args, args.family, _flag_pattern(args))
 
 
 def _cmd_complement(args) -> int:
@@ -173,41 +158,36 @@ def _report_text(report) -> str:
     return f"{report.result_line()}\n{report.check}: {prose}\n"
 
 
-def _random_duality_graph(seed: int) -> Graph:
-    rng = random.Random(seed)
-    n = rng.randint(4, DUALITY_VERTEX_GUARD)
-    edges = {pair for pair in itertools.combinations(range(n), 2) if rng.random() < 0.5}
-    return Graph(n, edges)
+def _verify_equivalence(args):
+    return verify_sat_equivalence(parse_dimacs(_read_text(args)), args.target, _flag_pattern(args))
+
+
+def _verify_gap(args):
+    file = parse_instance(_read_text(args), _flag_pattern(args))
+    return verify_gap(file.instance, args.family, Polynomial.parse(args.poly))
+
+
+def _verify_duality(args):
+    """Duality on the -i graph, or on one generated from --seed."""
+    if args.input is None:
+        rng = random.Random(args.seed)
+        n = rng.randint(4, DUALITY_VERTEX_GUARD)
+        g = Graph(n, {pair for pair in itertools.combinations(range(n), 2) if rng.random() < 0.5})
+        return verify_duality(g, named_pattern(args.pattern or "house"), args.budget)
+    file = parse_instance(_read_text(args), _flag_pattern(args))
+    return verify_duality(file.instance.graph, _flag_pattern(args) or file.instance.pattern, args.budget)
+
+
+def _verify_scaling(args):
+    return verify_opt_scaling(parse_minones(_read_text(args)), n=_clique_order(args))
+
+
+def _verify_gadgets(args):
+    return verify_gadget_contracts()
 
 
 def _cmd_verify(args) -> int:
-    if args.check == "equivalence":
-        if args.target is None:
-            raise ValueError("verify equivalence needs --target")
-        report = verify_sat_equivalence(
-            parse_dimacs(_read_text(args)), args.target, _flag_pattern(args)
-        )
-    elif args.check == "gap":
-        if args.family is None or args.poly is None:
-            raise ValueError("verify gap needs --family and --poly")
-        file = parse_instance(_read_text(args), _flag_pattern(args))
-        report = verify_gap(file.instance, args.family, Polynomial.parse(args.poly))
-    elif args.check == "duality":
-        budget = args.budget if args.budget is not None else 2
-        if args.input is None:
-            g = _random_duality_graph(args.seed)
-            pattern = named_pattern(args.pattern or "house")
-        else:
-            file = parse_instance(_read_text(args), _flag_pattern(args))
-            g = file.instance.graph
-            pattern = _flag_pattern(args) or file.instance.pattern
-        report = verify_duality(g, pattern, budget)
-    elif args.check == "scaling":
-        report = verify_opt_scaling(parse_minones(_read_text(args)), n=_clique_order(args))
-    else:
-        if args.input is not None or args.pattern is not None:
-            raise ValueError("verify gadgets reads no -i or --pattern")
-        report = verify_gadget_contracts()
+    report = globals()[args.checker](args)
     _write_text(args, _report_text(report))
     return _VERDICT_EXIT[report.verdict]
 
@@ -227,44 +207,52 @@ def _cmd_pattern(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # `pattern` writes but reads no file and no --pattern; every other
-    # command takes all three
-    source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("-i", "--input", metavar="FILE", help="read from FILE instead of stdin")
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("-o", "--output", metavar="FILE", help="write to FILE instead of stdout")
-    common = argparse.ArgumentParser(add_help=False, parents=[source, output])
-    common.add_argument(
-        "--pattern", metavar="NAME", help="pattern name, e.g. house, c4, k5e, co-p5"
-    )
+    """The parser of every route, built on first use and kept for the process.
+
+    Each route declares exactly the flags its handler reads, so argparse
+    alone refuses a flag that a route would ignore. Routes record their
+    handler by name, and main looks it up on this module at call time.
+    """
+
+    def flag(*names, **kwargs):
+        # a parent parser holding one option, for the routes that read it
+        holder = argparse.ArgumentParser(add_help=False)
+        holder.add_argument(*names, **kwargs)
+        return holder
+
+    def route(routes, name, handler, parents, help=None, **defaults):
+        parser = routes.add_parser(name, parents=parents, help=help)
+        parser.set_defaults(handler=handler, **defaults)
+        return parser
+
+    source = flag("-i", "--input", metavar="FILE", help="read from FILE instead of stdin")
+    output = flag("-o", "--output", metavar="FILE", help="write to FILE instead of stdout")
+    pattern_help = "pattern name, e.g. house, c4, k5e, co-p5"
+    named = [source, output, flag("--pattern", metavar="NAME", help=pattern_help)]
+    general = [source, output, flag("--pattern", required=True, metavar="NAME", help=pattern_help)]
+    poly = flag("--poly", required=True, metavar="A,D,C", help="polynomial a*k^d + c")
+    lifting = [*named, flag("--family", required=True, choices=LIFT_FAMILIES, help="lift family"), poly]
 
     parser = argparse.ArgumentParser(
         prog="hfree",
         description="Reductions, gap lifts, and exact oracles for pattern-free edge modification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    reduce_p = sub.add_parser(
-        "reduce", parents=[common], help="translate between problem encodings"
-    )
-    reduce_p.add_argument("target", choices=REDUCE_TARGETS)
-    reduce_p.add_argument(
-        "--poly", metavar="A,D,C", help="amplification polynomial for house-del"
-    )
-    reduce_p.set_defaults(handler=_cmd_reduce)
+    reduce_p = commands.add_parser("reduce", help="translate between problem encodings")
+    targets = reduce_p.add_subparsers(dest="target", required=True)
+    for target, (_, takes_pattern, _) in FORMULA_TARGETS.items():
+        route(targets, target, "_cmd_formula", general if takes_pattern else [source, output], pattern=None)
+    route(targets, "house-del", "_cmd_lift", [source, output, poly], family="house-del", pattern="c4")
+    route(targets, "minones2graph", "_cmd_minones2graph", named)
+    route(targets, "graph2minones", "_cmd_graph2minones", named)
 
-    lift_p = sub.add_parser("lift", parents=[common], help="amplify an instance's gap")
-    lift_p.add_argument("--family", required=True, choices=LIFT_FAMILIES)
-    lift_p.add_argument("--poly", required=True, metavar="A,D,C")
-    lift_p.set_defaults(handler=_cmd_lift)
+    route(commands, "lift", "_cmd_lift", lifting, help="amplify an instance's gap")
+    route(commands, "complement", "_cmd_complement", named, help="swap the deletion and completion views")
 
-    comp_p = sub.add_parser(
-        "complement", parents=[common], help="swap the deletion and completion views"
-    )
-    comp_p.set_defaults(handler=_cmd_complement)
-
-    solve_p = sub.add_parser("solve", parents=[common], help="run the exact sandwich oracle")
+    solve_p = route(commands, "solve", "_cmd_solve", named, help="run the exact sandwich oracle")
     solve_p.add_argument("--budget", type=_read_int, metavar="K", help="cap the solution size")
     solve_p.add_argument(
         "--existence", action="store_true", help="report yes or no without a witness"
@@ -275,32 +263,28 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_NODE_LIMIT,
         help="abort oracle searches after this many nodes",
     )
-    solve_p.set_defaults(handler=_cmd_solve)
 
-    verify_p = sub.add_parser(
-        "verify", parents=[common], help="machine-check one documented claim"
-    )
-    verify_p.add_argument("check", choices=VERIFY_CHECKS)
-    verify_p.add_argument(
-        "--target", choices=EQUIVALENCE_TARGETS, help="equivalence route to check"
-    )
-    verify_p.add_argument("--family", choices=LIFT_FAMILIES, help="gap lift family")
-    verify_p.add_argument("--poly", metavar="A,D,C", help="gap certification polynomial")
-    verify_p.add_argument("--budget", type=_read_int, metavar="K", help="duality budget, default 2")
-    verify_p.add_argument("--seed", type=_read_int, default=0, help="seed for the generated duality graph")
-    verify_p.set_defaults(handler=_cmd_verify)
+    verify_p = commands.add_parser("verify", help="machine-check one documented claim")
+    checks = verify_p.add_subparsers(dest="check", required=True)
+    equivalence_p = route(checks, "equivalence", "_cmd_verify", named, checker="_verify_equivalence")
+    equivalence_p.add_argument("--target", required=True, choices=EQUIVALENCE_TARGETS, help="route to check")
+    route(checks, "gap", "_cmd_verify", lifting, checker="_verify_gap")
+    duality_p = route(checks, "duality", "_cmd_verify", named, checker="_verify_duality")
+    duality_p.add_argument("--budget", type=_read_int, default=2, metavar="K", help="budget, default 2")
+    duality_p.add_argument("--seed", type=_read_int, default=0, help="seed for the graph made without -i")
+    route(checks, "scaling", "_cmd_verify", named, checker="_verify_scaling")
+    route(checks, "gadgets", "_cmd_verify", [output], checker="_verify_gadgets")
 
-    pattern_p = sub.add_parser("pattern", parents=[output], help="describe a named pattern")
+    pattern_p = route(commands, "pattern", "_cmd_pattern", [output], help="describe a named pattern")
     pattern_p.add_argument("action", choices=("info",))
     pattern_p.add_argument("name")
-    pattern_p.set_defaults(handler=_cmd_pattern)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()[args.handler](args)
     except SearchLimitError:
         _write_text(args, f"RESULT skipped {args.command} node-limit\n")
         return 3

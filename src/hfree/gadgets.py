@@ -640,9 +640,21 @@ FORMULA_TARGETS = {
 }
 
 
+def _check_pattern_rule(target: str, pattern, name: str) -> None:
+    """The pattern column of FORMULA_TARGETS: the general targets need a
+    pattern and the others fix their own. Errors call the target by name,
+    the caller's own spelling of it."""
+    general = FORMULA_TARGETS[target][1]
+    if general and pattern is None:
+        raise ValueError(f"target {name!r} needs a pattern")
+    if not general and pattern is not None:
+        raise ValueError(f"target {name!r} fixes its own pattern")
+
+
 def reduce_formula(target: str, formula: CnfFormula, pattern=None):
     """Normalize formula to exact-3CNF and build target's row of
     FORMULA_TARGETS from it: the instance and a trace whose variable_pairs
-    label it. Only the general targets read pattern."""
+    label it. The general targets need pattern; the others refuse one."""
+    _check_pattern_rule(target, pattern, target)
     build = FORMULA_TARGETS[target][0]
     return build(normalize_3cnf(formula), pattern)

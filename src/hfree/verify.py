@@ -15,6 +15,7 @@ from .formats import render_instance, render_minones
 from .gadgets import (
     FORMULA_TARGETS,
     LIFT_FAMILIES,
+    _check_pattern_rule,
     check_c4_completion_gadgets,
     check_c4_deletion_gadgets,
     check_c5_deletion_gadgets,
@@ -95,11 +96,7 @@ def verify_sat_equivalence(f: CnfFormula, target: str, pattern=None) -> Verifica
     if target not in EQUIVALENCE_TARGETS:
         raise ValueError(f"unknown equivalence target {target!r}")
     reduce_target = EQUIVALENCE_TARGETS[target]
-    general = FORMULA_TARGETS[reduce_target][1]
-    if general and pattern is None:
-        raise ValueError(f"target {target!r} needs a pattern")
-    if not general and pattern is not None:
-        raise ValueError(f"target {target!r} fixes its own pattern")
+    _check_pattern_rule(reduce_target, pattern, target)
     digest = _digest(render_dimacs(f) + target + (pattern.name if pattern else ""))
     details = {"target": target, "variables": f.variable_count, "clauses": f.clause_count}
     normal = normalize_3cnf(f)

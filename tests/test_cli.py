@@ -154,27 +154,31 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("RESULT skipped opt-scaling")
 
 
+def usage_error(argv, capsys):
+    """What argparse prints when it refuses argv with exit code 2."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    return capsys.readouterr()
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     cnf = write(tmp_path / "f.cnf", TWO_CLAUSES)
-    assert main(["reduce", "sat2del", "-i", cnf]) == 2
-    assert "needs --pattern" in capsys.readouterr().err
+    assert "required: --pattern" in usage_error(["reduce", "sat2del", "-i", cnf], capsys).err
 
-    assert main(["reduce", "c4del", "-i", cnf, "--pattern", "house"]) == 2
-    assert "fixes its own pattern" in capsys.readouterr().err
+    refused = usage_error(["reduce", "c4del", "-i", cnf, "--pattern", "house"], capsys)
+    assert "unrecognized arguments: --pattern house" in refused.err
 
     src = square_deletion_file(tmp_path)
-    assert main(["reduce", "house-del", "-i", src]) == 2
-    assert "needs --poly" in capsys.readouterr().err
+    assert "required: --poly" in usage_error(["reduce", "house-del", "-i", src], capsys).err
 
     bad = write(tmp_path / "bad.hfi", "hfi 2\n")
     assert main(["solve", "-i", bad]) == 2
     assert "expected 'hfi 1' header" in capsys.readouterr().err
 
-    assert main(["verify", "equivalence", "-i", cnf]) == 2
-    assert "needs --target" in capsys.readouterr().err
+    assert "required: --target" in usage_error(["verify", "equivalence", "-i", cnf], capsys).err
 
-    assert main(["verify", "gap", "-i", src, "--poly", "1,1,1"]) == 2
-    assert "needs --family and --poly" in capsys.readouterr().err
+    assert "required: --family" in usage_error(["verify", "gap", "-i", src, "--poly", "1,1,1"], capsys).err
 
     constraints = write(tmp_path / "in.mo", "minones 1\nnvars 1\nf2 0\n")
     assert main(["verify", "scaling", "-i", constraints, "--pattern", "k4e"]) == 2
@@ -226,20 +230,73 @@ def test_options_only_where_read(argv):
     ["verify", "gadgets", "--pattern", "c4"],
 ])
 def test_verify_gadgets_reads_no_input_or_pattern(argv, capsys):
-    # verify shares its options among the checks, so gadgets refuses these itself
-    assert main(argv) == 2
-    captured = capsys.readouterr()
+    # the gadgets check declares no -i and no --pattern, so argparse refuses them
+    captured = usage_error(argv, capsys)
     assert captured.out == ""
-    assert "verify gadgets reads no -i or --pattern" in captured.err
+    assert f"unrecognized arguments: {argv[2]}" in captured.err
 
 
-def test_every_typed_option_reads_integers_by_the_file_rule():
+def _route_parsers(parser, route=()):
+    """(route words, parser) for parser and every sub-parser below it."""
+    yield route, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _route_parsers(sub, (*route, name))
+
+
+def test_every_typed_option_reads_integers_by_the_file_rule(capsys):
     # a later flag declared with type=int would take "+1", "1_0" and "\u0663" again
-    parser = cli.build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    typed = [a for p in (parser, *commands.choices.values()) for a in p._actions if a.type is not None]
+    routes = list(_route_parsers(cli.build_parser()))
+    typed = [a for _, p in routes for a in p._actions if a.type is not None]
     assert len(typed) == 4
     assert all(action.type is _read_int for action in typed)
+    # every command, reduce target and verify check answers -h
+    assert len(routes) == 1 + 6 + 9 + 5
+    for route, _ in routes:
+        with pytest.raises(SystemExit) as info:
+            main([*route, "-h"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: hfree {' '.join(route)}".rstrip())
+
+
+# A flag each route took and never read before every route declared its own;
+# each argv is valid without its last two words.
+_CNF, _HFI, _MO = "f.cnf", "square.hfi", "in.mo"
+_REFUSED = [
+    *(["reduce", target, "-i", _CNF, *pattern, "--poly", "1,1,1"]
+      for target, pattern in [
+          ("sat2del", ["--pattern", "wheel4"]), ("sat2comp", ["--pattern", "wheel4"]),
+          ("c4del", []), ("c5del", []), ("c4comp", []), ("house-comp", []),
+      ]),
+    ["reduce", "minones2graph", "-i", _MO, "--poly", "1,1,1"],
+    ["reduce", "graph2minones", "-i", _HFI, "--poly", "1,1,1"],
+    *(["verify", "equivalence", "-i", _CNF, "--target", "c4-del", flag, value]
+      for flag, value in [("--family", "c4-del"), ("--poly", "1,1,1"), ("--budget", "1"), ("--seed", "3")]),
+    *(["verify", "gap", "-i", _HFI, "--family", "c4-del", "--poly", "1,1,1", flag, value]
+      for flag, value in [("--target", "c4-del"), ("--budget", "1"), ("--seed", "3")]),
+    *(["verify", "duality", "--seed", "7", flag, value]
+      for flag, value in [("--target", "c4-del"), ("--family", "c4-del"), ("--poly", "1,1,1")]),
+    *([*route, flag, value]
+      for route in (["verify", "scaling", "-i", _MO], ["verify", "gadgets"])
+      for flag, value in [
+          ("--target", "c4-del"), ("--family", "c4-del"), ("--poly", "1,1,1"), ("--budget", "1"), ("--seed", "3"),
+      ]),
+]
+
+
+@pytest.mark.parametrize("argv", _REFUSED, ids=[" ".join(a[:2] + a[-2:-1]) for a in _REFUSED])
+def test_routes_refuse_flags_they_do_not_read(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / _CNF, TWO_CLAUSES)
+    square_deletion_file(tmp_path)
+    write(tmp_path / _MO, "minones 1\nnvars 1\nf2 0\n")
+    # without the refused flag the route runs, and passes or skips
+    assert main(argv[:-2]) in (0, 3)
+    capsys.readouterr()
+    captured = usage_error(argv, capsys)
+    assert captured.out == ""
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in captured.err
 
 
 def test_stdin_is_read_as_ascii_like_input_files(tmp_path, capsys, monkeypatch):
@@ -292,6 +349,34 @@ def test_internal_errors_exit_four(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out.txt"
     assert main(["solve", "-o", str(out)]) == 4
     assert out.read_text(encoding="ascii") == "RESULT error solve RecursionError\n"
+
+
+def test_failing_check_exits_one_with_its_prose(tmp_path, capsys, monkeypatch):
+    cnf = write(tmp_path / "f.cnf", TWO_CLAUSES)
+    # the sandwich side answers "no" to a satisfiable formula
+    monkeypatch.setattr("hfree.verify.solve_sandwich", lambda *args, **kwargs: None)
+    assert main(["verify", "equivalence", "-i", cnf, "--target", "c5-del"]) == 1
+    result, prose = capsys.readouterr().out.splitlines()
+    assert result.startswith("RESULT fail sat-equivalence ") and " sat=yes sandwich=no " in result
+    assert prose == "sat-equivalence: the routes disagree; the witness field above pins the input"
+
+
+def test_parser_is_built_once_per_process_and_not_at_import(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = str(tmp_path / "info.txt")
+    script = (
+        "from hfree import cli\n"
+        "before = cli.build_parser.cache_info().misses\n"
+        "for name in ('house', 'c4'):\n"
+        f"    cli.main(['pattern', 'info', name, '-o', {out!r}])\n"
+        "print(before, cli.build_parser.cache_info().misses)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(src)}, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.decode("ascii") == "0 1\n"
 
 
 def test_node_limit_reports_a_skip(tmp_path, capsys):

@@ -23,6 +23,8 @@ def test_formula_validation():
         formula(2, [(1, 0, 2)])
     with pytest.raises(ValueError):
         formula(2, [()])
+    with pytest.raises(ValueError, match="variable_count must be nonnegative"):
+        CnfFormula(-1, ())
 
 
 def test_satisfies_and_brute_force():
@@ -104,6 +106,8 @@ def test_dimacs_parser_stops_at_satlib_trailer():
     "text,message",
     [
         ("1 2 0\n", "missing problem line"),
+        ("", "^missing problem line$"),
+        ("c only a comment\n\n", "^missing problem line$"),
         ("p cnf 3 2\n1 -2 3 0\n%\n0\n", "declared 2 clauses"),
         ("p cnf 3 1\n1 -2 3 0 %\n", "invalid literal"),
         ("p cnf 3 1\n1 -2 3 0\n%%\n", "invalid literal"),

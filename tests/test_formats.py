@@ -1,4 +1,9 @@
+import itertools
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfree.formats import (
     FormatError,
@@ -9,9 +14,13 @@ from hfree.formats import (
     render_minones,
 )
 from hfree.graphs import Graph
-from hfree.minones import MinOnesInstance
+from hfree.minones import MinOnesInstance, constraint_arity
 from hfree.patterns import named_pattern
 from hfree.solver import COMPLETION, DELETION, SandwichInstance
+
+from test_patterns import pattern_spellings
+
+round_trips = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
 
 def deletion_example():
@@ -83,6 +92,9 @@ def test_instance_parse_errors():
         ("vertices 4", "vertices \u00b2", "line 4: vertices takes one count"),
         ("edge 0 1 free", "edge 0 1 free\nhub 0", "unknown directive"),
         ("vertices 4", "verts 4", "unknown directive"),
+        ("pattern c4", "pattern c4 c5", "line 3: pattern takes one name"),
+        ("edge 0 1 free", "edge 0 1 free\nlabel a 0", "expected 'label name u v' after vertices"),
+        ("vertices 4", "label a 0 1\nvertices 4", "line 4: expected 'label name u v' after vertices"),
     ]
     for old, new, message in cases:
         with pytest.raises(FormatError, match=message):
@@ -97,6 +109,9 @@ def test_instance_parse_errors():
         parse_instance(good + "label a 0 1\nlabel a 1 0\n")
     with pytest.raises(FormatError, match="empty instance file"):
         parse_instance("c nothing here\n")
+    for text in ("hfi 1\nmode deletion\npattern c4\n", "hfi 1\npattern c4\nvertices 3\n"):
+        with pytest.raises(FormatError, match="needs mode and vertices lines"):
+            parse_instance(text)
 
 
 def test_render_rejects_bad_labels():
@@ -104,6 +119,8 @@ def test_render_rejects_bad_labels():
         render_instance(deletion_example(), labels=[("two words", (0, 1))])
     with pytest.raises(FormatError, match="duplicate label entry"):
         render_instance(deletion_example(), labels=[("a", (0, 1)), ("a", (1, 0))])
+    with pytest.raises(FormatError, match="budget must be nonnegative"):
+        render_instance(deletion_example(), budget=-1)
 
 
 def test_free_pair_consistency_is_checked():
@@ -163,3 +180,50 @@ def test_minones_parse_errors():
         parse_minones("minones 1\nnvars 2\nnvars 2\n")
     with pytest.raises(FormatError, match="empty constraint file"):
         parse_minones("")
+    with pytest.raises(FormatError, match="constraint file needs an nvars line"):
+        parse_minones("minones 1\nc no variables\n")
+
+
+@st.composite
+def sandwich_instances(draw):
+    """An instance on up to 7 vertices under a named pattern, in either mode."""
+    n = draw(st.integers(0, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = {pair for pair in pairs if draw(st.booleans())}
+    mode = draw(st.sampled_from([DELETION, COMPLETION]))
+    pool = sorted(edges) if mode == DELETION else [pair for pair in pairs if pair not in edges]
+    free = {pair for pair in pool if draw(st.booleans())}
+    return SandwichInstance(Graph(n, edges), named_pattern(draw(pattern_spellings())), mode, frozenset(free))
+
+
+@round_trips
+@given(data=st.data())
+def test_instance_text_round_trips(data):
+    instance = data.draw(sandwich_instances())
+    budget = data.draw(st.none() | st.integers(0, 10**6))
+    pairs = list(itertools.combinations(range(instance.graph.vertex_count), 2))
+    names = st.text(string.ascii_letters + string.digits + "-_", min_size=1, max_size=5)
+    labels = data.draw(st.lists(st.tuples(names, st.sampled_from(pairs)), unique=True, max_size=6)) if pairs else []
+    parsed = parse_instance(render_instance(instance, budget, labels))
+    assert parsed == InstanceFile(instance, budget, tuple(sorted(labels)))
+    assert parsed.instance.pattern.name == instance.pattern.name
+
+
+@st.composite
+def minones_instances(draw):
+    """An instance over f1, f2 and the wide kinds fnN and gnN for N in 5..7."""
+    wide = st.tuples(st.sampled_from(["fn", "gn"]), st.integers(5, 7)).map(lambda kind: f"{kind[0]}{kind[1]}")
+    kinds = draw(st.lists(st.sampled_from(["f1", "f2"]) | wide, max_size=6))
+    count = draw(st.integers(1 if kinds else 0, 12))
+    variables = st.integers(0, count - 1)
+    constraints = tuple(
+        (kind, tuple(draw(st.lists(variables, min_size=constraint_arity(kind), max_size=constraint_arity(kind)))))
+        for kind in kinds
+    )
+    return MinOnesInstance(count, constraints)
+
+
+@round_trips
+@given(inst=minones_instances())
+def test_minones_text_round_trips(inst):
+    assert parse_minones(render_minones(inst)) == inst

@@ -125,12 +125,12 @@ def test_gadget_contracts_certify():
             assert all(isinstance(fact, str) for fact in contract.facts)
 
 
-def _drop_rigid_edge(builder, mode):
+def _drop_rigid_edge(builder, mode, _pattern):
     rigid = builder.edges - builder.free if mode == DELETION else builder.edges
     builder.edges.discard(min(rigid))
 
 
-def _add_free_pair(builder, mode):
+def _add_free_pair(builder, mode, _pattern):
     if mode == DELETION:
         builder.free.add(min(builder.edges - builder.free))
     else:
@@ -138,7 +138,7 @@ def _add_free_pair(builder, mode):
         builder.free.add(min(pairs - builder.edges - builder.free))
 
 
-def _add_wrong_kind_pair(builder, mode):
+def _add_wrong_kind_pair(builder, mode, _pattern):
     if mode == DELETION:
         pairs = set(itertools.combinations(range(builder.vertex_count), 2)) - builder.edges
         # the clause K6 has no non-edge, so it gets one to an isolated vertex
@@ -147,7 +147,30 @@ def _add_wrong_kind_pair(builder, mode):
         builder.free.add(min(builder.edges))
 
 
-@pytest.mark.parametrize("corrupt", [_drop_rigid_edge, _add_free_pair, _add_wrong_kind_pair])
+def _add_free_square(builder, mode, pattern):
+    """Four fresh free pairs around a square, each glued into a pattern copy
+    that turns induced exactly when the pair is toggled. No new subset is a
+    solution, so the solution set stays as predicted and only the square
+    test objects."""
+    a, b, c, d = (builder.fresh() for _ in range(4))
+    if mode == DELETION:
+        # diagonals make the four vertices a K4, which holds no induced cycle
+        builder.add_edge(a, c)
+        builder.add_edge(b, d)
+        s, t = pattern.non_edges()[0]
+        guard = pattern
+    else:
+        s, t = min(pattern.edges)
+        guard = Graph(pattern.vertex_count, pattern.edges - {(s, t)})
+    for u, v in ((a, b), (b, c), (c, d), (a, d)):
+        builder.plant(guard, {s: u, t: v})
+        if mode == DELETION:
+            builder.add_edge(u, v, free=True)
+        else:
+            builder.mark_free(u, v)
+
+
+@pytest.mark.parametrize("corrupt", [_drop_rigid_edge, _add_free_pair, _add_wrong_kind_pair, _add_free_square])
 @pytest.mark.parametrize("name,check,mode", [
     ("_c4del_variable", check_c4_deletion_gadgets, DELETION),
     ("_c4del_clause", check_c4_deletion_gadgets, DELETION),
@@ -158,19 +181,24 @@ def _add_wrong_kind_pair(builder, mode):
 ])
 def test_corrupted_gadget_fails_its_contract(monkeypatch, name, check, mode, corrupt):
     original = getattr(gadgets, name)
+    pattern = cycle_graph(5) if check is check_c5_deletion_gadgets else cycle_graph(4)
 
     def broken(builder, *args):
         labels = original(builder, *args)
-        corrupt(builder, mode)
+        corrupt(builder, mode, pattern)
         return labels
 
     monkeypatch.setattr(gadgets, name, broken)
     check.cache_clear()
     try:
-        with pytest.raises(GadgetContractError):
+        with pytest.raises(GadgetContractError) as info:
             check()
     finally:
         check.cache_clear()
+    # the ladder toggles only its own candidate subsets, so the uncovered
+    # square is caught one check earlier there
+    if corrupt is _add_free_square and name != "_c4comp_ladder":
+        assert "free pairs span a square" in str(info.value)
 
 
 def test_wired_preconditions():
@@ -182,6 +210,10 @@ def test_wired_preconditions():
         reduce_3sat_to_c5del(formula(2, [(1, 2, 2)]))
     with pytest.raises(ValueError, match="at least twice"):
         reduce_3sat_to_c4comp(formula(3, [(1, 2, 3)]))
+    with pytest.raises(ValueError, match="target 'sat2del' needs a pattern"):
+        gadgets.reduce_formula("sat2del", formula(3, [(1, 2, 3)]))
+    with pytest.raises(ValueError, match="target 'c4del' fixes its own pattern"):
+        gadgets.reduce_formula("c4del", formula(3, [(1, 2, 3)]), HOUSE)
 
 
 @pytest.mark.parametrize("reduce_fn,needs_duplication", [

@@ -142,6 +142,10 @@ def test_construction_rejections():
         reduce_minones_to_quarantined(wide, 5)
     with pytest.raises(ValueError, match="n >= 5"):
         reduce_minones_to_quarantined(MinOnesInstance(1, ()), 4)
+    with pytest.raises(ValueError, match="need n >= 5"):
+        lift_quarantine(complete_graph(4), frozenset(), 4)
+    with pytest.raises(ValueError, match="need n >= 5"):
+        reduce_knexdel_to_minones(complete_graph(4), 4)
     crowded = MinOnesInstance(2, (("f1", (0, 0, 1)), ("f1", (0, 1, 1))))
     with pytest.raises(ValueError, match="too many for padding base"):
         reduce_minones_to_quarantined(crowded, 5, pendant_base=3)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfree.graphs import Graph
 from hfree.patterns import make_pattern, named_pattern, require, wheel_graph
@@ -31,6 +33,13 @@ def test_named_patterns():
     for name in ("pentagon", "ke5", "c5e", "k5ee"):
         with pytest.raises(ValueError, match="unknown pattern name"):
             named_pattern(name)
+    # known families below their smallest order
+    with pytest.raises(ValueError, match="cycle needs at least 3 vertices"):
+        named_pattern("c2")
+    with pytest.raises(ValueError, match="need at least 3 vertices"):
+        named_pattern("k2e")
+    with pytest.raises(ValueError, match="wheel rim needs at least 3 vertices"):
+        wheel_graph(2)
 
 
 # Unicode digits that int() accepts but the ASCII instance format cannot carry.
@@ -54,3 +63,30 @@ def test_require_checks_in_fixed_order():
 def test_make_pattern_rejects_empty():
     with pytest.raises(ValueError):
         make_pattern(Graph(0))
+
+
+# smallest order each family builds
+_SMALLEST_ORDER = {"c": 3, "p": 1, "k": 1, "ke": 3}
+
+
+@st.composite
+def pattern_spellings(draw):
+    """A name named_pattern accepts: a fixed name, or a family order with up
+    to two leading zeros, under up to two "co-" prefixes, in mixed case."""
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(["house", "wheel4", "octahedron"]))
+    else:
+        family = draw(st.sampled_from(sorted(_SMALLEST_ORDER)))
+        order = draw(st.integers(_SMALLEST_ORDER[family], 7))
+        key = f"{family[0]}{'0' * draw(st.integers(0, 2))}{order}{family[1:]}"
+    key = "co-" * draw(st.integers(0, 2)) + key
+    upper = draw(st.lists(st.booleans(), min_size=len(key), max_size=len(key)))
+    return "".join(ch.upper() if up else ch for ch, up in zip(key, upper))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(spelling=pattern_spellings())
+def test_recorded_names_resolve_to_the_same_pattern(spelling):
+    pattern = named_pattern(spelling)
+    again = named_pattern(pattern.name)
+    assert again == pattern and again.name == pattern.name

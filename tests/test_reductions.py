@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from hfree.cnf import formula, sat_brute_force, satisfies
 from hfree.gadgets import lift_specific
@@ -21,6 +22,8 @@ from hfree.solver import (
     solve_budgeted,
     solve_sandwich,
 )
+
+from test_formats import round_trips, sandwich_instances
 
 WHEEL = named_pattern("wheel4")
 OCTA = named_pattern("octahedron")
@@ -210,6 +213,13 @@ def test_complement_is_an_involution_and_flips_mode():
         assert co.mode != inst.mode
         assert co.free == inst.free
         assert complement_instance(co) == inst
+
+
+@round_trips
+@given(inst=sandwich_instances())
+def test_complement_twice_is_the_identity(inst):
+    twice = complement_instance(complement_instance(inst))
+    assert twice == inst and twice.pattern.name == inst.pattern.name
 
 
 def test_complement_preserves_solution_sets():

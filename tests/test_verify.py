@@ -50,6 +50,9 @@ def test_equivalence_guards_and_argument_checks():
         verify_sat_equivalence(f, "general-del")
     with pytest.raises(ValueError, match="fixes its own pattern"):
         verify_sat_equivalence(f, "c4-del", named_pattern("c4"))
+    # the pattern rule is checked before the guards skip a formula
+    with pytest.raises(ValueError, match="target 'c4-del' fixes its own pattern"):
+        verify_sat_equivalence(big, "c4-del", named_pattern("c4"))
     # one long clause over three variables normalizes to six variables
     long = formula(3, [(1, 2, 3, -1, -2, -3)])
     report = verify_sat_equivalence(long, "general-del", named_pattern("wheel4"))
