@@ -2,11 +2,12 @@
 
 Formulas travel as DIMACS CNF, sandwich instances as hfi text, and counting
 instances as minones text. Every route but `pattern info` and `verify
-gadgets` reads one input (`-i FILE`, stdin when absent), and every route
-writes one output (`-o FILE`, stdout when absent). Output is deterministic:
-the same input bytes and flags produce the same output bytes. Each reduce
-target and verify check is a sub-parser that declares exactly the flags
-its handler reads.
+gadgets` reads one input (`-i FILE`, stdin when absent; `verify duality`
+makes a graph from `--seed` instead), and every route writes one output
+(`-o FILE`, stdout when absent). Output is deterministic: the same input
+bytes and flags produce the same output bytes. Each reduce target and
+verify check is a sub-parser that declares exactly the flags its handler
+reads.
 
 Exit codes: 0 on success or a passing check, 1 on a failing check, 2 on a
 usage or parse error, 3 when a guard or the node limit cut the run short,
@@ -212,25 +213,27 @@ def build_parser() -> argparse.ArgumentParser:
     """The parser of every route, built on first use and kept for the process.
 
     Each route declares exactly the flags its handler reads, so argparse
-    alone refuses a flag that a route would ignore. Routes record their
-    handler by name, and main looks it up on this module at call time.
+    alone refuses a flag that a route would ignore. No parser takes a
+    prefix of a long flag for the flag itself. Routes record their handler
+    by name, and main looks it up on this module at call time.
     """
 
     def flag(*names, **kwargs):
         # a parent parser holding one option, for the routes that read it
-        holder = argparse.ArgumentParser(add_help=False)
+        holder = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
         holder.add_argument(*names, **kwargs)
         return holder
 
     def route(routes, name, handler, parents, help=None, **defaults):
-        parser = routes.add_parser(name, parents=parents, help=help)
+        parser = routes.add_parser(name, parents=parents, help=help, allow_abbrev=False)
         parser.set_defaults(handler=handler, **defaults)
         return parser
 
     source = flag("-i", "--input", metavar="FILE", help="read from FILE instead of stdin")
     output = flag("-o", "--output", metavar="FILE", help="write to FILE instead of stdout")
     pattern_help = "pattern name, e.g. house, c4, k5e, co-p5"
-    named = [source, output, flag("--pattern", metavar="NAME", help=pattern_help)]
+    pattern = flag("--pattern", metavar="NAME", help=pattern_help)
+    named = [source, output, pattern]
     general = [source, output, flag("--pattern", required=True, metavar="NAME", help=pattern_help)]
     poly = flag("--poly", required=True, metavar="A,D,C", help="polynomial a*k^d + c")
     lifting = [*named, flag("--family", required=True, choices=LIFT_FAMILIES, help="lift family"), poly]
@@ -238,10 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hfree",
         description="Reductions, gap lifts, and exact oracles for pattern-free edge modification.",
+        allow_abbrev=False,
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    reduce_p = commands.add_parser("reduce", help="translate between problem encodings")
+    reduce_p = commands.add_parser("reduce", help="translate between problem encodings", allow_abbrev=False)
     targets = reduce_p.add_subparsers(dest="target", required=True)
     for target, (_, takes_pattern, _) in FORMULA_TARGETS.items():
         route(targets, target, "_cmd_formula", general if takes_pattern else [source, output], pattern=None)
@@ -264,14 +268,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort oracle searches after this many nodes",
     )
 
-    verify_p = commands.add_parser("verify", help="machine-check one documented claim")
+    verify_p = commands.add_parser("verify", help="machine-check one documented claim", allow_abbrev=False)
     checks = verify_p.add_subparsers(dest="check", required=True)
     equivalence_p = route(checks, "equivalence", "_cmd_verify", named, checker="_verify_equivalence")
     equivalence_p.add_argument("--target", required=True, choices=EQUIVALENCE_TARGETS, help="route to check")
     route(checks, "gap", "_cmd_verify", lifting, checker="_verify_gap")
-    duality_p = route(checks, "duality", "_cmd_verify", named, checker="_verify_duality")
+    duality_p = route(checks, "duality", "_cmd_verify", [output, pattern], checker="_verify_duality")
     duality_p.add_argument("--budget", type=_read_int, default=2, metavar="K", help="budget, default 2")
-    duality_p.add_argument("--seed", type=_read_int, default=0, help="seed for the graph made without -i")
+    # the graph comes from the file or from the seed, never both
+    graph_source = duality_p.add_mutually_exclusive_group()
+    graph_source.add_argument("-i", "--input", metavar="FILE", help="read the graph from FILE")
+    graph_source.add_argument("--seed", type=_read_int, default=0, help="seed for the graph made without -i")
     route(checks, "scaling", "_cmd_verify", named, checker="_verify_scaling")
     route(checks, "gadgets", "_cmd_verify", [output], checker="_verify_gadgets")
 

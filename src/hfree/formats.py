@@ -13,8 +13,16 @@ and fillable pairs appear as `nonedge ... free`; a non-edge never listed
 is not fillable. Constraint files start with `minones 1` and `nvars`,
 followed by one constraint per line in instance order: `f1 a b c`,
 `f2 a`, `fn <n> v...`, or `gn <n> v...`.
+
+parse_instance checks every line itself, and the one rule across lines:
+a fillable pair is no edge. It then builds the instance through the
+trusted path, Graph._trusted and SandwichInstance._trusted, which skip
+the checks the public constructors would repeat; the graphs module
+docstring names everything else that may call them. render_instance
+writes the edge lines from the graph's adjacency, row by row.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .cnf import _read_count, _read_int
@@ -48,10 +56,21 @@ def render_instance(instance: SandwichInstance, budget=None, labels=()) -> str:
     lines = ["hfi 1", f"mode {instance.mode}"]
     if instance.pattern.name:
         lines.append(f"pattern {instance.pattern.name}")
-    lines.append(f"vertices {instance.graph.vertex_count}")
-    for pair in sorted(instance.graph.edges):
-        suffix = " free" if instance.mode == DELETION and pair in instance.free else ""
-        lines.append(f"edge {pair[0]} {pair[1]}{suffix}")
+    graph = instance.graph
+    lines.append(f"vertices {graph.vertex_count}")
+    # Edges come row by row from the adjacency, each row sorted on its own:
+    # far cheaper than sorting the edge tuples when the graph is dense.
+    free_above = defaultdict(set)
+    if instance.mode == DELETION:
+        for u, v in instance.free:
+            free_above[u].add(v)
+    lines += [
+        f"edge {u} {v} free" if v in marked else f"edge {u} {v}"
+        for u in range(graph.vertex_count)
+        for marked in (free_above.get(u, ()),)
+        for v in sorted(graph.neighbors(u))
+        if v > u
+    ]
     if instance.mode == COMPLETION:
         for pair in sorted(instance.free):
             lines.append(f"nonedge {pair[0]} {pair[1]} free")
@@ -176,10 +195,10 @@ def parse_instance(text: str, default_pattern=None) -> InstanceFile:
     entries = tuple(sorted(labels))
     if len(set(entries)) != len(entries):
         raise FormatError("duplicate label entry")
-    try:
-        instance = SandwichInstance(Graph(vertex_count, edges), pattern, mode, frozenset(free))
-    except ValueError as error:
-        raise FormatError(str(error)) from None
+    if mode == COMPLETION and not free.isdisjoint(edges):
+        raise FormatError(f"free pair {min(free & edges)} is already an edge")
+    # Every line was checked above, so the instance is built unchecked.
+    instance = SandwichInstance._trusted(Graph._trusted(vertex_count, edges), pattern, mode, frozenset(free))
     return InstanceFile(instance, budget, entries)
 
 

@@ -14,6 +14,13 @@ and gadgets.has_c4_subgraph (three is_h_free calls) all call it, and
 _toggle is the one way a search flips host pairs. Every
 copy it reports is indexed by pattern vertex, entry p being the host
 vertex that carries p, so reading one back needs no plan.
+
+Graph(...) validates every pair it is given. Graph._trusted, and
+solver.SandwichInstance._trusted for whole instances, are the trusted
+path: they skip those checks for data already known valid. Only code that
+built or checked its data itself may call them: the _GraphBuilder outputs
+of reductions, gadgets and minones, formats.parse_instance after its own
+checks, solver.apply, complement and reductions.complement_instance.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ class Graph:
 
     edges is a frozenset of (u, v) tuples with u < v; endpoints must lie in
     range. Parallel edges are impossible by construction, self-loops are
-    rejected.
+    rejected. Graph._trusted skips those checks, for the callers the
+    module docstring names.
     """
 
     __slots__ = ("vertex_count", "edges", "_adj", "_hash")
@@ -43,16 +51,30 @@ class Graph:
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
         normalized = frozenset(edge_key(u, v) for u, v in edges)
-        adj = [set() for _ in range(vertex_count)]
         for u, v in normalized:
             if not (0 <= u and v < vertex_count):
                 raise ValueError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
-            adj[u].add(v)
-            adj[v].add(u)
         self.vertex_count = vertex_count
         self.edges = normalized
-        self._adj = tuple(frozenset(s) for s in adj)
+        self._adj = _adjacency(vertex_count, normalized)
         self._hash = None
+
+    @classmethod
+    def _trusted(cls, vertex_count: int, edges, adj=None) -> Graph:
+        """The graph of pairs already known valid: each (u, v) has
+        0 <= u < v < vertex_count, and none repeats. adj, when given, is
+        the adjacency as a tuple of frozensets and must agree with edges.
+
+        Without adj, the result is the graph Graph(vertex_count, edges)
+        gives, down to the order its adjacency sets iterate in: both insert
+        the pairs one at a time in the order edges yields them.
+        """
+        graph = cls.__new__(cls)
+        graph.vertex_count = vertex_count
+        graph.edges = frozenset(iter(edges))
+        graph._adj = _adjacency(vertex_count, graph.edges) if adj is None else adj
+        graph._hash = None
+        return graph
 
     @property
     def edge_count(self) -> int:
@@ -73,12 +95,8 @@ class Graph:
 
     def non_edges(self) -> list:
         """All absent pairs, in lexicographic order."""
-        return [
-            (u, v)
-            for u in range(self.vertex_count)
-            for v in range(u + 1, self.vertex_count)
-            if (u, v) not in self.edges
-        ]
+        n = self.vertex_count
+        return [(u, v) for u, near in enumerate(self._adj) for v in range(u + 1, n) if v not in near]
 
     def degree_sequence(self) -> tuple:
         return tuple(sorted(len(s) for s in self._adj))
@@ -97,9 +115,25 @@ class Graph:
         return f"Graph({self.vertex_count}, {sorted(self.edges)})"
 
 
+def _adjacency(vertex_count: int, edges) -> tuple:
+    """Neighbour sets of valid pairs, filled in the order edges yields them."""
+    adj = [set() for _ in range(vertex_count)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(frozenset(s) for s in adj)
+
+
 def complement(g: Graph) -> Graph:
-    """Graph on the same vertices whose edges are exactly g's non-edges."""
-    return Graph(g.vertex_count, g.non_edges())
+    """Graph on the same vertices whose edges are exactly g's non-edges.
+
+    Each neighbour set is a set difference, everyone less g's neighbours
+    and the vertex itself, so the order it iterates in, which the matcher
+    follows, depends on g's edges alone and not on how g was built.
+    """
+    everyone = frozenset(range(g.vertex_count))
+    adj = tuple(everyone.difference(near, (v,)) for v, near in enumerate(g._adj))
+    return Graph._trusted(g.vertex_count, g.non_edges(), adj)
 
 
 def _connected_without(g: Graph, removed) -> bool:

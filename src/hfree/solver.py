@@ -71,6 +71,17 @@ class SandwichInstance:
             if self.mode == COMPLETION and (u, v) in self.graph.edges:
                 raise ValueError(f"free pair ({u}, {v}) is already an edge")
 
+    @classmethod
+    def _trusted(cls, graph: Graph, pattern: Pattern, mode: str, free: frozenset) -> SandwichInstance:
+        """The instance of fields already known valid, with none of
+        __post_init__'s checks: free is a frozenset of (u, v) pairs with
+        u < v, each an edge of graph in deletion mode and a non-edge in
+        completion mode. The graphs module docstring names the callers."""
+        instance = object.__new__(cls)
+        for name, value in (("graph", graph), ("pattern", pattern), ("mode", mode), ("free", free)):
+            object.__setattr__(instance, name, value)
+        return instance
+
 
 @dataclass(frozen=True)
 class BudgetedInstance:
@@ -89,7 +100,7 @@ def apply(instance: SandwichInstance, pairs) -> Graph:
     if stray:
         raise ValueError(f"pairs outside the free set: {sorted(stray)}")
     # free pairs are edges in deletion and non-edges in completion
-    return Graph(instance.graph.vertex_count, instance.graph.edges ^ chosen)
+    return Graph._trusted(instance.graph.vertex_count, instance.graph.edges ^ chosen)
 
 
 def is_solution(instance: SandwichInstance, pairs) -> bool:

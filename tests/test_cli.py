@@ -213,12 +213,15 @@ def test_non_ascii_pattern_digits_are_unknown_names(tmp_path, capsys, name):
     ["solve", "--node-limit", "+5"],
     ["verify", "duality", "--seed", "\u0663"],
     ["verify", "duality", "--budget", "1_0"],
+    ["solve", "--node", "5"],
+    ["solve", "--exist"],
     ["pattern", "info", "house", "-i", "/nonexistent"],
     ["pattern", "info", "house", "--pattern", "c4"],
 ])
 def test_options_only_where_read(argv):
-    # --node-limit belongs to solve and --seed to verify duality alone, and
-    # integer flags take the file formats' integers, not all that int() reads
+    # --node-limit belongs to solve and --seed to verify duality alone,
+    # integer flags take the file formats' integers, not all that int() reads,
+    # and no prefix of a long flag stands for it
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
@@ -251,8 +254,10 @@ def test_every_typed_option_reads_integers_by_the_file_rule(capsys):
     typed = [a for _, p in routes for a in p._actions if a.type is not None]
     assert len(typed) == 4
     assert all(action.type is _read_int for action in typed)
-    # every command, reduce target and verify check answers -h
+    # every command, reduce target and verify check answers -h, and none
+    # reads a prefix of a long flag as the flag
     assert len(routes) == 1 + 6 + 9 + 5
+    assert not any(parser.allow_abbrev for _, parser in routes)
     for route, _ in routes:
         with pytest.raises(SystemExit) as info:
             main([*route, "-h"])
@@ -283,6 +288,9 @@ _REFUSED = [
           ("--target", "c4-del"), ("--family", "c4-del"), ("--poly", "1,1,1"), ("--budget", "1"), ("--seed", "3"),
       ]),
 ]
+# verify duality reads --seed only to make a graph when -i gives none
+_SEED_WITH_INPUT = ["verify", "duality", "-i", _HFI, "--seed", "3"]
+_REFUSED.append(_SEED_WITH_INPUT)
 
 
 @pytest.mark.parametrize("argv", _REFUSED, ids=[" ".join(a[:2] + a[-2:-1]) for a in _REFUSED])
@@ -296,7 +304,10 @@ def test_routes_refuse_flags_they_do_not_read(tmp_path, monkeypatch, capsys, arg
     capsys.readouterr()
     captured = usage_error(argv, capsys)
     assert captured.out == ""
-    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in captured.err
+    if argv is _SEED_WITH_INPUT:
+        assert "argument --seed: not allowed with argument -i/--input" in captured.err
+    else:
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in captured.err
 
 
 def test_stdin_is_read_as_ascii_like_input_files(tmp_path, capsys, monkeypatch):
