@@ -14,11 +14,8 @@ is not fillable. Constraint files start with `minones 1` and `nvars`,
 followed by one constraint per line in instance order: `f1 a b c`,
 `f2 a`, `fn <n> v...`, or `gn <n> v...`.
 
-parse_instance checks every line itself, and the one rule across lines:
-a fillable pair is no edge. It then builds the instance through the
-trusted path, Graph._trusted and SandwichInstance._trusted, which skip
-the checks the public constructors would repeat; the graphs module
-docstring names everything else that may call them. render_instance
+parse_instance checks every line itself; the rule across lines, that a
+fillable pair is no edge, is the instance constructor's. render_instance
 writes the edge lines from the graph's adjacency, row by row.
 """
 
@@ -195,10 +192,10 @@ def parse_instance(text: str, default_pattern=None) -> InstanceFile:
     entries = tuple(sorted(labels))
     if len(set(entries)) != len(entries):
         raise FormatError("duplicate label entry")
-    if mode == COMPLETION and not free.isdisjoint(edges):
-        raise FormatError(f"free pair {min(free & edges)} is already an edge")
-    # Every line was checked above, so the instance is built unchecked.
-    instance = SandwichInstance._trusted(Graph._trusted(vertex_count, edges), pattern, mode, frozenset(free))
+    try:
+        instance = SandwichInstance(Graph(vertex_count, edges), pattern, mode, frozenset(free))
+    except ValueError as error:
+        raise FormatError(str(error)) from None
     return InstanceFile(instance, budget, entries)
 
 

@@ -521,8 +521,8 @@ def reduce_c4comp_to_house_comp(instance: SandwichInstance) -> SandwichInstance:
         apex = builder.fresh()
         builder.add_edge(u, apex)
         builder.add_edge(v, apex)
-    graph = Graph._trusted(builder.vertex_count, builder.edges)
-    return SandwichInstance._trusted(graph, named_pattern("house"), COMPLETION, instance.free)
+    graph = Graph(builder.vertex_count, builder.edges)
+    return SandwichInstance(graph, named_pattern("house"), COMPLETION, instance.free)
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +604,10 @@ def lift_specific(instance: SandwichInstance, family: str, polynomial: Polynomia
         glue = {s: u, t: v}
         for _ in range(copies):
             builder.plant(graph, glue)
-    lifted = Graph._trusted(builder.vertex_count, builder.edges)
+    lifted = Graph(builder.vertex_count, builder.edges)
     free = lifted.edges if mode == DELETION else frozenset(lifted.non_edges())
     out = named_pattern(output) if output else pattern
-    return BudgetedInstance(SandwichInstance._trusted(lifted, out, mode, free), k)
+    return BudgetedInstance(SandwichInstance(lifted, out, mode, free), k)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,9 @@ _toggle is the one way a search flips host pairs. Every
 copy it reports is indexed by pattern vertex, entry p being the host
 vertex that carries p, so reading one back needs no plan.
 
-Graph(...) validates every pair it is given. Graph._trusted, and
-solver.SandwichInstance._trusted for whole instances, are the trusted
-path: they skip those checks for data already known valid. Only code that
-built or checked its data itself may call them: the _GraphBuilder outputs
-of reductions, gadgets and minones, formats.parse_instance after its own
-checks, solver.apply, complement and reductions.complement_instance.
+Each neighbour set is built from its sorted row, so the order it iterates
+in, which the matcher follows, depends on the graph's edges alone: not on
+the order, orientation or repetition of the pairs it was built from.
 """
 
 from __future__ import annotations
@@ -41,8 +38,7 @@ class Graph:
 
     edges is a frozenset of (u, v) tuples with u < v; endpoints must lie in
     range. Parallel edges are impossible by construction, self-loops are
-    rejected. Graph._trusted skips those checks, for the callers the
-    module docstring names.
+    rejected.
     """
 
     __slots__ = ("vertex_count", "edges", "_adj", "_hash")
@@ -50,31 +46,25 @@ class Graph:
     def __init__(self, vertex_count: int, edges=()):
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        normalized = frozenset(edge_key(u, v) for u, v in edges)
-        for u, v in normalized:
-            if not (0 <= u and v < vertex_count):
-                raise ValueError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
+        pairs = set()
+        rows = [[] for _ in range(vertex_count)]
+        for pair in edges:
+            u, v = pair
+            # Only a pair that is not already a valid key is normalized.
+            if type(pair) is not tuple or not 0 <= u < v < vertex_count:
+                pair = u, v = edge_key(u, v)
+                if not (0 <= u and v < vertex_count):
+                    raise ValueError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
+            if pair not in pairs:
+                pairs.add(pair)
+                rows[u].append(v)
+                rows[v].append(u)
+        for row in rows:
+            row.sort()
         self.vertex_count = vertex_count
-        self.edges = normalized
-        self._adj = _adjacency(vertex_count, normalized)
+        self.edges = frozenset(pairs)
+        self._adj = tuple(map(frozenset, rows))
         self._hash = None
-
-    @classmethod
-    def _trusted(cls, vertex_count: int, edges, adj=None) -> Graph:
-        """The graph of pairs already known valid: each (u, v) has
-        0 <= u < v < vertex_count, and none repeats. adj, when given, is
-        the adjacency as a tuple of frozensets and must agree with edges.
-
-        Without adj, the result is the graph Graph(vertex_count, edges)
-        gives, down to the order its adjacency sets iterate in: both insert
-        the pairs one at a time in the order edges yields them.
-        """
-        graph = cls.__new__(cls)
-        graph.vertex_count = vertex_count
-        graph.edges = frozenset(iter(edges))
-        graph._adj = _adjacency(vertex_count, graph.edges) if adj is None else adj
-        graph._hash = None
-        return graph
 
     @property
     def edge_count(self) -> int:
@@ -115,25 +105,22 @@ class Graph:
         return f"Graph({self.vertex_count}, {sorted(self.edges)})"
 
 
-def _adjacency(vertex_count: int, edges) -> tuple:
-    """Neighbour sets of valid pairs, filled in the order edges yields them."""
-    adj = [set() for _ in range(vertex_count)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return tuple(frozenset(s) for s in adj)
-
-
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly g's non-edges.
 
-    Each neighbour set is a set difference, everyone less g's neighbours
-    and the vertex itself, so the order it iterates in, which the matcher
-    follows, depends on g's edges alone and not on how g was built.
+    Each neighbour set is one set difference, everyone less the union of
+    g's neighbours and the vertex itself. In that one-argument form it
+    iterates exactly like the constructor's sorted row (a two-argument
+    difference does not), so the complement skips the constructor's
+    per-pair fill, which costs far more on a dense complement.
     """
     everyone = frozenset(range(g.vertex_count))
-    adj = tuple(everyone.difference(near, (v,)) for v, near in enumerate(g._adj))
-    return Graph._trusted(g.vertex_count, g.non_edges(), adj)
+    graph = object.__new__(Graph)
+    graph.vertex_count = g.vertex_count
+    graph.edges = frozenset(g.non_edges())
+    graph._adj = tuple(everyone.difference(near | {v}) for v, near in enumerate(g._adj))
+    graph._hash = None
+    return graph
 
 
 def _connected_without(g: Graph, removed) -> bool:
@@ -418,7 +405,7 @@ def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=No
     plan for this call shape, cached in plan.searches. They try candidates
     in the order of a level-by-level backtracker over plan.levels: the
     solver branches on the first copy found, so that order is part of the
-    contract, down to the iteration order of the host's adjacency sets.
+    contract, down to the host's edge set.
     """
     pinned = len(fixed) if fixed else 0
     if pinned > len(plan.seed):

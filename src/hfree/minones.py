@@ -210,7 +210,7 @@ def reduce_minones_to_quarantined(inst: MinOnesInstance, n: int = 5, pendant_bas
     for x in sorted(pinned):
         builder.edges.discard(in_out[x][0])
 
-    graph = Graph._trusted(builder.vertex_count, builder.edges)
+    graph = Graph(builder.vertex_count, builder.edges)
     group_map = EdgeGroupMap(tuple(frozenset(group) for group in groups), base + 2)
     labeled = frozenset().union(*group_map.groups) if count else frozenset()
     quarantine = frozenset(graph.edges - labeled)
@@ -223,7 +223,7 @@ def quarantined_instance(graph: Graph, quarantine, n: int = 5) -> SandwichInstan
     quarantine = frozenset(edge_key(u, v) for u, v in quarantine)
     if not quarantine <= graph.edges:
         raise ValueError("quarantine must be a subset of the edges")
-    return SandwichInstance._trusted(graph, named_pattern(f"k{n}e"), DELETION, graph.edges - quarantine)
+    return SandwichInstance(graph, named_pattern(f"k{n}e"), DELETION, graph.edges - quarantine)
 
 
 def lift_quarantine(graph: Graph, quarantine, n: int = 5, polynomial=None):

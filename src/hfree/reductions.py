@@ -209,8 +209,8 @@ def _wire(formula, pattern, mode, variable_gadget, clause_gadget, connect, claus
             per_clause.append(connect(builder, variables[x - 1], clause, pos, lit, occurrences[x]))
             occurrences[x] += 1
         connections.append(tuple(per_clause))
-    graph = Graph._trusted(builder.vertex_count, builder.edges)
-    instance = SandwichInstance._trusted(graph, pattern, mode, frozenset(builder.free))
+    graph = Graph(builder.vertex_count, builder.edges)
+    instance = SandwichInstance(graph, pattern, mode, frozenset(builder.free))
     trace = ReductionTrace(
         variable_pairs=tuple((true[0], false[0]) for true, false in variables),
         variable_solutions=tuple(variables),
@@ -340,7 +340,7 @@ def complement_instance(instance: SandwichInstance) -> SandwichInstance:
     """Complement the graph and the pattern and flip the mode; the free
     pairs stay put. Applying this twice gives back the original instance."""
     flipped = COMPLETION if instance.mode == DELETION else DELETION
-    return SandwichInstance._trusted(
+    return SandwichInstance(
         complement(instance.graph),
         complement_pattern(instance.pattern),
         flipped,

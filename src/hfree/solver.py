@@ -60,27 +60,22 @@ class SandwichInstance:
     def __post_init__(self):
         if self.mode not in (DELETION, COMPLETION):
             raise ValueError(f"mode must be {DELETION!r} or {COMPLETION!r}")
-        normalized = frozenset(edge_key(u, v) for u, v in self.free)
-        object.__setattr__(self, "free", normalized)
-        n = self.graph.vertex_count
-        for u, v in normalized:
-            if u < 0 or v >= n:
-                raise ValueError(f"free pair ({u}, {v}) out of range")
-            if self.mode == DELETION and (u, v) not in self.graph.edges:
-                raise ValueError(f"free pair ({u}, {v}) is not an edge")
-            if self.mode == COMPLETION and (u, v) in self.graph.edges:
-                raise ValueError(f"free pair ({u}, {v}) is already an edge")
-
-    @classmethod
-    def _trusted(cls, graph: Graph, pattern: Pattern, mode: str, free: frozenset) -> SandwichInstance:
-        """The instance of fields already known valid, with none of
-        __post_init__'s checks: free is a frozenset of (u, v) pairs with
-        u < v, each an edge of graph in deletion mode and a non-edge in
-        completion mode. The graphs module docstring names the callers."""
-        instance = object.__new__(cls)
-        for name, value in (("graph", graph), ("pattern", pattern), ("mode", mode), ("free", free)):
-            object.__setattr__(instance, name, value)
-        return instance
+        edges, n, free = self.graph.edges, self.graph.vertex_count, self.free
+        # One set test passes a frozenset of valid pairs as it is; anything
+        # else is normalized pair by pair, naming the smallest pair at fault.
+        if type(free) is not frozenset or not (
+            free <= edges if self.mode == DELETION
+            else free.isdisjoint(edges) and all(0 <= u < v < n for u, v in free)
+        ):
+            free = frozenset(edge_key(u, v) for u, v in free)
+            for u, v in sorted(free):
+                if u < 0 or v >= n:
+                    raise ValueError(f"free pair ({u}, {v}) out of range")
+                if self.mode == DELETION and (u, v) not in edges:
+                    raise ValueError(f"free pair ({u}, {v}) is not an edge")
+                if self.mode == COMPLETION and (u, v) in edges:
+                    raise ValueError(f"free pair ({u}, {v}) is already an edge")
+        object.__setattr__(self, "free", free)
 
 
 @dataclass(frozen=True)
@@ -100,7 +95,7 @@ def apply(instance: SandwichInstance, pairs) -> Graph:
     if stray:
         raise ValueError(f"pairs outside the free set: {sorted(stray)}")
     # free pairs are edges in deletion and non-edges in completion
-    return Graph._trusted(instance.graph.vertex_count, instance.graph.edges ^ chosen)
+    return Graph(instance.graph.vertex_count, instance.graph.edges ^ chosen)
 
 
 def is_solution(instance: SandwichInstance, pairs) -> bool:

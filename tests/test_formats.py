@@ -20,7 +20,7 @@ from hfree.solver import COMPLETION, DELETION, SandwichInstance
 
 from test_patterns import pattern_spellings
 
-round_trips = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+round_trips = settings(max_examples=100)
 
 
 def deletion_example():

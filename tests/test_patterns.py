@@ -84,7 +84,7 @@ def pattern_spellings(draw):
     return "".join(ch.upper() if up else ch for ch, up in zip(key, upper))
 
 
-@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(spelling=pattern_spellings())
 def test_recorded_names_resolve_to_the_same_pattern(spelling):
     pattern = named_pattern(spelling)

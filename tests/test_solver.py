@@ -4,11 +4,11 @@ import sys
 from itertools import combinations, islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hfree import solver
-from hfree.graphs import Graph, _toggle, edge_key, is_h_free, match_plan
+from hfree.graphs import Graph, _toggle, edge_key, find_induced_copy, is_h_free, match_plan
 from hfree.patterns import complete_graph, cycle_graph, make_pattern, named_pattern, path_graph, wheel_graph
 from hfree.reductions import Polynomial, complement_instance
 from hfree.solver import (
@@ -60,6 +60,102 @@ def test_instance_validation():
             SandwichInstance(c4, pat, mode, frozenset({(-1, 2)}))
     with pytest.raises(ValueError):
         BudgetedInstance(deletion_instance(c4, pat), -1)
+
+
+def test_constructors_accept_every_input_shape():
+    """The validating constructors take any iterable of pairs: a
+    generator, pairs in either orientation, repeats in one orientation or
+    both, and lists. Each error message names its pair as it always did."""
+    square = cycle_graph(4)
+    pattern = named_pattern("c4")
+    shapes = [
+        lambda pairs: (pair for pair in pairs),
+        lambda pairs: [(v, u) for u, v in pairs],
+        lambda pairs: [*pairs, *pairs],
+        lambda pairs: [*pairs, *((v, u) for u, v in pairs)],
+        lambda pairs: [[v, u] for u, v in pairs],
+    ]
+    for shape in shapes:
+        graph = Graph(4, shape(sorted(square.edges)))
+        assert graph == square and graph.edges == square.edges
+        assert [list(graph.neighbors(v)) for v in range(4)] == [list(square.neighbors(v)) for v in range(4)]
+        deletion = SandwichInstance(square, pattern, "deletion", shape([(0, 1), (2, 3)]))
+        assert deletion.free == frozenset({(0, 1), (2, 3)})
+        completion = SandwichInstance(square, pattern, "completion", shape([(0, 2)]))
+        assert completion.free == frozenset({(0, 2)})
+    assert Graph(3, [[0, 1]]).edges == frozenset({(0, 1)})
+    assert SandwichInstance(square, pattern, "deletion", [[1, 0]]).free == frozenset({(0, 1)})
+
+    def message(build):
+        with pytest.raises(ValueError) as error:
+            build()
+        return str(error.value)
+
+    assert message(lambda: Graph(-1)) == "vertex_count must be nonnegative"
+    assert message(lambda: Graph(3, [(0, 1), (2, 2)])) == "self-loop at vertex 2"
+    assert message(lambda: Graph(3, [(3, 1)])) == "edge (1, 3) out of range for 3 vertices"
+    assert message(lambda: Graph(3, [(0, -1)])) == "edge (-1, 0) out of range for 3 vertices"
+    assert message(lambda: SandwichInstance(square, pattern, "removal", ())) == "mode must be 'deletion' or 'completion'"
+    for mode in ("deletion", "completion"):
+        assert message(lambda: SandwichInstance(square, pattern, mode, [(9, 0)])) == "free pair (0, 9) out of range"
+    assert message(lambda: SandwichInstance(square, pattern, "deletion", [(2, 0)])) == "free pair (0, 2) is not an edge"
+    assert message(lambda: SandwichInstance(square, pattern, "completion", {(2, 1)})) == (
+        "free pair (1, 2) is already an edge"
+    )
+    # Several faults name the smallest pair, however the pairs were given.
+    assert message(lambda: SandwichInstance(square, pattern, "completion", frozenset({(2, 3), (0, 1)}))) == (
+        "free pair (0, 1) is already an edge"
+    )
+
+
+def drawn_graph(seed, index):
+    """The index-th sparse graph that random.Random(seed) draws: n from 30
+    to 90 vertices, then 2n distinct pairs. Returns n and the sorted pairs."""
+    rng = random.Random(seed)
+    for _ in range(index):
+        n = rng.randint(30, 90)
+        edges = set()
+        while len(edges) < 2 * n:
+            edges.add(edge_key(*rng.sample(range(n), 2)))
+    return n, sorted(edges)
+
+
+@st.composite
+def edge_orders(draw):
+    """A sorted edge list and the same pairs shuffled, some reversed and
+    some repeated, with a pattern to delete."""
+    n = draw(st.integers(2, 40))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    edges = sorted({edge_key(u, v) for u, v in draw(st.lists(pair, max_size=2 * n))})
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+    listed = draw(st.permutations(edges + repeats))
+    flips = draw(st.lists(st.booleans(), min_size=len(listed), max_size=len(listed)))
+    listed = [(v, u) if flip else (u, v) for (u, v), flip in zip(listed, flips)]
+    return n, edges, listed, draw(st.sampled_from(("c4", "p5", "house", "c5")))
+
+
+def _shuffled_and_reversed(n, edges, seed):
+    listed = list(edges)
+    random.Random(seed).shuffle(listed)
+    return n, edges, [(v, u) if i % 3 else (u, v) for i, (u, v) in enumerate(listed)], "house"
+
+
+# The explicit example is the graph of test_permuted_edge_lines_solve_alike:
+# neighbour sets filled in input order iterate differently for its two
+# builds, and solve_min then picks different deletion sets.
+@settings(max_examples=60)
+@example(case=_shuffled_and_reversed(*drawn_graph(11, 54), 0))
+@given(case=edge_orders())
+def test_equal_graphs_give_equal_answers(case):
+    n, edges, listed, name = case
+    ordered, shuffled = Graph(n, edges), Graph(n, listed)
+    assert shuffled == ordered
+    assert [list(shuffled.neighbors(v)) for v in range(n)] == [list(ordered.neighbors(v)) for v in range(n)]
+    pattern = named_pattern(name)
+    assert find_induced_copy(shuffled, pattern.graph) == find_induced_copy(ordered, pattern.graph)
+    first, second = deletion_instance(ordered, pattern), deletion_instance(shuffled, pattern)
+    assert solve_sandwich(second) == solve_sandwich(first)
+    assert solve_min(second) == solve_min(first)
 
 
 def test_apply_and_is_solution():
@@ -336,7 +432,7 @@ def deepening_from_zero(instance):
     return best
 
 
-cases_settings = settings(derandomize=True, max_examples=50, deadline=None, database=None)
+cases_settings = settings(max_examples=50)
 
 
 @pytest.mark.parametrize("mode", ["deletion", "completion"])

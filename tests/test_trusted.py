@@ -1,11 +1,11 @@
-"""Trusted construction builds exactly what the validating constructors do.
+"""Built instances pass the validating constructors again, unchanged.
 
-The builders, the hfi parser, solver.apply and the complement skip
-re-validation through Graph._trusted and SandwichInstance._trusted. Every
-such output on the acceptance corpora must be accepted by Graph(...) and
+Every output of the builders, the hfi parser, solver.apply and the
+complement on the acceptance corpora must be accepted by Graph(...) and
 SandwichInstance(...) and compare equal to what they build, with
-neighbour sets that agree with the edge set: a builder bug the skipped
-checks used to catch shows here.
+neighbour sets that agree with the edge set. complement fills its
+neighbour sets without the constructor's pair-by-pair loop, so a bug
+there shows here.
 """
 
 from test_acceptance import GAP_POLY, GENERAL_PATTERNS, desk_base, desk_instances, formula_corpus, gap_corpus
