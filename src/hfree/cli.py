@@ -29,11 +29,7 @@ from .cnf import _read_int, parse_dimacs
 from .formats import parse_instance, parse_minones, render_instance, render_minones
 from .gadgets import FORMULA_TARGETS, LIFT_FAMILIES, lift_specific, reduce_formula
 from .graphs import Graph
-from .minones import (
-    quarantined_instance,
-    reduce_knexdel_to_minones,
-    reduce_minones_to_quarantined,
-)
+from .minones import reduce_knexdel_to_minones, reduce_minones_to_quarantined
 from .patterns import complement_pattern, complete_minus_edge, named_pattern
 from .reductions import Polynomial, complement_instance
 from .solver import (
@@ -98,9 +94,9 @@ def _cmd_formula(args) -> int:
 def _cmd_minones2graph(args) -> int:
     n = _clique_order(args)
     inst = parse_minones(_read_text(args))
-    graph, quarantine, groups = reduce_minones_to_quarantined(inst, n)
+    instance, groups = reduce_minones_to_quarantined(inst, n)
     labels = [(f"x{i}", pair) for i, group in enumerate(groups.groups) for pair in sorted(group)]
-    _write_text(args, render_instance(quarantined_instance(graph, quarantine, n), labels=labels))
+    _write_text(args, render_instance(instance, labels=labels))
     return 0
 
 

@@ -473,7 +473,7 @@ def reduce_3sat_to_c4comp(formula: CnfFormula):
     _require_exact_3cnf(formula)
     check_c4_completion_gadgets()
     counts = occurrence_counts(formula)
-    if min(counts.values()) < 2:
+    if any(count < 2 for count in counts.values()):
         raise ValueError("every variable must occur at least twice; duplicate clauses first")
 
     def connect(builder, fills, clause, pos, lit, occurrence):

@@ -16,6 +16,12 @@ minimum deletion cost is exactly that size times the minimum number of
 ones. The reverse construction maps every edge of a graph to a variable
 and writes down the obstruction census as wide constraints, giving an
 exact solution-set correspondence.
+
+Both translations return (instance, EdgeGroupMap): the deletable edges
+grouped by the variable that owns them, one-edge groups for the census.
+deletion_from_assignment and assignment_from_deletion carry solutions
+across either one: a variable is true exactly when its whole group is
+deleted.
 """
 
 from dataclasses import dataclass
@@ -120,11 +126,13 @@ def minones_brute_force(inst: MinOnesInstance):
 
 @dataclass(frozen=True)
 class EdgeGroupMap:
-    """Deletable edges of the clique complex, grouped by source variable.
+    """Deletable edges grouped by the variable that owns them.
 
-    groups[x] holds every present edge labeled by variable x, including
-    the in/out edges of its own clique. The groups are pairwise disjoint
-    and all share the single size group_size.
+    groups[x] holds every edge whose deletion stands for variable x being
+    true: in the clique complex, every present edge labeled by x, including
+    the in/out edges of its own clique; in the obstruction census, the one
+    edge that x indicates. The groups are pairwise disjoint and all share
+    the single size group_size.
     """
 
     groups: tuple
@@ -136,8 +144,7 @@ class EdgeGroupMap:
         for group in groups:
             if len(group) != self.group_size:
                 raise ValueError(f"group of size {len(group)} breaks the uniform size {self.group_size}")
-        merged = frozenset().union(*groups) if groups else frozenset()
-        if len(merged) != sum(len(group) for group in groups):
+        if len(frozenset().union(*groups)) != sum(len(group) for group in groups):
             raise ValueError("groups must be pairwise disjoint")
 
 
@@ -153,8 +160,9 @@ def reduce_minones_to_quarantined(inst: MinOnesInstance, n: int = 5, pendant_bas
     with pendant cliques to exactly pendant_base + 2 labeled edges, which
     is asserted. The default base 9 * variable_count**2 matches the cost
     accounting; smaller bases are for desk-scale property checks only.
-    Returns (graph, quarantine, EdgeGroupMap) with the quarantine holding
-    every unlabeled edge.
+    Returns the k<n>e deletion instance, whose free edges are the union of
+    the groups and whose quarantine is every other edge, and the
+    EdgeGroupMap.
     """
     if n < 5:
         raise ValueError("need n >= 5")
@@ -211,35 +219,23 @@ def reduce_minones_to_quarantined(inst: MinOnesInstance, n: int = 5, pendant_bas
         builder.edges.discard(in_out[x][0])
 
     graph = Graph(builder.vertex_count, builder.edges)
-    group_map = EdgeGroupMap(tuple(frozenset(group) for group in groups), base + 2)
-    labeled = frozenset().union(*group_map.groups) if count else frozenset()
-    quarantine = frozenset(graph.edges - labeled)
-    return graph, quarantine, group_map
+    group_map = EdgeGroupMap(tuple(groups), base + 2)
+    free = frozenset().union(*group_map.groups)
+    return SandwichInstance(graph, named_pattern(f"k{n}e"), DELETION, free), group_map
 
 
-def quarantined_instance(graph: Graph, quarantine, n: int = 5) -> SandwichInstance:
-    """Deletion instance over the complete-minus-edge pattern whose free
-    edges are everything outside the quarantine."""
-    quarantine = frozenset(edge_key(u, v) for u, v in quarantine)
-    if not quarantine <= graph.edges:
-        raise ValueError("quarantine must be a subset of the edges")
-    return SandwichInstance(graph, named_pattern(f"k{n}e"), DELETION, graph.edges - quarantine)
-
-
-def lift_quarantine(graph: Graph, quarantine, n: int = 5, polynomial=None):
+def lift_quarantine(instance: SandwichInstance, polynomial=None):
     """Budgeted instance with the quarantine converted into pendant copies.
 
-    Delegates to the general deletion lift, which glues pattern copies
+    The quarantine is every edge of the deletion instance outside its free
+    set. Delegates to the general deletion lift, which glues pattern copies
     over their single missing edge onto every quarantined edge. The
     default copy count per quarantined edge is the square of the total
     edge count, which dominates any solution the free edges can pay for;
     pass a smaller polynomial only for desk-scale checks.
     """
-    if n < 5:
-        raise ValueError("need n >= 5")
-    instance = quarantined_instance(graph, quarantine, n)
     if polynomial is None:
-        edges = graph.edge_count
+        edges = instance.graph.edge_count
         polynomial = Polynomial(1, 1, edges * edges - len(instance.free))
     return lift_specific(instance, "general-del", polynomial)
 
@@ -253,7 +249,8 @@ def reduce_knexdel_to_minones(g: Graph, n: int = 5):
     (none or at least two, since a clique short one edge is exactly the
     pattern). Deleting an edge set leaves the graph pattern-free exactly
     when the indicator assignment satisfies the instance. Returns the
-    instance and the ordered edge list its variables follow.
+    instance and an EdgeGroupMap of one-edge groups, variable i owning the
+    i-th edge in sorted order.
     """
     if n < 5:
         raise ValueError("need n >= 5")
@@ -266,49 +263,29 @@ def reduce_knexdel_to_minones(g: Graph, n: int = 5):
         for kind, pattern in (("gn", complete_minus_edge(n)), ("fn", complete_graph(n)))
         for verts in enumerate_induced_copies(g, pattern)
     ]
-    return MinOnesInstance(len(edge_vars), tuple(constraints)), edge_vars
+    groups = EdgeGroupMap(tuple(frozenset({pair}) for pair in edge_vars), 1)
+    return MinOnesInstance(len(edge_vars), tuple(constraints)), groups
 
 
-def transfer_solution(direction: str, witness, trace):
-    """Carry a witness across one of the two translations.
+def deletion_from_assignment(groups: EdgeGroupMap, assignment) -> frozenset:
+    """Edges to delete for an assignment: the groups of its true variables."""
+    if len(assignment) != len(groups.groups):
+        raise ValueError("assignment length does not match the group map")
+    return frozenset().union(*(group for group, value in zip(groups.groups, assignment) if value))
 
-    "assignment-to-group-deletion" and "group-deletion-to-assignment" pair
-    with an EdgeGroupMap trace: true variables exchange with fully deleted
-    groups, and a deleted edge outside every group, or a group deleted
-    only in part, is rejected. "assignment-to-edge-set" and
-    "edge-set-to-assignment" pair with the ordered edge list trace and are
-    plain indicator translations.
-    """
-    if direction == "assignment-to-group-deletion":
-        if len(witness) != len(trace.groups):
-            raise ValueError("assignment length does not match the group map")
-        pairs = set()
-        for group, value in zip(trace.groups, witness):
-            if value:
-                pairs.update(group)
-        return frozenset(pairs)
-    if direction == "group-deletion-to-assignment":
-        deleted = {edge_key(u, v) for u, v in witness}
-        assignment = []
-        for group in trace.groups:
-            hit = len(group & deleted)
-            if hit not in (0, len(group)):
-                raise ValueError("a variable's group was deleted only in part")
-            assignment.append(1 if hit else 0)
-            deleted -= group
-        if deleted:
-            raise ValueError(f"{len(deleted)} deleted edges lie outside every group")
-        return tuple(assignment)
-    if direction == "assignment-to-edge-set":
-        if len(witness) != len(trace):
-            raise ValueError("assignment length does not match the edge list")
-        return frozenset(pair for pair, value in zip(trace, witness) if value)
-    if direction == "edge-set-to-assignment":
-        index = {edge_key(u, v): i for i, (u, v) in enumerate(trace)}
-        assignment = [0] * len(trace)
-        for u, v in witness:
-            if edge_key(u, v) not in index:
-                raise ValueError(f"edge {edge_key(u, v)} is not a variable of the instance")
-            assignment[index[edge_key(u, v)]] = 1
-        return tuple(assignment)
-    raise ValueError(f"unknown transfer direction {direction!r}")
+
+def assignment_from_deletion(groups: EdgeGroupMap, pairs) -> tuple:
+    """Assignment read off a deletion set: a variable is true when its group
+    is deleted. A group deleted only in part, or a deleted edge outside
+    every group, is rejected."""
+    deleted = {edge_key(u, v) for u, v in pairs}
+    assignment = []
+    for group in groups.groups:
+        hit = len(group & deleted)
+        if hit not in (0, len(group)):
+            raise ValueError("a variable's group was deleted only in part")
+        assignment.append(1 if hit else 0)
+        deleted -= group
+    if deleted:
+        raise ValueError(f"{len(deleted)} deleted edges lie outside every group")
+    return tuple(assignment)

@@ -25,7 +25,8 @@ These two and the three wired reductions in `gadgets` share one skeleton,
 `_wire`, which labels every instance with one `ReductionTrace`, so
 `assignment_from_solution` and `solution_from_assignment` carry solutions
 both ways for all five; the formula targets are the rows of
-`gadgets.FORMULA_TARGETS`.
+`gadgets.FORMULA_TARGETS`. The counting translations in `minones` follow
+the same shape with an `EdgeGroupMap` in place of the trace.
 
 The gap lifts drop the free/fixed distinction and protect what used to be
 fixed by sheer weight: every formerly fixed element gets a bundle of

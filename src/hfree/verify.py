@@ -23,12 +23,7 @@ from .gadgets import (
     reduce_formula,
 )
 from .graphs import Graph
-from .minones import (
-    MinOnesInstance,
-    minones_brute_force,
-    quarantined_instance,
-    reduce_minones_to_quarantined,
-)
+from .minones import MinOnesInstance, minones_brute_force, reduce_minones_to_quarantined
 from .reductions import Polynomial, complement_instance
 from .solver import (
     DELETION,
@@ -163,7 +158,7 @@ def verify_opt_scaling(inst: MinOnesInstance, n: int = 5, pendant_base=None) -> 
     """Quarantined deletion optimum against group size times the ones optimum."""
     digest = _digest(render_minones(inst) + f";{n};{pendant_base}")
     details = {"variables": inst.variable_count, "constraints": len(inst.constraints)}
-    graph, quarantine, groups = reduce_minones_to_quarantined(inst, n, pendant_base)
+    instance, groups = reduce_minones_to_quarantined(inst, n, pendant_base)
     details["group_size"] = groups.group_size
     free = groups.group_size * inst.variable_count
     if free > SCALING_FREE_GUARD:
@@ -171,7 +166,7 @@ def verify_opt_scaling(inst: MinOnesInstance, n: int = 5, pendant_base=None) -> 
         return _skipped("opt-scaling", digest, details, reason)
 
     result = minones_brute_force(inst)
-    solution = solve_min(quarantined_instance(graph, quarantine, n))
+    solution = solve_min(instance)
     details["ones"] = "none" if result is None else result[1]
     details["cost"] = "none" if solution is None else len(solution)
     agreed = (

@@ -22,8 +22,8 @@ from hfree.gadgets import (
 from hfree.graphs import Graph, edge_key, is_h_free
 from hfree.minones import (
     MinOnesInstance,
+    assignment_from_deletion,
     minones_brute_force,
-    quarantined_instance,
     reduce_knexdel_to_minones,
     reduce_minones_to_quarantined,
     satisfies_instance,
@@ -261,13 +261,13 @@ def test_criterion_07_minones_scaling():
     count = at_eight = 0
     for inst in desk_instances():
         base = desk_base(inst)
-        graph, quarantine, groups = reduce_minones_to_quarantined(inst, 5, pendant_base=base)
+        instance, groups = reduce_minones_to_quarantined(inst, 5, pendant_base=base)
         scale = groups.group_size
         ok = ok and scale == base + 2
         if base == 6:
             ok = ok and scale == 8
             at_eight += 1
-        solution = solve_min(quarantined_instance(graph, quarantine, 5))
+        solution = solve_min(instance)
         answer = minones_brute_force(inst)
         cost = len(solution) if solution is not None else None
         want = scale * answer[1] if answer is not None else None
@@ -276,7 +276,7 @@ def test_criterion_07_minones_scaling():
     sizes = []
     for nvars in (1, 2, 3):
         constraints = (("f1", tuple(i % nvars for i in range(3))), ("f2", (0,)))
-        _, _, groups = reduce_minones_to_quarantined(MinOnesInstance(nvars, constraints), 5)
+        _, groups = reduce_minones_to_quarantined(MinOnesInstance(nvars, constraints), 5)
         sizes.append(groups.group_size)
     ok = ok and sizes == [11, 38, 83]
     record(
@@ -294,17 +294,13 @@ def test_criterion_08_deletion_to_counting_bijection():
     checked = minima = 0
     for i in range(100):
         g = random_graph(rng, rng.randint(4, 7), (0.4, 0.6, 0.8)[i % 3])
-        inst, edge_vars = reduce_knexdel_to_minones(g, 5)
-        index = {pair: j for j, pair in enumerate(edge_vars)}
+        inst, groups = reduce_knexdel_to_minones(g, 5)
         pool = sorted(g.edges)
         for size in range(4):
             for chosen in itertools.combinations(pool, size):
                 remaining = Graph(g.vertex_count, g.edges - set(chosen))
-                indicator = [0] * len(edge_vars)
-                for pair in chosen:
-                    indicator[index[pair]] = 1
                 free = is_h_free(remaining, k5e.graph)
-                ok = ok and free == satisfies_instance(inst, tuple(indicator))
+                ok = ok and free == satisfies_instance(inst, assignment_from_deletion(groups, chosen))
                 checked += 1
         answer = minones_brute_force(inst)
         solution = solve_min(SandwichInstance(g, k5e, DELETION, frozenset(g.edges)))

@@ -20,9 +20,11 @@ from hfree import cli
 from hfree.cli import main
 from hfree.cnf import _read_int, formula, render_dimacs
 from hfree.formats import parse_instance, render_instance
+from hfree.gadgets import FORMULA_TARGETS
 from hfree.graphs import Graph
 from hfree.patterns import named_pattern
 from hfree.solver import DELETION, SandwichInstance
+from hfree.verify import EQUIVALENCE_TARGETS
 
 from test_solver import disjoint_copies, drawn_graph
 
@@ -357,6 +359,19 @@ def test_verify_equivalence_normalizes_like_reduce(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "equivalence", "--target", "general-del", "--pattern", "wheel4", "-i", cnf]) == 0
     assert capsys.readouterr().out.startswith("RESULT pass sat-equivalence")
+
+
+def test_empty_formula_reaches_every_target(tmp_path, capsys):
+    """No variables means no occurrence to count: every reduce target
+    prints a vertex-free instance and every equivalence check passes."""
+    cnf = write(tmp_path / "empty.cnf", "p cnf 0 0\n")
+    for target, (_, general, check) in FORMULA_TARGETS.items():
+        flags = ["--pattern", "wheel4"] if general else []
+        assert main(["reduce", target, "-i", cnf, *flags]) == 0, target
+        assert parse_instance(capsys.readouterr().out).instance.graph.vertex_count == 0
+        assert check in EQUIVALENCE_TARGETS
+        assert main(["verify", "equivalence", "--target", check, "-i", cnf, *flags]) == 0, check
+        assert capsys.readouterr().out.startswith("RESULT pass sat-equivalence")
 
 
 def test_negative_solve_budget_exits_two(tmp_path, capsys):

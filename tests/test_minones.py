@@ -8,39 +8,23 @@ from hfree.graphs import Graph, is_h_free
 from hfree.minones import (
     EdgeGroupMap,
     MinOnesInstance,
+    assignment_from_deletion,
     constraint_arity,
+    deletion_from_assignment,
     eval_constraint,
     lift_quarantine,
     minones_brute_force,
-    quarantined_instance,
     reduce_knexdel_to_minones,
     reduce_minones_to_quarantined,
     satisfies_instance,
-    transfer_solution,
 )
 from hfree.patterns import complete_graph, complete_minus_edge, cycle_graph, named_pattern
 from hfree.reductions import Polynomial
 from hfree.solver import DELETION, SandwichInstance, solve_min, solve_sandwich
 
+from test_acceptance import desk_base, desk_instances, random_graph
+
 K5E = named_pattern("k5e").graph
-
-
-def desk_base(inst):
-    """Smallest padding base the tests get away with: room for every
-    occurrence chain plus at least the floor of 6."""
-    seen = set()
-    occupied = [0] * inst.variable_count
-    for kind, args in inst.constraints:
-        if kind == "f1" and tuple(sorted(args)) not in seen:
-            seen.add(tuple(sorted(args)))
-            for x in args:
-                occupied[x] += 1
-    return max(6, max((3 * d for d in occupied), default=0))
-
-
-def random_graph(rng, vertex_count, density):
-    edges = {p for p in itertools.combinations(range(vertex_count), 2) if rng.random() < density}
-    return Graph(vertex_count, edges)
 
 
 def test_constraint_arity():
@@ -115,25 +99,26 @@ def test_instance_validation():
 
 def test_pinned_variable_complex():
     inst = MinOnesInstance(1, (("f2", (0,)),))
-    graph, quarantine, groups = reduce_minones_to_quarantined(inst, 5)
+    instance, groups = reduce_minones_to_quarantined(inst, 5)
     assert groups.group_size == 11
-    assert quarantine.isdisjoint(groups.groups[0])
-    solution = solve_min(quarantined_instance(graph, quarantine, 5))
+    assert instance.free == groups.groups[0]
+    solution = solve_min(instance)
     assert solution == groups.groups[0]
 
 
 def test_empty_instance_complex():
-    graph, quarantine, groups = reduce_minones_to_quarantined(MinOnesInstance(1, ()), 5)
+    instance, groups = reduce_minones_to_quarantined(MinOnesInstance(1, ()), 5)
     assert groups.group_size == 11
-    assert solve_min(quarantined_instance(graph, quarantine, 5)) == frozenset()
+    assert solve_min(instance) == frozenset()
 
 
 def test_faithful_group_size_at_three_variables():
     inst = MinOnesInstance(3, (("f1", (0, 1, 2)), ("f2", (0,))))
-    graph, quarantine, groups = reduce_minones_to_quarantined(inst, 5)
+    instance, groups = reduce_minones_to_quarantined(inst, 5)
     assert groups.group_size == 9 * 9 + 2 == 83
     assert all(len(group) == 83 for group in groups.groups)
-    assert len(quarantine) + 3 * 83 == graph.edge_count
+    assert instance.pattern.name == "k5e" and instance.mode == DELETION
+    assert len(instance.free) == 3 * 83 < instance.graph.edge_count
 
 
 def test_construction_rejections():
@@ -142,8 +127,6 @@ def test_construction_rejections():
         reduce_minones_to_quarantined(wide, 5)
     with pytest.raises(ValueError, match="n >= 5"):
         reduce_minones_to_quarantined(MinOnesInstance(1, ()), 4)
-    with pytest.raises(ValueError, match="need n >= 5"):
-        lift_quarantine(complete_graph(4), frozenset(), 4)
     with pytest.raises(ValueError, match="need n >= 5"):
         reduce_knexdel_to_minones(complete_graph(4), 4)
     crowded = MinOnesInstance(2, (("f1", (0, 0, 1)), ("f1", (0, 1, 1))))
@@ -164,16 +147,17 @@ def test_optimum_scales_by_group_size():
     for constraints in cases:
         inst = MinOnesInstance(2, tuple(constraints))
         _, ones = minones_brute_force(inst)
-        graph, quarantine, groups = reduce_minones_to_quarantined(inst, 5, pendant_base=desk_base(inst))
-        solution = solve_min(quarantined_instance(graph, quarantine, 5))
+        instance, groups = reduce_minones_to_quarantined(inst, 5, pendant_base=desk_base(inst))
+        solution = solve_min(instance)
         assert solution is not None
         assert len(solution) == groups.group_size * ones, constraints
 
 
 def test_group_forcing():
     inst = MinOnesInstance(3, (("f1", (0, 1, 2)),))
-    graph, quarantine, groups = reduce_minones_to_quarantined(inst, 5, pendant_base=desk_base(inst))
-    pattern = named_pattern("k5e")
+    instance, groups = reduce_minones_to_quarantined(inst, 5, pendant_base=desk_base(inst))
+    graph, pattern = instance.graph, instance.pattern
+    quarantine = graph.edges - instance.free
     for x in range(3):
         group = groups.groups[x]
         lost = min(group)
@@ -186,9 +170,9 @@ def test_group_forcing():
 
 
 def test_knexdel_frozen_examples():
-    inst, edge_vars = reduce_knexdel_to_minones(complete_graph(6), 5)
+    inst, groups = reduce_knexdel_to_minones(complete_graph(6), 5)
     kinds = [kind for kind, _ in inst.constraints]
-    assert inst.variable_count == len(edge_vars) == 15
+    assert inst.variable_count == len(groups.groups) == 15
     assert kinds.count("fn5") == 6 and kinds.count("gn5") == 0
 
     inst, _ = reduce_knexdel_to_minones(complete_minus_edge(5), 5)
@@ -205,13 +189,13 @@ def test_knexdel_bijection_random():
     rng = random.Random(743)
     for _ in range(10):
         g = random_graph(rng, rng.randint(5, 7), 0.75)
-        inst, edge_vars = reduce_knexdel_to_minones(g, 5)
+        inst, groups = reduce_knexdel_to_minones(g, 5)
         pool = sorted(g.edges)
         subsets = [frozenset(c) for size in range(3) for c in itertools.combinations(pool, size)]
         if len(pool) >= 3:
             subsets += [frozenset(rng.sample(pool, 3)) for _ in range(25)]
         for chosen in subsets:
-            indicator = transfer_solution("edge-set-to-assignment", chosen, edge_vars)
+            indicator = assignment_from_deletion(groups, chosen)
             assert is_h_free(Graph(g.vertex_count, g.edges - chosen), K5E) == satisfies_instance(
                 inst, indicator
             )
@@ -230,9 +214,9 @@ def test_knexdel_minimum_agreement():
 
 def test_lift_round_trip():
     g = Graph(6, complete_graph(6).edges - {(0, 1)})
-    quarantine = g.edges - {(0, 2), (0, 3), (0, 4), (0, 5)}
-    source_opt = solve_min(quarantined_instance(g, quarantine, 5))
-    lifted = lift_quarantine(g, quarantine, 5, Polynomial(1, 1, 1))
+    source = SandwichInstance(g, named_pattern("k5e"), DELETION, {(0, 2), (0, 3), (0, 4), (0, 5)})
+    source_opt = solve_min(source)
+    lifted = lift_quarantine(source, Polynomial(1, 1, 1))
     assert lifted.budget == 4
     lifted_opt = solve_min(lifted.instance)
     assert len(lifted_opt) == len(source_opt) == 2
@@ -241,42 +225,59 @@ def test_lift_round_trip():
 
 def test_lift_sizes_and_identity():
     square = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    lifted = lift_quarantine(square, {(0, 1), (2, 3)}, 5)
+    k5e = named_pattern("k5e")
+    lifted = lift_quarantine(SandwichInstance(square, k5e, DELETION, {(1, 2), (0, 3)}))
     # m = 4 edges, so 16 pendant pattern copies per quarantined edge,
     # each contributing 3 fresh vertices and 9 fresh edges
     assert lifted.instance.graph.vertex_count == 4 + 3 * 2 * 16
     assert lifted.instance.graph.edge_count == 4 + 9 * 2 * 16
     assert lifted.budget == 2
 
-    untouched = lift_quarantine(square, set(), 5)
+    untouched = lift_quarantine(SandwichInstance(square, k5e, DELETION, square.edges))
     assert untouched.instance.graph == square
     assert untouched.budget == 4
-
-    with pytest.raises(ValueError, match="subset of the edges"):
-        lift_quarantine(square, {(0, 2)}, 5)
 
 
 def test_transfer_group_directions():
     inst = MinOnesInstance(2, (("f1", (0, 1, 1)), ("f2", (0,))))
-    _, quarantine, groups = reduce_minones_to_quarantined(inst, 5, pendant_base=desk_base(inst))
-    deleted = transfer_solution("assignment-to-group-deletion", (1, 0), groups)
+    instance, groups = reduce_minones_to_quarantined(inst, 5, pendant_base=desk_base(inst))
+    deleted = deletion_from_assignment(groups, (1, 0))
     assert deleted == groups.groups[0]
-    assert transfer_solution("group-deletion-to-assignment", deleted, groups) == (1, 0)
+    assert assignment_from_deletion(groups, deleted) == (1, 0)
     with pytest.raises(ValueError, match="only in part"):
-        transfer_solution("group-deletion-to-assignment", set(sorted(deleted)[:3]), groups)
+        assignment_from_deletion(groups, set(sorted(deleted)[:3]))
     with pytest.raises(ValueError, match="outside every group"):
-        transfer_solution("group-deletion-to-assignment", {min(quarantine)}, groups)
+        assignment_from_deletion(groups, {min(instance.graph.edges - instance.free)})
     with pytest.raises(ValueError, match="does not match the group map"):
-        transfer_solution("assignment-to-group-deletion", (1,), groups)
+        deletion_from_assignment(groups, (1,))
 
 
 def test_transfer_indicator_directions():
-    edge_vars = ((0, 1), (0, 2), (1, 3), (2, 3))
+    square = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    _, groups = reduce_knexdel_to_minones(square, 5)
+    # one-edge groups in sorted edge order
+    assert groups.group_size == 1
+    assert groups.groups == tuple(frozenset({pair}) for pair in sorted(square.edges))
     chosen = frozenset({(0, 2), (2, 3)})
-    indicator = transfer_solution("edge-set-to-assignment", chosen, edge_vars)
+    indicator = assignment_from_deletion(groups, chosen)
     assert indicator == (0, 1, 0, 1)
-    assert transfer_solution("assignment-to-edge-set", indicator, edge_vars) == chosen
-    with pytest.raises(ValueError, match="not a variable"):
-        transfer_solution("edge-set-to-assignment", {(0, 3)}, edge_vars)
-    with pytest.raises(ValueError, match="unknown transfer direction"):
-        transfer_solution("sideways", (), edge_vars)
+    assert deletion_from_assignment(groups, indicator) == chosen
+    with pytest.raises(ValueError, match="outside every group"):
+        assignment_from_deletion(groups, {(0, 3)})
+
+
+def test_transfer_pair_on_solver_output():
+    """The deletion the solver finds reads back as an optimal assignment,
+    and every assignment survives the round trip through its deletion."""
+    for inst in desk_instances():
+        instance, groups = reduce_minones_to_quarantined(inst, 5, pendant_base=desk_base(inst))
+        answer = minones_brute_force(inst)
+        solution = solve_min(instance)
+        if answer is None:
+            assert solution is None
+        else:
+            assignment = assignment_from_deletion(groups, solution)
+            assert satisfies_instance(inst, assignment)
+            assert sum(assignment) == answer[1]
+        for assignment in itertools.product((0, 1), repeat=inst.variable_count):
+            assert assignment_from_deletion(groups, deletion_from_assignment(groups, assignment)) == assignment
