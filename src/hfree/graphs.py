@@ -15,6 +15,14 @@ _toggle is the one way a search flips host pairs. Every
 copy it reports is indexed by pattern vertex, entry p being the host
 vertex that carries p, so reading one back needs no plan.
 
+A plain call can also report dead roots, host vertices proven to carry
+the plan's first pattern vertex in no copy, and skip those marked dead:
+its root loop keeps the same degree order, so it finds the copy the full
+scan finds. The solver keeps the marks true as it toggles pairs: a toggle
+of (a, b) clears the marks within the first vertex's eccentricity
+(MatchPlan.reach) of both a and b. Patterns that are not connected have no
+reach, and the solver scans them in full.
+
 Each neighbour set is built from its sorted row, so the order it iterates
 in, which the matcher follows, depends on the graph's edges alone: not on
 the order, orientation or repetition of the pairs it was built from.
@@ -23,7 +31,7 @@ the order, orientation or repetition of the pairs it was built from.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -179,12 +187,17 @@ class MatchPlan:
     floors: the previous twin (same neighbours apart from each other). That
     drops twin permutations only, so K_n and K_n - e embed once per copy.
 
+    reach is the eccentricity of the first vertex in the pattern, the
+    farthest any copy's image lies from its root's, or None when the
+    pattern is empty or not connected.
+
     searches caches the functions find_embedding runs for this plan, one
-    per call shape (pinned positions, blocking or not, visiting or not),
-    each generated from levels by _compile_search on the first such call.
+    per call shape (pinned positions, blocking or not, visiting or not,
+    marking dead roots or not), each generated from levels by
+    _compile_search on the first such call.
     """
 
-    __slots__ = ("seed", "levels", "searches")
+    __slots__ = ("seed", "levels", "reach", "searches")
 
     def __init__(self, pattern: Graph, seed=(), break_twins=False):
         n = pattern.vertex_count
@@ -215,6 +228,15 @@ class MatchPlan:
                 if break_twins and pattern.neighbors(v) - {w} == pattern.neighbors(w) - {v}:
                     floor = w
             self.levels.append((v, anchor, floor, pattern.degree(v), checks))
+        # Rings of growing distance around the first vertex; on a connected
+        # pattern they cover every vertex within n - 1 passes.
+        self.reach, ring, ball = None, set(order[:1]), set(order[:1])
+        for rings in range(n):
+            if len(ball) == n:
+                self.reach = rings
+                break
+            ring = set().union(*map(pattern.neighbors, ring)) - ball
+            ball |= ring
         self.seed = tuple(seed)
         self.searches = {}
 
@@ -246,12 +268,13 @@ _CHUNK_LOOPS = 16
 _SPELLED = 8
 
 
-def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool):
+def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool, marking: bool):
     """Compile plan.levels into nested loops, one per unpinned level.
 
-    The result is search(A, F, B, visit, I): host adjacency, fixed, blocked,
-    visit, and the image list it fills by pattern vertex. It returns True
-    once it found an embedding (or visit accepted one).
+    The result is search(A, F, B, visit, I, D, R): host adjacency, fixed,
+    blocked, visit, the image list it fills by pattern vertex, roots and
+    dead (see find_embedding). It returns True once it found an embedding
+    (or visit accepted one).
 
     Level i binds v<p> for its pattern vertex p: to F[i] when pinned, else
     in a loop over the candidates a level-by-level backtracker takes, in the
@@ -264,6 +287,12 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
     back: the candidate must be outside U, and its neighbours must meet U in
     exactly its adjacent earlier images. Each chunk after the first takes U
     as its argument and reads back from I the few earlier images it names.
+
+    When marking, the root loop (level 0) skips the vertices whose byte in
+    D is 0 (every vertex when D is None), keeping the same stable sort by
+    degree, and appends to R each root whose subtree it exhausts. Skipping
+    a root whose subtree holds no embedding moves nothing else, so
+    embeddings come in the same order.
 
     One lookahead prunes dead branches. Let g be the level before the last.
     When the last level's anchor comes before g, g is unpinned and its
@@ -325,10 +354,16 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
             else:
                 if i == g and ahead:
                     lines.append(f"{pad}L = None")
-                if anchor is None and not sorted_here:
-                    lines.append(f"{pad}S = sorted(range(len(A)), key=list(map(len, A)).__getitem__)")
-                    sorted_here = True
-                lines.append(f"{pad}for {v} in {'S' if anchor is None else f'A[v{anchor}]'}:")
+                if marking and i == 0:
+                    # Not S: later levels without an anchor need every vertex.
+                    live = "range(len(A)) if D is None else compress(range(len(A)), D)"
+                    lines.append(f"{pad}for {v} in sorted({live}, key=list(map(len, A)).__getitem__):")
+                    closing.append(f"{pad} R.append({v})")
+                else:
+                    if anchor is None and not sorted_here:
+                        lines.append(f"{pad}S = sorted(range(len(A)), key=list(map(len, A)).__getitem__)")
+                        sorted_here = True
+                    lines.append(f"{pad}for {v} in {'S' if anchor is None else f'A[v{anchor}]'}:")
                 fail = "continue"
                 depth += 1
                 pad = " " * depth
@@ -377,13 +412,13 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
         lines.append(" " * base + "return False")
         chunks.append(lines)
     # The later chunks are closures over the search's arguments.
-    source = ["def search(A, F, B, visit, I):", *(line for lines in chunks[1:] + chunks[:1] for line in lines)]
-    namespace = {}
+    source = ["def search(A, F, B, visit, I, D, R):", *(line for lines in chunks[1:] + chunks[:1] for line in lines)]
+    namespace = {"compress": compress}
     exec(compile("\n".join(source), "<match plan>", "exec"), namespace)
     return namespace["search"]
 
 
-def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=None):
+def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=None, roots=None, dead=None):
     """Search for induced embeddings of the plan's pattern into the host adjacency.
 
     host_adj is indexable by vertex and yields neighbor sets. Embeddings
@@ -401,6 +436,18 @@ def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=No
     it) and stops at the first call that returns true; it then returns that
     image, and None when no call did.
 
+    dead, a list, asks for a report on dead roots: the search appends each
+    root (host vertex for the plan's first pattern vertex) whose subtree it
+    exhausts, which therefore carries that vertex in no copy. roots, a
+    bytearray with one byte per host vertex or None, marks dead roots to
+    skip: a vertex whose byte is 0 must be proven to root no copy. Only the
+    plain call shape reports and skips (no blocked, fixed or visit), and
+    roots needs dead. Keeping marks true as the host changes is the
+    caller's part: a toggle of (a, b) can only create copies that hold a
+    and b, so it must clear every mark within plan.reach of both in the
+    new host; a pattern that is not connected has no reach, and its
+    callers pass no marks.
+
     The search runs the nested loops _compile_search generated from the
     plan for this call shape, cached in plan.searches. They try candidates
     in the order of a level-by-level backtracker over plan.levels: the
@@ -410,15 +457,18 @@ def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=No
     pinned = len(fixed) if fixed else 0
     if pinned > len(plan.seed):
         raise ValueError(f"fixed pins {pinned} positions but the plan is seeded with {len(plan.seed)}")
+    marking = dead is not None
+    if marking and (pinned or blocked or visit is not None) or roots is not None and not marking:
+        raise ValueError("roots needs a dead list, and no blocked, fixed or visit")
     n = len(plan.levels)
     if n > len(host_adj):
         return None
-    shape = (pinned, bool(blocked), visit is not None)
+    shape = (pinned, bool(blocked), visit is not None, marking)
     search = plan.searches.get(shape)
     if search is None:
         search = plan.searches[shape] = _compile_search(plan, *shape)
     image = [0] * n
-    if search(host_adj, fixed, blocked, visit, image):
+    if search(host_adj, fixed, blocked, visit, image, roots, dead):
         return list(image)
     return None
 

@@ -23,6 +23,19 @@ modification created holds internally; pinned at two vertices, those
 searches stay cheap even on hosts with huge pendant bundles. Minimization
 packs once in the unmodified host, and iterative deepening starts at the
 count. Those packing calls are matcher calls, not search nodes.
+
+A search also remembers which host vertices root no copy: no copy puts
+the plan's first pattern vertex on them. Each root call skips those marks
+and reports every root whose subtree it exhausts, and a node that
+branches marks them. A modification at p = (a, b) can only create copies
+that hold both a and b, and such a copy lies within the first pattern
+vertex's eccentricity r of its root, so after a toggle every mark within
+distance r of both a and b in the new host is cleared. Each frame logs
+the marks its root call added and those its toggle cleared, and popping
+it restores its parent's marks exactly. Skipping a root with no copy
+cannot change which copy comes first, so copies, verdicts and node counts
+are those of the full scan. Patterns that are not connected keep the
+full scan.
 """
 
 from __future__ import annotations
@@ -136,17 +149,42 @@ def _packing(adj, shapes, breakers):
         used.update(pairs)
 
 
+def _ball(adj, v, radius) -> set:
+    """The vertices within distance radius of v."""
+    ball = ring = {v}
+    for _ in range(radius):
+        grown = ball.union(*map(adj.__getitem__, ring))
+        ring, ball = grown - ball, grown
+        if not ring:
+            break
+    return ball
+
+
 def _search(instance: SandwichInstance, budget: int, node_limit: int):
     """A solution of at most budget pairs, or None.
 
-    Each stack frame is [candidates, tried]: one node's sorted usable pairs
-    and how many it has tried; chosen[i] is the pair frame i is trying. A
-    failed candidate stays blocked for the rest of its frame, and nothing
-    else blocks it, so an exhausted frame unblocks its candidates.
+    Each stack frame is [candidates, tried, died_at, revived_at]: one
+    node's sorted usable pairs, how many it has tried, and where the node's
+    entries start in dead and revived; chosen[i] is the pair frame i is
+    trying. A failed candidate stays blocked for the rest of its frame, and
+    nothing else blocks it, so an exhausted frame unblocks its candidates.
+
+    marked holds the vertices proven to root no copy, and roots carries the
+    same marks for the matcher (a 0 byte). dead logs the marks each root
+    call set and revived those each toggle cleared, in stack order, so
+    popping a frame and undoing its parent's toggle restore the parent's
+    marks exactly. A node that branches on nothing sets no marks, and the
+    first root call of a search reports none: a search that ends within
+    one toggle then pays for no ball.
     """
     adj = instance.graph.adjacency()
     pattern = instance.pattern
     plan = match_plan(pattern.graph)
+    reach = plan.reach
+    roots = bytearray(b"\x01") * len(adj)
+    marked = set()
+    dead, revived = [], []
+    report = None if reach is None else dead  # no marks on patterns that are not connected
     free = instance.free
     breakers, positions = _breakers(instance)
     seeded = None  # plans pinned at each of `positions`, made at first use
@@ -155,7 +193,8 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
     stack = []
 
     for _ in range(node_limit):  # one pass per search node
-        image = find_embedding(adj, plan)
+        died_at = len(dead)
+        image = find_embedding(adj, plan, roots=roots if marked else None, dead=report if stack else None)
         if image is None:
             return frozenset(chosen)
         remaining = budget - len(chosen)
@@ -175,20 +214,51 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
                     if count > remaining or not any(p in free and p not in blocked for p in pairs):
                         candidates = []
                         break
-        stack.append([candidates, 0])
+        if len(dead) > died_at:
+            if candidates:
+                for v in dead[died_at:]:
+                    roots[v] = 0
+                marked.update(dead[died_at:])
+            else:
+                del dead[died_at:]
+        stack.append([candidates, 0, died_at, len(revived)])
         while stack[-1][1] == len(stack[-1][0]):
-            # Exhausted: unblock its candidates, then undo and block the
-            # pair its parent tried.
-            blocked.difference_update(stack.pop()[0])
+            # Exhausted: unblock its candidates and clear its marks, then
+            # undo and block the pair its parent tried, marking again what
+            # that toggle revived.
+            candidates, _, died_at, _ = stack.pop()
+            blocked.difference_update(candidates)
+            if len(dead) > died_at:
+                for v in dead[died_at:]:
+                    roots[v] = 1
+                marked.difference_update(dead[died_at:])
+                del dead[died_at:]
             if not stack:
                 return None
             pair = chosen.pop()
             _toggle(adj, (pair,))
+            revived_at = stack[-1][3]
+            if len(revived) > revived_at:
+                for v in revived[revived_at:]:
+                    roots[v] = 0
+                marked.update(revived[revived_at:])
+                del revived[revived_at:]
             blocked.add(pair)
-        candidates, tried = frame = stack[-1]
-        frame[1] = tried + 1
-        _toggle(adj, (candidates[tried],))
-        chosen.append(candidates[tried])
+        frame = stack[-1]
+        pair = frame[0][frame[1]]
+        frame[1] += 1
+        _toggle(adj, (pair,))
+        if marked:
+            # A new copy holds both ends of the pair, so its root lies
+            # within reach of each of them in the new host.
+            hit = marked.intersection(_ball(adj, pair[0], reach))
+            if hit:
+                hit.intersection_update(_ball(adj, pair[1], reach))
+                marked -= hit
+                for v in hit:
+                    roots[v] = 1
+                revived += hit
+        chosen.append(pair)
     raise SearchLimitError(f"exceeded {node_limit} search nodes")
 
 

@@ -559,3 +559,63 @@ def test_matcher_agrees_with_the_sweep_on_random_cases(monkeypatch, spelled, chu
         assert all(s[vertex] > s[floor] for s in seen for vertex, _, floor, _, _ in plan.levels if floor is not None)
     else:
         assert set(seen) == expected
+
+
+@pytest.mark.parametrize("spelled,chunk", [(8, 16), (0, 1), (0, 2)])
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_differential_cases(), data=st.data())
+def test_marked_roots_agree_with_the_sweep_on_random_cases(monkeypatch, spelled, chunk, case, data):
+    """With any set of the roots that carry no copy marked (or no marks),
+    the reporting call returns the plain call's image, and it reports
+    exactly the unmarked roots of large enough degree that come before the
+    image's root in the (degree, vertex) order: roots that carry no copy."""
+    monkeypatch.setattr(graphs, "_SPELLED", spelled)
+    monkeypatch.setattr(graphs, "_CHUNK_LOOPS", chunk)
+    host, pattern, seed, _, _, _, _ = case
+    plan = graphs.MatchPlan(pattern, seed)
+    first = plan.levels[0][0]
+    rooted = {
+        images[first]
+        for subset in _swept_copies(host, pattern)
+        for images in itertools.permutations(subset)
+        if _carries(host, pattern, images)
+    }
+    empty = [v for v in range(host.vertex_count) if v not in rooted]
+    marked = data.draw(st.sets(st.sampled_from(empty))) if empty else set()
+    roots = bytearray(v not in marked for v in range(host.vertex_count))
+    passed = roots if marked or data.draw(st.booleans()) else None
+    dead = []
+    image = find_embedding(host._adj, plan, roots=passed, dead=dead)
+    assert image == find_embedding(host._adj, plan)
+    assert roots == bytearray(v not in marked for v in range(host.vertex_count))
+    assert set(dead) <= set(empty)
+    if len(plan.levels) <= host.vertex_count:
+        order = sorted(range(host.vertex_count), key=host.degree)
+        scanned = order if image is None else order[: order.index(image[first])]
+        assert dead == [v for v in scanned if v not in marked and host.degree(v) >= pattern.degree(first)]
+
+
+def test_marks_take_only_the_plain_call_shape():
+    square = cycle_graph(4)
+    plan = match_plan(square, (0,))
+    for shape in ({"fixed": (0,)}, {"blocked": {(0, 1)}}, {"visit": lambda image: False}):
+        with pytest.raises(ValueError, match="roots"):
+            find_embedding(square._adj, plan, dead=[], **shape)
+    with pytest.raises(ValueError, match="roots"):
+        find_embedding(square._adj, plan, roots=bytearray(b"\x01") * 4)
+
+
+@pytest.mark.parametrize(
+    "pattern,reach",
+    [
+        (cycle_graph(4), 2),
+        (house_graph(), 2),
+        (path_graph(5), 3),
+        (complete_graph(4), 1),
+        (Graph(1), 0),
+        (Graph(0), None),
+        (named_pattern("co-c4").graph, None),
+    ],
+)
+def test_plan_reach_is_the_first_vertex_eccentricity(pattern, reach):
+    assert match_plan(pattern).reach == reach

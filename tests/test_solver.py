@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hfree import solver
-from hfree.graphs import Graph, _toggle, edge_key, find_induced_copy, is_h_free, match_plan
+from hfree.cnf import formula
+from hfree.graphs import Graph, _toggle, complement, edge_key, find_induced_copy, is_h_free, match_plan
 from hfree.patterns import complete_graph, cycle_graph, make_pattern, named_pattern, path_graph, wheel_graph
 from hfree.reductions import Polynomial, complement_instance
 from hfree.solver import (
@@ -21,7 +22,7 @@ from hfree.solver import (
     solve_min,
     solve_sandwich,
 )
-from hfree.verify import verify_gap
+from hfree.verify import verify_gap, verify_sat_equivalence
 
 
 def deletion_instance(graph, pattern, free=None):
@@ -379,6 +380,112 @@ def test_hub_host_work_is_pinned(monkeypatch, matcher_calls):
     assert digest == "eccb4b6660624921c7905c581dfaed07c6bb4823d3b90a9cb1d56b70b02c4aea"
     assert matcher_calls["root"] <= 2685
     assert matcher_calls["anchored"] <= 5498
+
+
+def _plan_pattern(plan):
+    """The pattern a plan was made for, read back from its levels."""
+    return Graph(len(plan.levels), [edge_key(v, w) for v, _, _, _, checks in plan.levels for w, adj in checks if adj])
+
+
+@pytest.fixture
+def checked_root_calls(monkeypatch):
+    """Check every root call of a search against the plain call on the same
+    adjacency, and every mark it passes against a search anchored at the
+    marked vertex: a mark may only skip a root that carries no copy, so both
+    calls return the same copy. Counts root calls by whether they skipped
+    marks ("skipping"), only reported dead roots ("marking") or did neither
+    ("plain")."""
+    real = solver.find_embedding
+    counts = {"skipping": 0, "marking": 0, "plain": 0}
+
+    def checked(adj, plan, **kwargs):
+        if "dead" not in kwargs:
+            return real(adj, plan, **kwargs)
+        roots = kwargs["roots"]
+        expected = real(adj, plan)
+        if kwargs["dead"] is None:
+            counts["plain"] += 1
+        elif roots is None:
+            counts["marking"] += 1
+        else:
+            marked = [v for v in range(len(adj)) if not roots[v]]
+            assert marked
+            counts["skipping"] += 1
+            anchored = match_plan(_plan_pattern(plan), (plan.levels[0][0],))
+            assert all(real(adj, anchored, fixed=(v,)) is None for v in marked)
+        image = real(adj, plan, **kwargs)
+        assert image == expected
+        return image
+
+    monkeypatch.setattr(solver, "find_embedding", checked)
+    return counts
+
+
+def test_marked_root_calls_agree_with_plain_calls_on_the_random_corpus(checked_root_calls):
+    rng = random.Random(7)
+    skipped = {"deletion": 0, "completion": 0}
+    for _ in range(320):
+        inst = pinned_random_instance(rng)
+        before = checked_root_calls["skipping"]
+        verdicts(inst)
+        skipped[inst.mode] += checked_root_calls["skipping"] - before
+    assert min(skipped.values()) > 0 and checked_root_calls["plain"] > 0
+
+
+def test_marked_root_calls_agree_with_plain_calls_on_hub_hosts(checked_root_calls):
+    # Deletion: gap-corpus item 46, lifted by house-del (see
+    # test_hub_host_work_is_pinned). Completion: the c4-comp ladder of one
+    # clause.
+    square = cycle_graph(4)
+    free = frozenset((u, 4) for u in range(4))
+    inst = SandwichInstance(Graph(5, square.edges | free), named_pattern("c4"), "deletion", free)
+    assert verify_gap(inst, "house-del", Polynomial(1, 1, 1)).verdict == "pass"
+    deletion = checked_root_calls["skipping"]
+    assert verify_sat_equivalence(formula(3, [(1, 2, 3)]), "c4-comp").verdict == "pass"
+    assert deletion > 0 and checked_root_calls["skipping"] > deletion
+
+
+# Two p4 hosts, one per mode, on which the search must revive a marked root
+# at distance exactly 2, the reach of p4's plan (its first vertex is an
+# inner one), and must clear the marks of a popped frame before a later
+# branch. In deletion (vertices 1 and 2 joined to 3, 4 and 5, vertex 0 to 3
+# and 5, a pendant 6 on 3), deleting (0, 5) makes the node mark 4 and 5,
+# and deleting (1, 3) below it must revive 4, at distance 2 from 3. In
+# completion (a spider: 5 joined to 0, 1 and 2, with legs 0-3 and 2-4),
+# filling (0, 1) makes the node mark 1, and filling (0, 4) below it must
+# revive 1, at distance 2 from 4. Reviving within distance 1, or popping a
+# frame without clearing the marks its root call set, leaves a mark on a
+# vertex that roots a copy, which checked_root_calls rejects.
+REVIVAL_HOSTS = {
+    "deletion": (7, [(0, 3), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 6)], [(0, 5), (1, 3), (3, 6)]),
+    "completion": (6, [(0, 3), (0, 5), (1, 5), (2, 4), (2, 5)], [(0, 1), (0, 4), (1, 3), (1, 4), (3, 4)]),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(REVIVAL_HOSTS))
+def test_toggles_revive_roots_at_the_plan_reach(checked_root_calls, mode):
+    n, edges, free = REVIVAL_HOSTS[mode]
+    pattern = named_pattern("p4")
+    assert match_plan(pattern.graph).reach == 2
+    inst = SandwichInstance(Graph(n, edges), pattern, mode, frozenset(free))
+    smallest = min(map(len, brute_force_solutions(inst)), default=None)
+    for budget in (None, 1, 2):
+        found = solve_sandwich(inst, budget=budget)
+        assert (found is None) == (smallest is None or budget is not None and smallest > budget)
+    assert checked_root_calls["marking"] > 0
+
+
+def test_patterns_that_are_not_connected_keep_the_full_scan(checked_root_calls):
+    co_c4 = named_pattern("co-c4")
+    assert match_plan(co_c4.graph).reach is None
+    two_squares = Graph(8, [(u + i, v + i) for i in (0, 4) for u, v in cycle_graph(4).edges])
+    deletion = deletion_instance(complement(two_squares), co_c4)
+    completion = complement_instance(disjoint_copies("c4", 3))
+    for inst in (deletion, completion):
+        assert inst.pattern.graph == co_c4.graph
+        verdicts(inst)
+    assert checked_root_calls["plain"] > 0
+    assert checked_root_calls["skipping"] == checked_root_calls["marking"] == 0
 
 
 STOCK_PATTERNS = ("c4", "p4", "c5", "p5", "house", "k5e", "co-c4")
