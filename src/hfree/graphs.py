@@ -15,6 +15,15 @@ _toggle is the one way a search flips host pairs. Every
 copy it reports is indexed by pattern vertex, entry p being the host
 vertex that carries p, so reading one back needs no plan.
 
+A level with no placed neighbour to draw candidates from (the root, and
+later levels of patterns that are not connected) tries host vertices by
+degree, ties broken by vertex: it walks the host's degree buckets
+(_buckets: the vertices of each degree, ascending) from the level's own
+degree up, which is the stable sort by degree less the vertices the
+level's degree test would reject. A caller that owns buckets, the solver,
+keeps them current through _toggle and passes them; for any other call
+find_embedding builds them once.
+
 A plain call can also report dead roots, host vertices proven to carry
 the plan's first pattern vertex in no copy, and skip those marked dead:
 its root loop keeps the same degree order, so it finds the copy the full
@@ -30,8 +39,9 @@ the order, orientation or repetition of the pairs it was built from.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import chain, combinations, islice
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -249,13 +259,34 @@ def match_plan(pattern: Graph, seed: tuple = (), break_twins: bool = False) -> M
     return MatchPlan(pattern, seed, break_twins)
 
 
-def _toggle(adj, pairs) -> None:
+def _buckets(adj) -> list:
+    """The degree buckets of an adjacency: entry d lists the vertices of
+    degree d in ascending order, so their concatenation is the stable sort
+    of all vertices by degree."""
+    buckets = [[] for _ in adj]
+    for v, near in enumerate(adj):
+        buckets[len(near)].append(v)
+    return buckets
+
+
+def _toggle(adj, pairs, buckets=None) -> None:
     """Flip each pair of a mutable adjacency: an edge goes, a non-edge
     comes. The one way searches modify a host; flipping the same pairs
-    again undoes it."""
+    again undoes it. Given the adjacency's buckets (see _buckets), it moves
+    both ends of each pair to the bucket of their new degree, in place."""
     for u, v in pairs:
-        adj[u] ^= {v}
-        adj[v] ^= {u}
+        near_u, near_v = adj[u], adj[v]
+        if buckets is not None:
+            du, dv = len(near_u), len(near_v)
+            step = -1 if v in near_u else 1
+            row = buckets[du]
+            del row[bisect_left(row, u)]
+            insort(buckets[du + step], u)
+            row = buckets[dv]
+            del row[bisect_left(row, v)]
+            insort(buckets[dv + step], v)
+        near_u ^= {v}
+        near_v ^= {u}
 
 
 # CPython refuses more than 20 statically nested blocks in one function, so
@@ -271,28 +302,31 @@ _SPELLED = 8
 def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool, marking: bool):
     """Compile plan.levels into nested loops, one per unpinned level.
 
-    The result is search(A, F, B, visit, I, D, R): host adjacency, fixed,
-    blocked, visit, the image list it fills by pattern vertex, roots and
-    dead (see find_embedding). It returns True once it found an embedding
-    (or visit accepted one).
+    The result is search(A, F, B, visit, I, D, R, K): host adjacency,
+    fixed, blocked, visit, the image list it fills by pattern vertex, roots,
+    dead and buckets (see find_embedding). It returns True once it found an
+    embedding (or visit accepted one).
 
     Level i binds v<p> for its pattern vertex p: to F[i] when pinned, else
     in a loop over the candidates a level-by-level backtracker takes, in the
-    same order: the anchor image's neighbour set as it iterates, or all host
-    vertices in a stable sort by degree. One test per level rejects a
-    candidate on degree, floor, adjacency, non-adjacency, blocked pairs, and
-    equality with a non-adjacent earlier image (an adjacent one differs
-    already). Levels past _SPELLED earlier vertices keep the earlier images
-    in a set U instead, added to on the way down and taken from on the way
-    back: the candidate must be outside U, and its neighbours must meet U in
-    exactly its adjacent earlier images. Each chunk after the first takes U
-    as its argument and reads back from I the few earlier images it names.
+    same order: the anchor image's neighbour set as it iterates, or, with
+    no anchor, the host vertices by degree, ties by vertex, walking the
+    buckets K from the level's degree up. That walk leaves out exactly the
+    vertices the level's degree test would reject, so such a level tests
+    no degree. One test per level rejects a candidate on degree,
+    floor, adjacency, non-adjacency, blocked pairs, and equality with a
+    non-adjacent earlier image (an adjacent one differs already). Levels
+    past _SPELLED earlier vertices keep the earlier images in a set U
+    instead, added to on the way down and taken from on the way back: the
+    candidate must be outside U, and its neighbours must meet U in exactly
+    its adjacent earlier images. Each chunk after the first takes U as its
+    argument and reads back from I the few earlier images it names.
 
     When marking, the root loop (level 0) skips the vertices whose byte in
-    D is 0 (every vertex when D is None), keeping the same stable sort by
-    degree, and appends to R each root whose subtree it exhausts. Skipping
-    a root whose subtree holds no embedding moves nothing else, so
-    embeddings come in the same order.
+    D is 0 (none when D is None), filtering the bucket walk so the degree
+    order stays, and appends to R each root whose subtree it exhausts.
+    Skipping a root whose subtree holds no embedding moves nothing else,
+    so embeddings come in the same order.
 
     One lookahead prunes dead branches. Let g be the level before the last.
     When the last level's anchor comes before g, g is unpinned and its
@@ -342,7 +376,6 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
             lines.append(f" def c{k}(U):")
             if named:
                 lines.append(f"  {''.join(f'v{w}, ' for w in named)}= {''.join(f'I[{w}], ' for w in named)}")
-        sorted_here = False
         closing = []
         for i in range(start, end):
             vertex, anchor, floor, needed, checks = levels[i]
@@ -354,23 +387,24 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
             else:
                 if i == g and ahead:
                     lines.append(f"{pad}L = None")
-                if marking and i == 0:
-                    # Not S: later levels without an anchor need every vertex.
-                    live = "range(len(A)) if D is None else compress(range(len(A)), D)"
-                    lines.append(f"{pad}for {v} in sorted({live}, key=list(map(len, A)).__getitem__):")
-                    closing.append(f"{pad} R.append({v})")
+                if anchor is not None:
+                    lines.append(f"{pad}for {v} in A[v{anchor}]:")
                 else:
-                    if anchor is None and not sorted_here:
-                        lines.append(f"{pad}S = sorted(range(len(A)), key=list(map(len, A)).__getitem__)")
-                        sorted_here = True
-                    lines.append(f"{pad}for {v} in {'S' if anchor is None else f'A[v{anchor}]'}:")
+                    walk = f"chain.from_iterable(islice(K, {needed}, None))"
+                    if marking and i == 0:
+                        walk = f"{walk} if D is None else filter(D.__getitem__, {walk})"
+                    lines.append(f"{pad}for {v} in {walk}:")
+                if marking and i == 0:
+                    closing.append(f"{pad} R.append({v})")
                 fail = "continue"
                 depth += 1
                 pad = " " * depth
             near = [f"v{w}" for w, adjacent in checks if adjacent and w != anchor]
             apart = [f"v{w}" for w, adjacent in checks if not adjacent]
-            # A neighbour of the anchor image has degree 1 at least.
-            terms = [f"len(N) < {needed}"] if needed > (anchor is not None) else []
+            # A neighbour of the anchor image has degree 1 at least, and a
+            # walk of the buckets from the level's degree needs no test.
+            least = 1 if anchor is not None else needed if i >= pinned else 0
+            terms = [f"len(N) < {needed}"] if needed > least else []
             if floor is not None:
                 terms.append(f"{v} <= v{floor}")
             terms.extend(f"{w} not in N" for w in near)
@@ -387,8 +421,11 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
                 lines.append(f"{pad}N = A[{v}]")
                 lines.append(f"{pad}if {' or '.join(terms)}: {fail}")
             if i == g and ahead:
-                # Level g is adjacent to the last, so it tested its degree
-                # and set N.
+                # Level g has a term that reads N, so N is set. With an
+                # anchor it tests a degree of 2 at least (the anchor and the
+                # last vertex); without one it is adjacent to no earlier
+                # vertex, and it comes after the last level's anchor, so it
+                # tests a non-adjacent earlier image (or U) against N.
                 lines.append(f"{pad}if L is None:")
                 lines.append(f"{pad} L = {lookahead}")
                 lines.append(f"{pad} if not L: break")
@@ -412,13 +449,13 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
         lines.append(" " * base + "return False")
         chunks.append(lines)
     # The later chunks are closures over the search's arguments.
-    source = ["def search(A, F, B, visit, I, D, R):", *(line for lines in chunks[1:] + chunks[:1] for line in lines)]
-    namespace = {"compress": compress}
+    source = ["def search(A, F, B, visit, I, D, R, K):", *(line for lines in chunks[1:] + chunks[:1] for line in lines)]
+    namespace = {"chain": chain, "islice": islice}
     exec(compile("\n".join(source), "<match plan>", "exec"), namespace)
     return namespace["search"]
 
 
-def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=None, roots=None, dead=None):
+def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=None, roots=None, dead=None, buckets=None):
     """Search for induced embeddings of the plan's pattern into the host adjacency.
 
     host_adj is indexable by vertex and yields neighbor sets. Embeddings
@@ -448,6 +485,13 @@ def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=No
     new host; a pattern that is not connected has no reach, and its
     callers pass no marks.
 
+    buckets are the host's degree buckets (see _buckets): every level
+    without an anchor walks them from its own degree up, which is the
+    stable sort by degree less the vertices its degree test rejects. When
+    buckets is None, the call builds them from host_adj. Stale buckets give
+    wrong answers, so a caller that passes them must flip pairs only
+    through _toggle with them.
+
     The search runs the nested loops _compile_search generated from the
     plan for this call shape, cached in plan.searches. They try candidates
     in the order of a level-by-level backtracker over plan.levels: the
@@ -467,8 +511,10 @@ def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=No
     search = plan.searches.get(shape)
     if search is None:
         search = plan.searches[shape] = _compile_search(plan, *shape)
+    if buckets is None:
+        buckets = _buckets(host_adj)
     image = [0] * n
-    if search(host_adj, fixed, blocked, visit, image, roots, dead):
+    if search(host_adj, fixed, blocked, visit, image, roots, dead, buckets):
         return list(image)
     return None
 

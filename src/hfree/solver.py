@@ -36,6 +36,11 @@ it restores its parent's marks exactly. Skipping a root with no copy
 cannot change which copy comes first, so copies, verdicts and node counts
 are those of the full scan. Patterns that are not connected keep the
 full scan.
+
+No root call sorts the host by degree: each search keeps the degree
+buckets of its adjacency (graphs._buckets) current through every toggle,
+and the matcher walks them in the sort's order. Minimization's root
+packing passes the buckets of its own unmodified adjacency.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .graphs import Graph, _toggle, edge_key, find_embedding, is_h_free, match_plan
+from .graphs import Graph, _buckets, _toggle, edge_key, find_embedding, is_h_free, match_plan
 from .patterns import Pattern
 
 DELETION = "deletion"
@@ -127,7 +132,7 @@ def _mapped_pairs(image, breakers) -> list:
     return [edge_key(image[u], image[v]) for u, v in breakers]
 
 
-def _packing(adj, shapes, breakers):
+def _packing(adj, shapes, breakers, buckets):
     """Greedy packing of induced copies with pairwise disjoint breaker pairs.
 
     For each next copy, tries the (plan, fixed) shapes in order and yields
@@ -135,11 +140,12 @@ def _packing(adj, shapes, breakers):
     the breaker pairs of every copy yielded so far. A copy dies only when
     one of its own breaker pairs flips, so a solution holds a distinct pair
     of each copy: their count is a lower bound on what it must modify.
+    buckets are adj's degree buckets (see graphs._buckets).
     """
     used = set()
     while True:
         for plan, fixed in shapes:
-            image = find_embedding(adj, plan, blocked=used, fixed=fixed)
+            image = find_embedding(adj, plan, blocked=used, fixed=fixed, buckets=buckets)
             if image is not None:
                 break
         else:
@@ -176,8 +182,13 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
     marks exactly. A node that branches on nothing sets no marks, and the
     first root call of a search reports none: a search that ends within
     one toggle then pays for no ball.
+
+    buckets are adj's degree buckets, built once and moved by each toggle
+    of adj (_toggle), so every matcher call walks them instead of sorting
+    the host.
     """
     adj = instance.graph.adjacency()
+    buckets = _buckets(adj)
     pattern = instance.pattern
     plan = match_plan(pattern.graph)
     reach = plan.reach
@@ -194,7 +205,7 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
 
     for _ in range(node_limit):  # one pass per search node
         died_at = len(dead)
-        image = find_embedding(adj, plan, roots=roots if marked else None, dead=report if stack else None)
+        image = find_embedding(adj, plan, roots=roots if marked else None, dead=report if stack else None, buckets=buckets)
         if image is None:
             return frozenset(chosen)
         remaining = budget - len(chosen)
@@ -210,7 +221,7 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
                 seeded = seeded or [match_plan(pattern.graph, position) for position in positions]
                 u, v = chosen[-1]
                 shapes = [(anchored, fixed) for anchored in seeded for fixed in ((u, v), (v, u))]
-                for count, (_, pairs) in enumerate(_packing(adj, shapes, breakers), 1):
+                for count, (_, pairs) in enumerate(_packing(adj, shapes, breakers, buckets), 1):
                     if count > remaining or not any(p in free and p not in blocked for p in pairs):
                         candidates = []
                         break
@@ -236,7 +247,7 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
             if not stack:
                 return None
             pair = chosen.pop()
-            _toggle(adj, (pair,))
+            _toggle(adj, (pair,), buckets)
             revived_at = stack[-1][3]
             if len(revived) > revived_at:
                 for v in revived[revived_at:]:
@@ -247,7 +258,7 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
         frame = stack[-1]
         pair = frame[0][frame[1]]
         frame[1] += 1
-        _toggle(adj, (pair,))
+        _toggle(adj, (pair,), buckets)
         if marked:
             # A new copy holds both ends of the pair, so its root lies
             # within reach of each of them in the new host.
@@ -281,7 +292,8 @@ def solve_budgeted(budgeted: BudgetedInstance, node_limit: int = DEFAULT_NODE_LI
 def _root_packing(instance: SandwichInstance, limit: int) -> list:
     """Up to `limit` copies of the packing in the unmodified host."""
     shapes = [(match_plan(instance.pattern.graph), None)]
-    packing = _packing(instance.graph.adjacency(), shapes, _breakers(instance)[0])
+    adj = instance.graph.adjacency()
+    packing = _packing(adj, shapes, _breakers(instance)[0], _buckets(adj))
     return [image for image, _ in islice(packing, limit)]
 
 

@@ -561,6 +561,18 @@ def test_matcher_agrees_with_the_sweep_on_random_cases(monkeypatch, spelled, chu
         assert set(seen) == expected
 
 
+def _empty_roots(host, pattern, first):
+    """The host vertices that carry pattern vertex first in no copy, by the
+    sweep."""
+    rooted = {
+        images[first]
+        for subset in _swept_copies(host, pattern)
+        for images in itertools.permutations(subset)
+        if _carries(host, pattern, images)
+    }
+    return [v for v in range(host.vertex_count) if v not in rooted]
+
+
 @pytest.mark.parametrize("spelled,chunk", [(8, 16), (0, 1), (0, 2)])
 @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_differential_cases(), data=st.data())
@@ -574,13 +586,7 @@ def test_marked_roots_agree_with_the_sweep_on_random_cases(monkeypatch, spelled,
     host, pattern, seed, _, _, _, _ = case
     plan = graphs.MatchPlan(pattern, seed)
     first = plan.levels[0][0]
-    rooted = {
-        images[first]
-        for subset in _swept_copies(host, pattern)
-        for images in itertools.permutations(subset)
-        if _carries(host, pattern, images)
-    }
-    empty = [v for v in range(host.vertex_count) if v not in rooted]
+    empty = _empty_roots(host, pattern, first)
     marked = data.draw(st.sets(st.sampled_from(empty))) if empty else set()
     roots = bytearray(v not in marked for v in range(host.vertex_count))
     passed = roots if marked or data.draw(st.booleans()) else None
@@ -593,6 +599,68 @@ def test_marked_roots_agree_with_the_sweep_on_random_cases(monkeypatch, spelled,
         order = sorted(range(host.vertex_count), key=host.degree)
         scanned = order if image is None else order[: order.index(image[first])]
         assert dead == [v for v in scanned if v not in marked and host.degree(v) >= pattern.degree(first)]
+
+
+def _assert_buckets_change_nothing(host, plan, fixed, blocked, marked):
+    """Every call shape returns, visits and reports the same when given the
+    host's fresh degree buckets as when it builds them itself: the plain
+    call, blocked and fixed, a visit of every embedding, and the reporting
+    call with and without marks."""
+    adj = host._adj
+    roots = bytearray(v not in marked for v in range(host.vertex_count))
+
+    def record(**buckets):
+        seen, dead, skipped = [], [], []
+        return [
+            find_embedding(adj, plan, **buckets),
+            find_embedding(adj, plan, blocked=blocked, fixed=fixed, **buckets),
+            (find_embedding(adj, plan, fixed=fixed, visit=lambda image: seen.append(tuple(image)), **buckets), seen),
+            (find_embedding(adj, plan, dead=dead, **buckets), dead),
+            (find_embedding(adj, plan, roots=roots, dead=skipped, **buckets), skipped),
+        ]
+
+    assert record(buckets=graphs._buckets(adj)) == record()
+
+
+@pytest.mark.parametrize("spelled,chunk", [(8, 16), (0, 1), (0, 2)])
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_differential_cases(), data=st.data())
+def test_buckets_change_no_answer_on_random_cases(monkeypatch, spelled, chunk, case, data):
+    monkeypatch.setattr(graphs, "_SPELLED", spelled)
+    monkeypatch.setattr(graphs, "_CHUNK_LOOPS", chunk)
+    host, pattern, seed, fixed, blocked, break_twins, _ = case
+    plan = graphs.MatchPlan(pattern, seed, break_twins)
+    empty = _empty_roots(host, pattern, plan.levels[0][0])
+    marked = data.draw(st.sets(st.sampled_from(empty))) if empty else set()
+    _assert_buckets_change_nothing(host, plan, fixed, blocked, marked)
+
+
+@pytest.mark.parametrize(
+    "pattern,seed",
+    [
+        # Later levels with no anchor walk the buckets too.
+        (named_pattern("co-c4").graph, ()),
+        (Graph(4, [(0, 1)]), ()),
+        # The first pattern vertex has degree 0: the walk starts at bucket 0.
+        (Graph(1), ()),
+        (Graph(3), ()),
+        (Graph(3, [(1, 2)]), (0,)),
+        (cycle_graph(4), ()),
+        (path_graph(4), (1,)),
+    ],
+)
+def test_buckets_change_no_answer_on_named_cases(pattern, seed):
+    rng = random.Random(11)
+    two_squares = Graph(8, [(u + i, v + i) for i in (0, 4) for u, v in cycle_graph(4).edges])
+    # Hosts with isolated and universal vertices, and the empty host.
+    hub = Graph(7, [(0, v) for v in range(1, 7)] + [(1, 2), (3, 4), (4, 5)])
+    plan = graphs.MatchPlan(pattern, seed)
+    for host in (Graph(0), Graph(1), Graph(3), two_squares, complement(two_squares), hub, complement(hub),
+                 *(random_graph(rng, 8, p) for p in (0.2, 0.5, 0.8))):
+        pairs = list(itertools.combinations(range(host.vertex_count), 2))
+        blocked = set(rng.sample(pairs, min(2, len(pairs))))
+        fixed = tuple(rng.sample(range(host.vertex_count), min(len(seed), host.vertex_count)))
+        _assert_buckets_change_nothing(host, plan, fixed, blocked, set(_empty_roots(host, pattern, plan.levels[0][0])))
 
 
 def test_marks_take_only_the_plain_call_shape():

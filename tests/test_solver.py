@@ -1,13 +1,13 @@
 import hashlib
 import random
 import sys
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hfree import solver
+from hfree import graphs, solver
 from hfree.cnf import formula
 from hfree.graphs import Graph, _toggle, complement, edge_key, find_induced_copy, is_h_free, match_plan
 from hfree.patterns import complete_graph, cycle_graph, make_pattern, named_pattern, path_graph, wheel_graph
@@ -392,15 +392,19 @@ def checked_root_calls(monkeypatch):
     """Check every root call of a search against the plain call on the same
     adjacency, and every mark it passes against a search anchored at the
     marked vertex: a mark may only skip a root that carries no copy, so both
-    calls return the same copy. Counts root calls by whether they skipped
-    marks ("skipping"), only reported dead roots ("marking") or did neither
-    ("plain")."""
+    calls return the same copy. Any call that passes degree buckets must
+    pass those of its adjacency as it stands. Counts root calls by whether
+    they skipped marks ("skipping"), only reported dead roots ("marking")
+    or did neither ("plain"), and those that passed buckets ("bucketed")."""
     real = solver.find_embedding
-    counts = {"skipping": 0, "marking": 0, "plain": 0}
+    counts = {"skipping": 0, "marking": 0, "plain": 0, "bucketed": 0}
 
     def checked(adj, plan, **kwargs):
+        if kwargs.get("buckets") is not None:
+            assert kwargs["buckets"] == graphs._buckets(adj)
         if "dead" not in kwargs:
             return real(adj, plan, **kwargs)
+        counts["bucketed"] += kwargs.get("buckets") is not None
         roots = kwargs["roots"]
         expected = real(adj, plan)
         if kwargs["dead"] is None:
@@ -430,6 +434,8 @@ def test_marked_root_calls_agree_with_plain_calls_on_the_random_corpus(checked_r
         verdicts(inst)
         skipped[inst.mode] += checked_root_calls["skipping"] - before
     assert min(skipped.values()) > 0 and checked_root_calls["plain"] > 0
+    calls = sum(checked_root_calls[kind] for kind in ("skipping", "marking", "plain"))
+    assert checked_root_calls["bucketed"] == calls
 
 
 def test_marked_root_calls_agree_with_plain_calls_on_hub_hosts(checked_root_calls):
@@ -588,10 +594,11 @@ def test_root_packing_is_a_lower_bound(name, mode, seed):
     free = sorted(inst.free)
     pair = free[seed % len(free)]
     adj = host.adjacency()
-    _toggle(adj, (pair,))
+    buckets = graphs._buckets(adj)
+    _toggle(adj, (pair,), buckets)
     breakers, positions = solver._breakers(inst)
     shapes = [(match_plan(pattern.graph, position), fixed) for position in positions for fixed in (pair, pair[::-1])]
-    packed = list(islice(solver._packing(adj, shapes, breakers), host.vertex_count**2))
+    packed = list(islice(solver._packing(adj, shapes, breakers, buckets), host.vertex_count**2))
     flipped = SandwichInstance(apply(inst, [pair]), pattern, mode, inst.free - {pair})
     assert_packed([image for image, _ in packed], pattern, flipped.graph.edges, flippable)
     for image, pairs in packed:
@@ -599,3 +606,40 @@ def test_root_packing_is_a_lower_bound(name, mode, seed):
         assert sorted(pairs) == sorted(edge_key(image[a], image[b]) for a, b in flippable)
     optimum = naive_optimum(flipped)
     assert optimum is None or len(packed) <= optimum
+
+
+@pytest.mark.parametrize("mode", ["deletion", "completion"])
+@given(
+    n=st.integers(0, 9),
+    density=st.sampled_from((0.0, 0.3, 0.7, 1.0)),
+    seed=st.integers(0, 2**32),
+    moves=st.lists(st.integers(0, 2**16), max_size=24),
+)
+# The empty host; every vertex of degree 0, then of degree n - 1.
+@example(n=0, density=0.5, seed=0, moves=[0, 1])
+@example(n=4, density=0.0, seed=0, moves=[1, 2, 4, 5, 7, 8, 0, 0, 0, 0, 0, 0])
+@example(n=4, density=1.0, seed=0, moves=[1, 2, 4, 5, 7, 8, 0, 0, 0, 0, 0, 0])
+def test_toggles_keep_the_degree_buckets_current(mode, n, density, seed, moves):
+    """Toggles and undos through _toggle, in the solver's stack order, keep
+    each bucket equal to a fresh bucketing of the adjacency, so a walk of
+    the buckets from degree d is the stable sort by degree less the
+    vertices below d."""
+    rng = random.Random(seed)
+    g = Graph(n, [pair for pair in combinations(range(n), 2) if rng.random() < density])
+    pool = sorted(g.edges) if mode == "deletion" else g.non_edges()
+    adj = g.adjacency()
+    buckets = graphs._buckets(adj)
+    applied = []
+    for move in [None, *moves]:
+        if move is not None:
+            usable = [pair for pair in pool if pair not in applied]
+            if usable and (move % 3 or not applied):
+                applied.append(usable[move % len(usable)])
+                _toggle(adj, applied[-1:], buckets)
+            elif applied:
+                _toggle(adj, (applied.pop(),), buckets)
+        assert buckets == graphs._buckets(adj)
+        order = sorted(range(n), key=lambda v: len(adj[v]))
+        for d in range(n + 1):
+            walk = list(chain.from_iterable(islice(buckets, d, None)))
+            assert walk == [v for v in order if len(adj[v]) >= d]
