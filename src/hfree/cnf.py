@@ -9,18 +9,16 @@ literal and splits long clauses with fresh variables.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import product
-
-_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _read_int(token: str) -> int:
     """An integer token of the DIMACS, hfi or minones format: an optional
     "-", then ASCII digits. int() alone would also take "+", "_" and the
     digits of other scripts. Raises ValueError on anything else."""
-    if _INTEGER.fullmatch(token) is None:
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid integer {token!r}")
     return int(token)
 

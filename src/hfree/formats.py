@@ -16,9 +16,12 @@ followed by one constraint per line in instance order: `f1 a b c`,
 
 parse_instance checks every line itself; the rule across lines, that a
 fillable pair is no edge, is the instance constructor's. render_instance
-writes the edge lines from the graph's adjacency, row by row.
+writes the edge lines from the graph's adjacency, row by row, and never
+reads the graph's edge set, so a complement renders in time linear in its
+output.
 """
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -54,23 +57,32 @@ def render_instance(instance: SandwichInstance, budget=None, labels=()) -> str:
     if instance.pattern.name:
         lines.append(f"pattern {instance.pattern.name}")
     graph = instance.graph
-    lines.append(f"vertices {graph.vertex_count}")
+    n = graph.vertex_count
+    lines.append(f"vertices {n}")
     # Edges come row by row from the adjacency, each row sorted on its own:
-    # far cheaper than sorting the edge tuples when the graph is dense.
-    free_above = defaultdict(set)
-    if instance.mode == DELETION:
-        for u, v in instance.free:
-            free_above[u].add(v)
-    lines += [
-        f"edge {u} {v} free" if v in marked else f"edge {u} {v}"
-        for u in range(graph.vertex_count)
-        for marked in (free_above.get(u, ()),)
-        for v in sorted(graph.neighbors(u))
-        if v > u
-    ]
-    if instance.mode == COMPLETION:
-        for pair in sorted(instance.free):
-            lines.append(f"nonedge {pair[0]} {pair[1]} free")
+    # far cheaper than sorting the edge tuples when the graph is dense. Each
+    # vertex name is made once, and a row with no free pair or only free
+    # pairs, like each row of fillable pairs, is written in one join.
+    names = [str(v) for v in range(n)]
+    free_above = defaultdict(list)
+    for u, v in instance.free:
+        free_above[u].append(v)
+    deleting = instance.mode == DELETION
+    for u in range(n):
+        row = sorted(graph.neighbors(u))
+        above = row[bisect_right(row, u):]
+        if not above:
+            continue
+        head = f"edge {names[u]} "
+        marked = free_above.get(u) if deleting else None
+        if not marked or len(marked) == len(above):
+            lines.append(_joined(head, above, names, " free" if marked else ""))
+        else:
+            marked = set(marked)
+            lines += [head + names[v] + " free" if v in marked else head + names[v] for v in above]
+    if not deleting:
+        for u in sorted(free_above):
+            lines.append(_joined(f"nonedge {names[u]} ", sorted(free_above[u]), names, " free"))
     if budget is not None:
         if budget < 0:
             raise FormatError("budget must be nonnegative")
@@ -83,6 +95,11 @@ def render_instance(instance: SandwichInstance, budget=None, labels=()) -> str:
             raise FormatError(f"label name {name!r} must be a single token")
         lines.append(f"label {name} {pair[0]} {pair[1]}")
     return "\n".join(lines) + "\n"
+
+
+def _joined(head, vertices, names, tail):
+    """One line head + name + tail per vertex, as a single string."""
+    return head + (tail + "\n" + head).join([names[v] for v in vertices]) + tail
 
 
 def _meaningful_lines(text):

@@ -34,7 +34,10 @@ reach, and the solver scans them in full.
 
 Each neighbour set is built from its sorted row, so the order it iterates
 in, which the matcher follows, depends on the graph's edges alone: not on
-the order, orientation or repetition of the pairs it was built from.
+the order, orientation or repetition of the pairs it was built from. The
+rows are a graph's state, and its edge set is derived from them on demand:
+complement builds rows only, so a complement that is only checked and
+rendered never builds its set of pair tuples.
 """
 
 from __future__ import annotations
@@ -54,12 +57,14 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Immutable simple graph.
 
-    edges is a frozenset of (u, v) tuples with u < v; endpoints must lie in
-    range. Parallel edges are impossible by construction, self-loops are
-    rejected.
+    Its state is its rows, _adj: one neighbour set per vertex. edges is the
+    frozenset of (u, v) tuples with u < v; the constructor keeps the set it
+    builds anyway, and a graph built from rows alone (complement) derives it
+    on first read. Endpoints must lie in range. Parallel edges are
+    impossible by construction, self-loops are rejected.
     """
 
-    __slots__ = ("vertex_count", "edges", "_adj", "_hash")
+    __slots__ = ("vertex_count", "_edges", "_adj", "_hash")
 
     def __init__(self, vertex_count: int, edges=()):
         if vertex_count < 0:
@@ -80,13 +85,20 @@ class Graph:
         for row in rows:
             row.sort()
         self.vertex_count = vertex_count
-        self.edges = frozenset(pairs)
+        self._edges = frozenset(pairs)
         self._adj = tuple(map(frozenset, rows))
         self._hash = None
 
     @property
+    def edges(self) -> frozenset:
+        """The (u, v) pairs with u < v, built from the rows on first read."""
+        if self._edges is None:
+            self._edges = frozenset((u, v) for u, near in enumerate(self._adj) for v in near if u < v)
+        return self._edges
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self._adj)) // 2
 
     def neighbors(self, v: int) -> frozenset:
         return self._adj[v]
@@ -105,6 +117,19 @@ class Graph:
         """All absent pairs, in lexicographic order."""
         n = self.vertex_count
         return [(u, v) for u, near in enumerate(self._adj) for v in range(u + 1, n) if v not in near]
+
+    def _holds(self, pairs: frozenset, present: bool) -> bool:
+        """Whether every pair is (u, v) with 0 <= u < v < vertex_count and is
+        an edge (present) or a non-edge (not present). A graph that holds its
+        edge set answers by set tests, one that does not by looking v up in
+        u's row; there a u that is not an int answers False."""
+        n, edges = self.vertex_count, self._edges
+        if edges is None:
+            adj = self._adj
+            return all(type(u) is int and 0 <= u < v < n and (v in adj[u]) == present for u, v in pairs)
+        if present:
+            return pairs <= edges
+        return pairs.isdisjoint(edges) and all(0 <= u < v < n for u, v in pairs)
 
     def degree_sequence(self) -> tuple:
         return tuple(sorted(len(s) for s in self._adj))
@@ -130,12 +155,13 @@ def complement(g: Graph) -> Graph:
     g's neighbours and the vertex itself. In that one-argument form it
     iterates exactly like the constructor's sorted row (a two-argument
     difference does not), so the complement skips the constructor's
-    per-pair fill, which costs far more on a dense complement.
+    per-pair fill, which costs far more on a dense complement. It builds
+    rows only: the edge set is derived from them when something reads it.
     """
     everyone = frozenset(range(g.vertex_count))
     graph = object.__new__(Graph)
     graph.vertex_count = g.vertex_count
-    graph.edges = frozenset(g.non_edges())
+    graph._edges = None
     graph._adj = tuple(everyone.difference(near | {v}) for v, near in enumerate(g._adj))
     graph._hash = None
     return graph

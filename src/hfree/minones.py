@@ -27,7 +27,6 @@ deleted.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cnf import _INTEGER
 from .gadgets import lift_specific
 from .graphs import Graph, edge_key, enumerate_induced_copies
 from .patterns import complete_graph, complete_minus_edge, named_pattern
@@ -49,9 +48,10 @@ def constraint_arity(kind: str) -> int:
         return 3
     if kind == "f2":
         return 1
-    if kind[:2] in ("fn", "gn") and _INTEGER.fullmatch(kind[2:]):
-        n = int(kind[2:])
-        if n >= 5 and kind[2:] == str(n):
+    order = kind[2:]
+    if kind[:2] in ("fn", "gn") and order.isascii() and order.isdigit():
+        n = int(order)
+        if n >= 5 and order == str(n):
             t = n * (n - 1) // 2
             return t if kind[:2] == "fn" else t - 1
     raise ValueError(f"unknown constraint kind {kind!r}")

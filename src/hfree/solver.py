@@ -78,13 +78,12 @@ class SandwichInstance:
     def __post_init__(self):
         if self.mode not in (DELETION, COMPLETION):
             raise ValueError(f"mode must be {DELETION!r} or {COMPLETION!r}")
-        edges, n, free = self.graph.edges, self.graph.vertex_count, self.free
-        # One set test passes a frozenset of valid pairs as it is; anything
-        # else is normalized pair by pair, naming the smallest pair at fault.
-        if type(free) is not frozenset or not (
-            free <= edges if self.mode == DELETION
-            else free.isdisjoint(edges) and all(0 <= u < v < n for u, v in free)
-        ):
+        graph, free = self.graph, self.free
+        # One test by the graph passes a frozenset of valid pairs as it is;
+        # anything else is normalized pair by pair, naming the smallest pair
+        # at fault.
+        if type(free) is not frozenset or not graph._holds(free, self.mode == DELETION):
+            edges, n = graph.edges, graph.vertex_count
             free = frozenset(edge_key(u, v) for u, v in free)
             for u, v in sorted(free):
                 if u < 0 or v >= n:

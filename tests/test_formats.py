@@ -13,9 +13,10 @@ from hfree.formats import (
     render_instance,
     render_minones,
 )
-from hfree.graphs import Graph
+from hfree.graphs import Graph, complement
 from hfree.minones import MinOnesInstance, constraint_arity
 from hfree.patterns import named_pattern
+from hfree.reductions import complement_instance
 from hfree.solver import COMPLETION, DELETION, SandwichInstance
 
 from test_patterns import pattern_spellings
@@ -207,6 +208,72 @@ def test_instance_text_round_trips(data):
     parsed = parse_instance(render_instance(instance, budget, labels))
     assert parsed == InstanceFile(instance, budget, tuple(sorted(labels)))
     assert parsed.instance.pattern.name == instance.pattern.name
+
+
+@st.composite
+def rendered_instances(draw):
+    """An instance on up to 12 vertices, in either mode, over a built graph
+    or a complement, whose rows of free pairs are each empty, full or
+    mixed; with a budget and labels."""
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    graph = Graph(n, [pair for pair in pairs if draw(st.booleans())])
+    if draw(st.booleans()):
+        graph = complement(graph)
+    mode = draw(st.sampled_from([DELETION, COMPLETION]))
+    pool = [(u, v) for u, v in pairs if (v in graph.neighbors(u)) == (mode == DELETION)]
+    free = set()
+    for u in range(n):
+        row = [pair for pair in pool if pair[0] == u]
+        kind = draw(st.sampled_from(["none", "all", "some"]))
+        if kind == "all":
+            free.update(row)
+        elif kind == "some":
+            free.update(pair for pair in row if draw(st.booleans()))
+    pattern = named_pattern(draw(st.sampled_from(["c4", "house", "co-p5", "wheel4"])))
+    budget = draw(st.none() | st.integers(0, 10**6))
+    names = st.text(string.ascii_letters + string.digits + "-_", min_size=1, max_size=4)
+    pair = st.sampled_from(pairs).flatmap(lambda p: st.sampled_from([p, p[::-1]])) if pairs else st.nothing()
+    entries = st.lists(st.tuples(names, pair), unique_by=lambda e: (e[0], frozenset(e[1])), max_size=5)
+    labels = draw(entries) if pairs else []
+    return SandwichInstance(graph, pattern, mode, frozenset(free)), budget, labels
+
+
+def reference_render(instance, budget, labels):
+    """hfi text written from sorted edge tuples, one f-string per pair."""
+    lines = ["hfi 1", f"mode {instance.mode}", f"pattern {instance.pattern.name}"]
+    lines.append(f"vertices {instance.graph.vertex_count}")
+    for u, v in sorted(instance.graph.edges):
+        free = instance.mode == DELETION and (u, v) in instance.free
+        lines.append(f"edge {u} {v} free" if free else f"edge {u} {v}")
+    if instance.mode == COMPLETION:
+        lines += [f"nonedge {u} {v} free" for u, v in sorted(instance.free)]
+    if budget is not None:
+        lines.append(f"budget {budget}")
+    entries = sorted((name, tuple(sorted(pair))) for name, pair in labels)
+    lines += [f"label {name} {u} {v}" for name, (u, v) in entries]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, derandomize=True)
+@given(case=rendered_instances())
+def test_render_matches_a_pair_by_pair_writer(case):
+    instance, budget, labels = case
+    # Rendered first, while a complement's edge set is still unbuilt.
+    text = render_instance(instance, budget, labels)
+    assert text == reference_render(instance, budget, labels)
+
+
+def test_a_rendered_complement_builds_no_edge_set():
+    """complement_instance and render_instance read the complement's rows
+    only, so its set of pair tuples is never built."""
+    path = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    completion = SandwichInstance(path, named_pattern("house"), COMPLETION, {(0, 4), (1, 3)})
+    for instance in (deletion_example(), completion):
+        flipped = complement_instance(instance)
+        text = render_instance(flipped)
+        assert flipped.graph._edges is None
+        assert parse_instance(text).instance == flipped
 
 
 @st.composite

@@ -93,6 +93,21 @@ def test_complement_rows_iterate_like_the_constructor():
             assert list(map(list, mutable)) == list(map(list, reference))
 
 
+def test_complement_derives_its_edge_set_from_its_rows():
+    """complement builds rows only. Its edge count comes from the rows,
+    and its edge set, built on first read, is g's non-edges."""
+    rng = random.Random(11)
+    for n in (0, 1, 2, 5, 9, 17, 40):
+        for p in (0, 0.3, 0.7, 1):
+            g = random_graph(rng, n, p)
+            co = complement(g)
+            assert co.edge_count == len(g.non_edges())
+            assert co._edges is None
+            assert co.edges == frozenset(g.non_edges())
+            assert co.edge_count == len(co.edges)
+            assert co == Graph(n, g.non_edges())
+
+
 def test_c5_is_self_complementary():
     c5 = cycle_graph(5)
     co = complement(c5)

@@ -109,6 +109,36 @@ def test_constructors_accept_every_input_shape():
     )
 
 
+def test_a_complement_host_checks_free_pairs_as_a_built_one_does():
+    """A complement holds no edge set, so a frozenset of free pairs is
+    checked against its rows. Every frozenset of one or two pairs, valid or
+    not, is accepted or refused with the same message as over the same
+    graph built from pairs, in both modes; an accepted one leaves the
+    complement's edge set unbuilt."""
+    pattern = named_pattern("c4")
+    path = path_graph(5)
+    built = Graph(5, path.non_edges())
+    pool = [*combinations(range(5), 2), (3, 1), (0, 5), (-1, 2), (True, 2)]
+
+    def outcome(host, mode, free):
+        try:
+            return SandwichInstance(host, pattern, mode, free).free
+        except ValueError as error:
+            return str(error)
+
+    for mode in ("deletion", "completion"):
+        seen = set()
+        for free in map(frozenset, chain(combinations(pool, 1), combinations(pool, 2))):
+            host = complement(path)
+            got = outcome(host, mode, free)
+            assert got == outcome(built, mode, free)
+            if got == free and all(type(u) is int for u, _ in free):
+                assert host._edges is None
+            seen.add(got if isinstance(got, str) else "accepted")
+        fault = "(0, 1) is not an edge" if mode == "deletion" else "(0, 2) is already an edge"
+        assert {"accepted", "free pair (0, 5) out of range", f"free pair {fault}"} <= seen
+
+
 def drawn_graph(seed, index):
     """The index-th sparse graph that random.Random(seed) draws: n from 30
     to 90 vertices, then 2n distinct pairs. Returns n and the sorted pairs."""
