@@ -25,26 +25,30 @@ keeps them current through _toggle and passes them; for any other call
 find_embedding builds them once.
 
 A plain call can also report dead roots, host vertices proven to carry
-the plan's first pattern vertex in no copy, and skip those marked dead:
-its root loop keeps the same degree order, so it finds the copy the full
-scan finds. The solver keeps the marks true as it toggles pairs: a toggle
-of (a, b) clears the marks within the first vertex's eccentricity
-(MatchPlan.reach) of both a and b. Patterns that are not connected have no
-reach, and the solver scans them in full.
+the plan's first pattern vertex in no copy, and skip those in a set of
+marks: its root loop keeps the same degree order, so it finds the copy
+the full scan finds. The solver keeps its one mark set true as it toggles
+pairs: a toggle of (a, b) clears the marks within the first vertex's
+eccentricity (MatchPlan.reach) of both a and b. Patterns that are not
+connected have no reach, and the solver scans them in full.
 
-Each neighbour set is built from its sorted row, so the order it iterates
-in, which the matcher follows, depends on the graph's edges alone: not on
-the order, orientation or repetition of the pairs it was built from. The
-rows are a graph's state, and its edge set is derived from them on demand:
-complement builds rows only, so a complement that is only checked and
-rendered never builds its set of pair tuples.
+Each neighbour set of a Graph is built from its sorted row, so the order
+it iterates in, which the matcher follows, depends on the graph's edges
+alone: not on the order, orientation or repetition of the pairs it was
+built from. A mutable copy (adjacency) can iterate differently from its
+row, and _toggle's history moves that order too, so the solver's order
+also depends on the path to a node; the same input replays the same
+history, so answers stay deterministic. The rows are a graph's state,
+and its edge set is derived from them on demand: complement builds rows
+only, so a complement that is only checked and rendered never builds its
+set of pair tuples.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from functools import lru_cache
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, filterfalse, islice
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -107,7 +111,8 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.edges
+        u, v = edge_key(u, v)
+        return 0 <= u and v < self.vertex_count and v in self._adj[u]
 
     def adjacency(self) -> list:
         """Mutable adjacency copy (list of sets), for search loops."""
@@ -348,9 +353,9 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
     its adjacent earlier images. Each chunk after the first takes U as its
     argument and reads back from I the few earlier images it names.
 
-    When marking, the root loop (level 0) skips the vertices whose byte in
-    D is 0 (none when D is None), filtering the bucket walk so the degree
-    order stays, and appends to R each root whose subtree it exhausts.
+    When marking, the root loop (level 0) skips the vertices in the set D
+    (none when D is None), filtering the bucket walk so the degree order
+    stays, and appends to R each root whose subtree it exhausts.
     Skipping a root whose subtree holds no embedding moves nothing else,
     so embeddings come in the same order.
 
@@ -418,7 +423,9 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
                 else:
                     walk = f"chain.from_iterable(islice(K, {needed}, None))"
                     if marking and i == 0:
-                        walk = f"{walk} if D is None else filter(D.__getitem__, {walk})"
+                        # Marks are a set: its bound __contains__ filters
+                        # faster than a byte array's slow __getitem__.
+                        walk = f"{walk} if D is None else filterfalse(D.__contains__, {walk})"
                     lines.append(f"{pad}for {v} in {walk}:")
                 if marking and i == 0:
                     closing.append(f"{pad} R.append({v})")
@@ -476,7 +483,7 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
         chunks.append(lines)
     # The later chunks are closures over the search's arguments.
     source = ["def search(A, F, B, visit, I, D, R, K):", *(line for lines in chunks[1:] + chunks[:1] for line in lines)]
-    namespace = {"chain": chain, "islice": islice}
+    namespace = {"chain": chain, "filterfalse": filterfalse, "islice": islice}
     exec(compile("\n".join(source), "<match plan>", "exec"), namespace)
     return namespace["search"]
 
@@ -501,15 +508,15 @@ def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=No
 
     dead, a list, asks for a report on dead roots: the search appends each
     root (host vertex for the plan's first pattern vertex) whose subtree it
-    exhausts, which therefore carries that vertex in no copy. roots, a
-    bytearray with one byte per host vertex or None, marks dead roots to
-    skip: a vertex whose byte is 0 must be proven to root no copy. Only the
-    plain call shape reports and skips (no blocked, fixed or visit), and
-    roots needs dead. Keeping marks true as the host changes is the
-    caller's part: a toggle of (a, b) can only create copies that hold a
-    and b, so it must clear every mark within plan.reach of both in the
-    new host; a pattern that is not connected has no reach, and its
-    callers pass no marks.
+    exhausts, which therefore carries that vertex in no copy. roots, a set
+    of host vertices or None, marks dead roots to skip: each vertex in it
+    must be proven to root no copy. The search only reads roots, so a
+    caller may pass the set it keeps changing. Only the plain call shape
+    reports and skips (no blocked, fixed or visit), and roots needs dead.
+    Keeping marks true as the host changes is the caller's part: a toggle
+    of (a, b) can only create copies that hold a and b, so it must clear
+    every mark within plan.reach of both in the new host; a pattern that
+    is not connected has no reach, and its callers pass no marks.
 
     buckets are the host's degree buckets (see _buckets): every level
     without an anchor walks them from its own degree up, which is the
@@ -522,7 +529,7 @@ def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=No
     plan for this call shape, cached in plan.searches. They try candidates
     in the order of a level-by-level backtracker over plan.levels: the
     solver branches on the first copy found, so that order is part of the
-    contract, down to the host's edge set.
+    contract, down to the order in which host_adj's neighbour sets iterate.
     """
     pinned = len(fixed) if fixed else 0
     if pinned > len(plan.seed):

@@ -24,13 +24,14 @@ searches stay cheap even on hosts with huge pendant bundles. Minimization
 packs once in the unmodified host, and iterative deepening starts at the
 count. Those packing calls are matcher calls, not search nodes.
 
-A search also remembers which host vertices root no copy: no copy puts
-the plan's first pattern vertex on them. Each root call skips those marks
-and reports every root whose subtree it exhausts, and a node that
-branches marks them. A modification at p = (a, b) can only create copies
-that hold both a and b, and such a copy lies within the first pattern
-vertex's eccentricity r of its root, so after a toggle every mark within
-distance r of both a and b in the new host is cleared. Each frame logs
+A search also remembers, in one set of marks, which host vertices root no
+copy: no copy puts the plan's first pattern vertex on them. Each root
+call skips the marked roots and reports every root whose subtree it
+exhausts, and a node that branches marks them. A modification at
+p = (a, b) can only create copies that hold both a and b, and such a copy
+lies within the first pattern vertex's eccentricity r of its root, so
+after a toggle every mark within distance r of both a and b in the new
+host is cleared. Each frame logs
 the marks its root call added and those its toggle cleared, and popping
 it restores its parent's marks exactly. Skipping a root with no copy
 cannot change which copy comes first, so copies, verdicts and node counts
@@ -174,13 +175,13 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
     trying. A failed candidate stays blocked for the rest of its frame, and
     nothing else blocks it, so an exhausted frame unblocks its candidates.
 
-    marked holds the vertices proven to root no copy, and roots carries the
-    same marks for the matcher (a 0 byte). dead logs the marks each root
-    call set and revived those each toggle cleared, in stack order, so
-    popping a frame and undoing its parent's toggle restore the parent's
-    marks exactly. A node that branches on nothing sets no marks, and the
-    first root call of a search reports none: a search that ends within
-    one toggle then pays for no ball.
+    marked holds the vertices proven to root no copy, the one set of marks
+    every root call skips. dead logs the marks each root call set and
+    revived those each toggle cleared, in stack order, so popping a frame
+    and undoing its parent's toggle restore the parent's marks exactly. A
+    node that branches on nothing sets no marks, and the first root call
+    of a search reports none: a search that ends within one toggle then
+    pays for no ball.
 
     buckets are adj's degree buckets, built once and moved by each toggle
     of adj (_toggle), so every matcher call walks them instead of sorting
@@ -191,7 +192,6 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
     pattern = instance.pattern
     plan = match_plan(pattern.graph)
     reach = plan.reach
-    roots = bytearray(b"\x01") * len(adj)
     marked = set()
     dead, revived = [], []
     report = None if reach is None else dead  # no marks on patterns that are not connected
@@ -204,7 +204,7 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
 
     for _ in range(node_limit):  # one pass per search node
         died_at = len(dead)
-        image = find_embedding(adj, plan, roots=roots if marked else None, dead=report if stack else None, buckets=buckets)
+        image = find_embedding(adj, plan, roots=marked or None, dead=report if stack else None, buckets=buckets)
         if image is None:
             return frozenset(chosen)
         remaining = budget - len(chosen)
@@ -224,13 +224,10 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
                     if count > remaining or not any(p in free and p not in blocked for p in pairs):
                         candidates = []
                         break
-        if len(dead) > died_at:
-            if candidates:
-                for v in dead[died_at:]:
-                    roots[v] = 0
-                marked.update(dead[died_at:])
-            else:
-                del dead[died_at:]
+        if candidates:
+            marked.update(dead[died_at:])
+        else:
+            del dead[died_at:]
         stack.append([candidates, 0, died_at, len(revived)])
         while stack[-1][1] == len(stack[-1][0]):
             # Exhausted: unblock its candidates and clear its marks, then
@@ -238,21 +235,15 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
             # that toggle revived.
             candidates, _, died_at, _ = stack.pop()
             blocked.difference_update(candidates)
-            if len(dead) > died_at:
-                for v in dead[died_at:]:
-                    roots[v] = 1
-                marked.difference_update(dead[died_at:])
-                del dead[died_at:]
+            marked.difference_update(dead[died_at:])
+            del dead[died_at:]
             if not stack:
                 return None
             pair = chosen.pop()
             _toggle(adj, (pair,), buckets)
             revived_at = stack[-1][3]
-            if len(revived) > revived_at:
-                for v in revived[revived_at:]:
-                    roots[v] = 0
-                marked.update(revived[revived_at:])
-                del revived[revived_at:]
+            marked.update(revived[revived_at:])
+            del revived[revived_at:]
             blocked.add(pair)
         frame = stack[-1]
         pair = frame[0][frame[1]]
@@ -265,8 +256,6 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
             if hit:
                 hit.intersection_update(_ball(adj, pair[1], reach))
                 marked -= hit
-                for v in hit:
-                    roots[v] = 1
                 revived += hit
         chosen.append(pair)
     raise SearchLimitError(f"exceeded {node_limit} search nodes")

@@ -108,6 +108,22 @@ def test_complement_derives_its_edge_set_from_its_rows():
             assert co == Graph(n, g.non_edges())
 
 
+def test_has_edge_reads_the_rows():
+    """On a complement, has_edge answers every pair, out-of-range and
+    negative ones included, as the edge set of a built copy does, and
+    builds no edge set; a loop still raises."""
+    rng = random.Random(3)
+    for n in (0, 1, 2, 5, 12):
+        for p in (0, 0.4, 1):
+            g = random_graph(rng, n, p)
+            co, built = complement(g), Graph(n, g.non_edges())
+            for u, v in itertools.permutations(range(-2, n + 2), 2):
+                assert co.has_edge(u, v) == (edge_key(u, v) in built.edges) == built.has_edge(u, v)
+            with pytest.raises(ValueError):
+                co.has_edge(1, 1)
+            assert co._edges is None
+
+
 def test_c5_is_self_complementary():
     c5 = cycle_graph(5)
     co = complement(c5)
@@ -603,12 +619,12 @@ def test_marked_roots_agree_with_the_sweep_on_random_cases(monkeypatch, spelled,
     first = plan.levels[0][0]
     empty = _empty_roots(host, pattern, first)
     marked = data.draw(st.sets(st.sampled_from(empty))) if empty else set()
-    roots = bytearray(v not in marked for v in range(host.vertex_count))
+    roots = set(marked)
     passed = roots if marked or data.draw(st.booleans()) else None
     dead = []
     image = find_embedding(host._adj, plan, roots=passed, dead=dead)
     assert image == find_embedding(host._adj, plan)
-    assert roots == bytearray(v not in marked for v in range(host.vertex_count))
+    assert roots == marked
     assert set(dead) <= set(empty)
     if len(plan.levels) <= host.vertex_count:
         order = sorted(range(host.vertex_count), key=host.degree)
@@ -622,7 +638,7 @@ def _assert_buckets_change_nothing(host, plan, fixed, blocked, marked):
     call, blocked and fixed, a visit of every embedding, and the reporting
     call with and without marks."""
     adj = host._adj
-    roots = bytearray(v not in marked for v in range(host.vertex_count))
+    roots = set(marked)
 
     def record(**buckets):
         seen, dead, skipped = [], [], []
@@ -685,7 +701,7 @@ def test_marks_take_only_the_plain_call_shape():
         with pytest.raises(ValueError, match="roots"):
             find_embedding(square._adj, plan, dead=[], **shape)
     with pytest.raises(ValueError, match="roots"):
-        find_embedding(square._adj, plan, roots=bytearray(b"\x01") * 4)
+        find_embedding(square._adj, plan, roots={0})
 
 
 @pytest.mark.parametrize(

@@ -442,7 +442,7 @@ def checked_root_calls(monkeypatch):
         elif roots is None:
             counts["marking"] += 1
         else:
-            marked = [v for v in range(len(adj)) if not roots[v]]
+            marked = sorted(roots)
             assert marked
             counts["skipping"] += 1
             anchored = match_plan(_plan_pattern(plan), (plan.levels[0][0],))
@@ -479,6 +479,16 @@ def test_marked_root_calls_agree_with_plain_calls_on_hub_hosts(checked_root_call
     deletion = checked_root_calls["skipping"]
     assert verify_sat_equivalence(formula(3, [(1, 2, 3)]), "c4-comp").verdict == "pass"
     assert deletion > 0 and checked_root_calls["skipping"] > deletion
+
+
+@pytest.mark.parametrize("name,k", [("c4", 60), ("house", 30)])
+def test_marked_root_calls_agree_with_plain_calls_on_long_descents(checked_root_calls, name, k):
+    # One existence search deletes a pair of each component in turn, so
+    # the marks of many nodes pile up on one path of the stack.
+    inst = disjoint_copies(name, k)
+    solution = solve_sandwich(inst)
+    assert len(solution) == k and is_solution(inst, solution)
+    assert checked_root_calls["skipping"] > 0
 
 
 # Two p4 hosts, one per mode, on which the search must revive a marked root
