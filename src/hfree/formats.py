@@ -62,19 +62,23 @@ def render_instance(instance: SandwichInstance, budget=None, labels=()) -> str:
     # Edges come row by row from the adjacency, each row sorted on its own:
     # far cheaper than sorting the edge tuples when the graph is dense. Each
     # vertex name is made once, and a row with no free pair or only free
-    # pairs, like each row of fillable pairs, is written in one join.
+    # pairs, like each row of fillable pairs, is written in one join. Free
+    # pairs in deletion are edges, so as many of them as edges means every
+    # edge is free, and no per-row index of them is needed.
     names = [str(v) for v in range(n)]
-    free_above = defaultdict(list)
-    for u, v in instance.free:
-        free_above[u].append(v)
     deleting = instance.mode == DELETION
+    all_free = deleting and len(instance.free) == graph.edge_count
+    free_above = defaultdict(list)
+    if not all_free:
+        for u, v in instance.free:
+            free_above[u].append(v)
     for u in range(n):
         row = sorted(graph.neighbors(u))
         above = row[bisect_right(row, u):]
         if not above:
             continue
         head = f"edge {names[u]} "
-        marked = free_above.get(u) if deleting else None
+        marked = above if all_free else free_above.get(u) if deleting else None
         if not marked or len(marked) == len(above):
             lines.append(_joined(head, above, names, " free" if marked else ""))
         else:

@@ -12,7 +12,9 @@ the ladder, one diagonal choice per square) that leave the gadget
 pattern-free must be exactly the predicted ones, the subsets tried must
 touch every free pair, and the free pairs must span no square. A
 failed check raises GadgetContractError rather than emitting a wrong
-instance.
+instance. A contract walks its subsets in reflected Gray-code order, so
+each step flips one pair of an adjacency whose degree buckets the
+contract owns and keeps current, as the solver does.
 
 Variable gadgets for deletion pair two mirrored all-or-nothing chains, one
 per truth value, coupled so that at least one chain fires and at most one
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cnf import CnfFormula, duplicate_for_min_occurrences, normalize_3cnf, occurrence_counts
-from .graphs import Graph, _toggle, edge_key, find_embedding, is_h_free, match_plan
+from .graphs import Graph, _buckets, _toggle, edge_key, find_embedding, is_h_free, match_plan
 from .patterns import (
     complete_graph, complete_minus_edge, cycle_graph, house_graph, named_pattern, require,
 )
@@ -277,44 +279,73 @@ def _gated_literals(labels) -> set:
     return {frozenset(a | b) for a in left for b in right} - {frozenset()}
 
 
-def _diagonal_choices(labels):
-    """One diagonal choice per ladder square: true, false, or both. A square
-    left without either diagonal stays an induced C4, so nothing outside
-    these choices can be a solution."""
-    picks = [(frozenset((t,)), frozenset((f,)), frozenset((t, f))) for t, f in zip(*labels)]
-    for choice in itertools.product(*picks):
-        yield frozenset().union(*choice)
+def _free_pairs(_labels, free) -> tuple:
+    """One binary digit per free pair, in sorted order: left or toggled."""
+    return tuple(((), (pair,)) for pair in sorted(free))
+
+
+def _diagonal_choices(labels, _free) -> tuple:
+    """One digit per ladder square: its true diagonal, both, or its false
+    one, in that order, so each move flips one pair. A square left without
+    either diagonal stays an induced C4, so nothing outside these choices
+    can be a solution."""
+    return tuple(((t,), (t, f), (f,)) for t, f in zip(*labels))
+
+
+def _gray_walk(digits):
+    """Walk every choice of one state per digit in reflected mixed-radix
+    Gray-code order (Knuth, TAOCP Vol. 4A, 7.2.1.1). Yields the first
+    choice's pairs, then the one pair each later step flips; a digit's
+    consecutive states must differ in exactly one pair."""
+    links = [[pair for a, b in zip(states, states[1:]) for pair in set(a) ^ set(b)] for states in digits]
+    if any(len(link) != len(states) - 1 for link, states in zip(links, digits)):
+        raise ValueError("consecutive states of a digit must differ in exactly one pair")
+    yield tuple(pair for states in digits for pair in states[0])
+    state = [0] * len(digits)
+    step = [1] * len(digits)
+    while True:
+        for j, link in enumerate(links):
+            k = state[j] + step[j]
+            if 0 <= k <= len(link):
+                break
+            step[j] = -step[j]
+        else:
+            return
+        yield (link[min(k, state[j])],)
+        state[j] = k
 
 
 # Every contract is an exact solution set. _certify builds the gadget, checks
-# that its free pairs are of the mode's kind, toggles each candidate subset
-# of them on one adjacency, and checks that the subsets leaving it
+# that its free pairs are of the mode's kind, walks the candidate subsets of
+# them on one adjacency (_gray_walk, one flipped pair per step, through
+# degree buckets the contract owns), and checks that the subsets leaving it
 # pattern-free are exactly the set the row predicts from the builder's
 # labels, that the candidates touch every free pair, and that the free pairs
 # span no square subgraph. Rows call their builders by module name at run
 # time, so a builder rebound there is the one certified.
 #
 #   contract: (builder, pattern, mode, predicted solutions, facts,
-#              candidate subsets, None for every subset of the free pairs)
+#              digits: (labels, free pairs) -> one tuple of states per digit,
+#              each state a tuple of pairs; a candidate picks one per digit)
 _CONTRACTS = {
     "c4-deletion variable": (
         lambda builder: _c4del_variable(builder), cycle_graph(4), DELETION, _chains,
-        ("exactly two solutions, one full chain per truth value",), None,
+        ("exactly two solutions, one full chain per truth value",), _free_pairs,
     ),
     "c4-deletion clause": (
         lambda builder: _c4del_clause(builder), cycle_graph(4), DELETION, _hexagon_runs,
         ("solutions are the empty set and every run of one to three consecutive hexagon edges",
          "no solution removes all three literal pairs",
          "one that removes two literal pairs removes the spacer between them"),
-        None,
+        _free_pairs,
     ),
     "c5-deletion variable": (
         lambda builder: _c5del_variable(builder), cycle_graph(5), DELETION, _chains,
-        ("exactly two solutions, one full chain per truth value",), None,
+        ("exactly two solutions, one full chain per truth value",), _free_pairs,
     ),
     "c5-deletion clause": (
         lambda builder: _c5del_clause(builder), cycle_graph(5), DELETION, _proper_chord_subsets,
-        ("solutions are exactly the proper subsets of the three chords",), None,
+        ("solutions are exactly the proper subsets of the three chords",), _free_pairs,
     ),
     "c4-completion ladder": (
         lambda builder: _c4comp_ladder(builder, 2), cycle_graph(4), COMPLETION, _chains,
@@ -324,38 +355,39 @@ _CONTRACTS = {
         lambda builder: _c4comp_clause(builder), cycle_graph(4), COMPLETION, _gated_literals,
         ("every solution fills a gate pair and each gate drags in a literal pair",
          "literal fills require their gate, and (u4, v4) is never needed"),
-        None,
+        _free_pairs,
     ),
 }
 
 
+def _survivors(adj, plan, digits) -> tuple:
+    """Walk every choice of digits on adj (see _gray_walk), which it leaves
+    at the last choice. Returns the choices that leave adj free of plan's
+    pattern, the pairs the walk touched and the number of choices."""
+    buckets = _buckets(adj)
+    current, covered, solutions = set(), set(), set()
+    checked = 0
+    for flips in _gray_walk(digits):
+        _toggle(adj, flips, buckets)
+        current.symmetric_difference_update(flips)
+        covered.update(flips)
+        checked += 1
+        if find_embedding(adj, plan, buckets=buckets) is None:
+            solutions.add(frozenset(current))
+    return solutions, covered, checked
+
+
 def _certify(name: str) -> GadgetContract:
     """Check one row of _CONTRACTS; raises GadgetContractError."""
-    build, pattern, mode, predict, facts, candidates = _CONTRACTS[name]
+    build, pattern, mode, predict, facts, digits = _CONTRACTS[name]
     builder = _GraphBuilder()
     labels = build(builder)
     n, free = builder.vertex_count, frozenset(builder.free)
     kind = "an edge" if mode == DELETION else "a non-edge"
     if any((pair in builder.edges) != (mode == DELETION) for pair in free):
         raise GadgetContractError(f"{name} gadget: a free pair is not {kind}")
-    if candidates is None:
-        subsets = (
-            frozenset(s) for r in range(len(free) + 1) for s in itertools.combinations(sorted(free), r)
-        )
-    else:
-        subsets = candidates(labels)
     adj = Graph(n, builder.edges).adjacency()
-    plan = match_plan(pattern)
-    checked = 0
-    covered = set()
-    solutions = set()
-    for subset in subsets:
-        checked += 1
-        covered |= subset
-        _toggle(adj, subset)
-        if find_embedding(adj, plan) is None:
-            solutions.add(subset)
-        _toggle(adj, subset)
+    solutions, covered, checked = _survivors(adj, match_plan(pattern), digits(labels, free))
     if solutions != predict(labels):
         raise GadgetContractError(f"{name} gadget: solutions are not the predicted set")
     if covered != free:

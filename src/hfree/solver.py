@@ -84,14 +84,15 @@ class SandwichInstance:
         # anything else is normalized pair by pair, naming the smallest pair
         # at fault.
         if type(free) is not frozenset or not graph._holds(free, self.mode == DELETION):
-            edges, n = graph.edges, graph.vertex_count
+            n = graph.vertex_count
             free = frozenset(edge_key(u, v) for u, v in free)
             for u, v in sorted(free):
                 if u < 0 or v >= n:
                     raise ValueError(f"free pair ({u}, {v}) out of range")
-                if self.mode == DELETION and (u, v) not in edges:
+                edge = v in graph.neighbors(u)
+                if self.mode == DELETION and not edge:
                     raise ValueError(f"free pair ({u}, {v}) is not an edge")
-                if self.mode == COMPLETION and (u, v) in edges:
+                if self.mode == COMPLETION and edge:
                     raise ValueError(f"free pair ({u}, {v}) is already an edge")
         object.__setattr__(self, "free", free)
 

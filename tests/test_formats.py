@@ -264,6 +264,19 @@ def test_render_matches_a_pair_by_pair_writer(case):
     assert text == reference_render(instance, budget, labels)
 
 
+@pytest.mark.parametrize("flip", [False, True])
+def test_render_with_every_edge_free_matches_a_pair_by_pair_writer(flip):
+    """A deletion instance whose every edge is free, over a built graph or
+    a complement, renders as the pair-by-pair writer does."""
+    pairs = list(itertools.combinations(range(9), 2))
+    graph = Graph(9, pairs[::3])
+    if flip:
+        graph = complement(graph)
+    free = frozenset((u, v) for u, v in pairs if v in graph.neighbors(u))
+    instance = SandwichInstance(graph, named_pattern("house"), DELETION, free)
+    assert render_instance(instance, 4) == reference_render(instance, 4, ())
+
+
 def test_a_rendered_complement_builds_no_edge_set():
     """complement_instance and render_instance read the complement's rows
     only, so its set of pair tuples is never built."""

@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hfree import gadgets
+from hfree import gadgets, graphs
 from hfree.cnf import duplicate_for_min_occurrences, formula, sat_brute_force, satisfies
 from hfree.gadgets import (
     GadgetContractError,
@@ -17,7 +19,7 @@ from hfree.gadgets import (
     reduce_3sat_to_c5del,
     reduce_c4comp_to_house_comp,
 )
-from hfree.graphs import Graph, find_induced_copy, induced_subgraph, is_h_free
+from hfree.graphs import Graph, _toggle, find_embedding, find_induced_copy, induced_subgraph, is_h_free, match_plan
 from hfree.patterns import complete_graph, cycle_graph, house_graph, named_pattern, path_graph
 from hfree.reductions import Polynomial, assignment_from_solution, solution_from_assignment
 from hfree.solver import (
@@ -112,17 +114,118 @@ def test_has_c4_subgraph():
 
 
 def test_gadget_contracts_certify():
+    checked = 0
     for contracts, sizes in (
-        (check_c4_deletion_gadgets(), ((16, 8), (6, 6))),
-        (check_c5_deletion_gadgets(), ((24, 8), (5, 3))),
-        (check_c4_completion_gadgets(), ((32, 16), (8, 5))),
+        (check_c4_deletion_gadgets(), ((16, 8, 256), (6, 6, 64))),
+        (check_c5_deletion_gadgets(), ((24, 8, 256), (5, 3, 8))),
+        (check_c4_completion_gadgets(), ((32, 16, 6561), (8, 5, 32))),
     ):
         assert len(contracts) == 2
-        for contract, (vertices, free) in zip(contracts, sizes):
+        for contract, (vertices, free, subsets) in zip(contracts, sizes):
             assert contract.vertex_count == vertices
             assert contract.free_count == free
-            assert contract.checked_subsets >= 2**free or contract.checked_subsets == 6561
+            assert contract.checked_subsets == subsets
             assert all(isinstance(fact, str) for fact in contract.facts)
+            checked += subsets
+    assert checked == 7177
+
+
+def _path_states(index, radix):
+    """radix states of digit index over two pairs of its own, each one pair
+    away from the last: (), (a,), (a, b), (b,), starting one state later
+    for an odd index."""
+    a, b = ("a", index), ("b", index)
+    return ((), (a,), (a, b), (b,), ())[index % 2:][:radix]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(1, 4), max_size=6))
+def test_gray_walk_visits_every_choice_once_flipping_one_pair_per_step(radices):
+    digits = tuple(_path_states(i, radix) for i, radix in enumerate(radices))
+    current = set()
+    seen = []
+    for step, flips in enumerate(gadgets._gray_walk(digits)):
+        if step:
+            assert len(flips) == 1
+        current ^= set(flips)
+        seen.append(frozenset(current))
+    expected = [frozenset().union(*choice) for choice in itertools.product(*digits)]
+    assert len(seen) == len(expected) == len(set(expected))
+    assert set(seen) == set(expected)
+
+
+def test_gray_walk_refuses_a_digit_that_jumps():
+    with pytest.raises(ValueError, match="exactly one pair"):
+        next(gadgets._gray_walk((((), ((0, 1), (0, 2))),)))
+
+
+@pytest.mark.parametrize("name", list(gadgets._CONTRACTS))
+def test_contract_walk_matches_whole_subsets_on_a_fresh_adjacency(name):
+    """The walk's solution set equals that of toggling each candidate
+    subset in whole on a freshly built adjacency: every subset of the free
+    pairs, or for the ladder one diagonal choice per square."""
+    build, pattern, _mode, predict, _facts, digits = gadgets._CONTRACTS[name]
+    builder = gadgets._GraphBuilder()
+    labels = build(builder)
+    free = frozenset(builder.free)
+    host = Graph(builder.vertex_count, builder.edges)
+    plan = match_plan(pattern)
+    if name == "c4-completion ladder":
+        picks = [({t}, {f}, {t, f}) for t, f in zip(*labels)]
+        candidates = [frozenset().union(*choice) for choice in itertools.product(*picks)]
+    else:
+        candidates = [frozenset(s) for r in range(len(free) + 1) for s in itertools.combinations(sorted(free), r)]
+    oracle = set()
+    for subset in candidates:
+        adj = host.adjacency()
+        _toggle(adj, subset)
+        if find_embedding(adj, plan) is None:
+            oracle.add(subset)
+    solutions, covered, checked = gadgets._survivors(host.adjacency(), plan, digits(labels, free))
+    assert solutions == oracle == predict(labels)
+    assert covered == free
+    assert checked == len(candidates) == len(set(candidates))
+
+
+def test_contracts_flip_through_their_own_buckets(monkeypatch):
+    """The walks make 7,177 matcher calls over six contracts, each handed
+    the contract's buckets, so no call builds them, and toggle 6,568 pairs
+    on the ladder. Only the square check, is_h_free on a graph of the free
+    pairs alone, builds buckets of its own."""
+    calls, toggled, built = [], [], []
+    real_find, real_toggle, real_buckets = gadgets.find_embedding, gadgets._toggle, graphs._buckets
+    real_square = gadgets.has_c4_subgraph
+
+    def find(adj, plan, **kwargs):
+        calls.append(kwargs.get("buckets") is not None)
+        return real_find(adj, plan, **kwargs)
+
+    def toggle(adj, pairs, buckets=None):
+        toggled.append((len(pairs), buckets is not None))
+        real_toggle(adj, pairs, buckets)
+
+    def buckets(adj):
+        built.append(len(adj))
+        return real_buckets(adj)
+
+    def square_check(graph):
+        before = len(built)
+        answer = real_square(graph)
+        del built[before:]
+        return answer
+
+    monkeypatch.setattr(gadgets, "find_embedding", find)
+    monkeypatch.setattr(gadgets, "has_c4_subgraph", square_check)
+    monkeypatch.setattr(gadgets, "_toggle", toggle)
+    monkeypatch.setattr(graphs, "_buckets", buckets)
+    assert gadgets._certify("c4-completion ladder").checked_subsets == 6561
+    assert sum(size for size, _ in toggled) == 6568
+    toggled.clear()
+    for name in gadgets._CONTRACTS:
+        gadgets._certify(name)
+    assert len(calls) == 6561 + 7177 and all(calls)
+    assert all(owned for _, owned in toggled)
+    assert not built
 
 
 def _drop_rigid_edge(builder, mode, _pattern):

@@ -139,6 +139,20 @@ def test_a_complement_host_checks_free_pairs_as_a_built_one_does():
         assert {"accepted", "free pair (0, 5) out of range", f"free pair {fault}"} <= seen
 
 
+def test_free_pairs_checked_one_by_one_read_rows_only():
+    """A free set that is not a frozenset is checked pair by pair against
+    the graph's rows, so a complement's edge set stays unbuilt."""
+    host = complement(Graph(300, [(0, 1)]))
+    instance = SandwichInstance(host, named_pattern("c4"), "deletion", {(0, 2)})
+    assert instance.free == frozenset({(0, 2)})
+    assert host._edges is None
+    with pytest.raises(ValueError, match=r"^free pair \(0, 1\) is not an edge$"):
+        SandwichInstance(host, named_pattern("c4"), "deletion", [(1, 0)])
+    with pytest.raises(ValueError, match=r"^free pair \(0, 2\) is already an edge$"):
+        SandwichInstance(host, named_pattern("c4"), "completion", [(2, 0)])
+    assert host._edges is None
+
+
 def drawn_graph(seed, index):
     """The index-th sparse graph that random.Random(seed) draws: n from 30
     to 90 vertices, then 2n distinct pairs. Returns n and the sorted pairs."""
