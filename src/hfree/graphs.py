@@ -25,10 +25,11 @@ keeps them current through _toggle and passes them; for any other call
 find_embedding builds them once.
 
 A plain call can also report dead roots, host vertices proven to carry
-the plan's first pattern vertex in no copy, and skip those in a set of
-marks: its root loop keeps the same degree order, so it finds the copy
-the full scan finds. The solver keeps its one mark set true as it toggles
-pairs: a toggle of (a, b) clears the marks within the first vertex's
+the plan's first pattern vertex in no copy. The matcher skips nothing
+itself: the solver keeps its marks out of the buckets it passes, so its
+root calls walk only live roots, in the full walk's order, and find the
+copy the full scan finds. It keeps its marks true as it toggles pairs: a
+toggle of (a, b) puts back the marks within the first vertex's
 eccentricity (MatchPlan.reach) of both a and b. Patterns that are not
 connected have no reach, and the solver scans them in full.
 
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from functools import lru_cache
-from itertools import chain, combinations, filterfalse, islice
+from itertools import chain, combinations, islice
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -304,18 +305,25 @@ def _toggle(adj, pairs, buckets=None) -> None:
     """Flip each pair of a mutable adjacency: an edge goes, a non-edge
     comes. The one way searches modify a host; flipping the same pairs
     again undoes it. Given the adjacency's buckets (see _buckets), it moves
-    both ends of each pair to the bucket of their new degree, in place."""
+    each end of each pair that sits in the bucket of its degree to the
+    bucket of its new degree, in place. An end left out of the buckets
+    stays out while its degree changes; the caller that left it out puts
+    it back in the bucket of its degree at that time."""
     for u, v in pairs:
         near_u, near_v = adj[u], adj[v]
         if buckets is not None:
             du, dv = len(near_u), len(near_v)
             step = -1 if v in near_u else 1
             row = buckets[du]
-            del row[bisect_left(row, u)]
-            insort(buckets[du + step], u)
+            i = bisect_left(row, u)
+            if i < len(row) and row[i] == u:
+                del row[i]
+                insort(buckets[du + step], u)
             row = buckets[dv]
-            del row[bisect_left(row, v)]
-            insort(buckets[dv + step], v)
+            i = bisect_left(row, v)
+            if i < len(row) and row[i] == v:
+                del row[i]
+                insort(buckets[dv + step], v)
         near_u ^= {v}
         near_v ^= {u}
 
@@ -333,9 +341,9 @@ _SPELLED = 8
 def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool, marking: bool):
     """Compile plan.levels into nested loops, one per unpinned level.
 
-    The result is search(A, F, B, visit, I, D, R, K): host adjacency,
-    fixed, blocked, visit, the image list it fills by pattern vertex, roots,
-    dead and buckets (see find_embedding). It returns True once it found an
+    The result is search(A, F, B, visit, I, R, K): host adjacency, fixed,
+    blocked, visit, the image list it fills by pattern vertex, dead and
+    buckets (see find_embedding). It returns True once it found an
     embedding (or visit accepted one).
 
     Level i binds v<p> for its pattern vertex p: to F[i] when pinned, else
@@ -353,11 +361,8 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
     its adjacent earlier images. Each chunk after the first takes U as its
     argument and reads back from I the few earlier images it names.
 
-    When marking, the root loop (level 0) skips the vertices in the set D
-    (none when D is None), filtering the bucket walk so the degree order
-    stays, and appends to R each root whose subtree it exhausts.
-    Skipping a root whose subtree holds no embedding moves nothing else,
-    so embeddings come in the same order.
+    When marking, the root loop (level 0) appends to R each root whose
+    subtree it exhausts.
 
     One lookahead prunes dead branches. Let g be the level before the last.
     When the last level's anchor comes before g, g is unpinned and its
@@ -421,12 +426,7 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
                 if anchor is not None:
                     lines.append(f"{pad}for {v} in A[v{anchor}]:")
                 else:
-                    walk = f"chain.from_iterable(islice(K, {needed}, None))"
-                    if marking and i == 0:
-                        # Marks are a set: its bound __contains__ filters
-                        # faster than a byte array's slow __getitem__.
-                        walk = f"{walk} if D is None else filterfalse(D.__contains__, {walk})"
-                    lines.append(f"{pad}for {v} in {walk}:")
+                    lines.append(f"{pad}for {v} in chain.from_iterable(islice(K, {needed}, None)):")
                 if marking and i == 0:
                     closing.append(f"{pad} R.append({v})")
                 fail = "continue"
@@ -482,13 +482,13 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
         lines.append(" " * base + "return False")
         chunks.append(lines)
     # The later chunks are closures over the search's arguments.
-    source = ["def search(A, F, B, visit, I, D, R, K):", *(line for lines in chunks[1:] + chunks[:1] for line in lines)]
-    namespace = {"chain": chain, "filterfalse": filterfalse, "islice": islice}
+    source = ["def search(A, F, B, visit, I, R, K):", *(line for lines in chunks[1:] + chunks[:1] for line in lines)]
+    namespace = {"chain": chain, "islice": islice}
     exec(compile("\n".join(source), "<match plan>", "exec"), namespace)
     return namespace["search"]
 
 
-def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=None, roots=None, dead=None, buckets=None):
+def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=None, dead=None, buckets=None):
     """Search for induced embeddings of the plan's pattern into the host adjacency.
 
     host_adj is indexable by vertex and yields neighbor sets. Embeddings
@@ -508,22 +508,23 @@ def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=No
 
     dead, a list, asks for a report on dead roots: the search appends each
     root (host vertex for the plan's first pattern vertex) whose subtree it
-    exhausts, which therefore carries that vertex in no copy. roots, a set
-    of host vertices or None, marks dead roots to skip: each vertex in it
-    must be proven to root no copy. The search only reads roots, so a
-    caller may pass the set it keeps changing. Only the plain call shape
-    reports and skips (no blocked, fixed or visit), and roots needs dead.
-    Keeping marks true as the host changes is the caller's part: a toggle
-    of (a, b) can only create copies that hold a and b, so it must clear
-    every mark within plan.reach of both in the new host; a pattern that
-    is not connected has no reach, and its callers pass no marks.
+    exhausts, which therefore carries that vertex in no copy. Only the
+    plain call shape reports (no blocked, fixed or visit).
 
     buckets are the host's degree buckets (see _buckets): every level
     without an anchor walks them from its own degree up, which is the
     stable sort by degree less the vertices its degree test rejects. When
     buckets is None, the call builds them from host_adj. Stale buckets give
     wrong answers, so a caller that passes them must flip pairs only
-    through _toggle with them.
+    through _toggle with them. A caller may leave out of them vertices
+    proven to root no copy, but only for a plan whose every unpinned level
+    after the first has an anchor, as in any plan of a connected pattern:
+    only the root walk reads them then, and it finds the copy the full
+    walk finds. Keeping that proof true as the host changes is the caller's
+    part: a toggle of (a, b) can only create copies that hold a and b, so
+    it must put back every left-out vertex within plan.reach of both in
+    the new host; a pattern that is not connected has no reach, and its
+    callers leave nothing out.
 
     The search runs the nested loops _compile_search generated from the
     plan for this call shape, cached in plan.searches. They try candidates
@@ -535,8 +536,8 @@ def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=No
     if pinned > len(plan.seed):
         raise ValueError(f"fixed pins {pinned} positions but the plan is seeded with {len(plan.seed)}")
     marking = dead is not None
-    if marking and (pinned or blocked or visit is not None) or roots is not None and not marking:
-        raise ValueError("roots needs a dead list, and no blocked, fixed or visit")
+    if marking and (pinned or blocked or visit is not None):
+        raise ValueError("dead roots are reported only by the plain call: no blocked, fixed or visit")
     n = len(plan.levels)
     if n > len(host_adj):
         return None
@@ -547,7 +548,7 @@ def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=No
     if buckets is None:
         buckets = _buckets(host_adj)
     image = [0] * n
-    if search(host_adj, fixed, blocked, visit, image, roots, dead, buckets):
+    if search(host_adj, fixed, blocked, visit, image, dead, buckets):
         return list(image)
     return None
 

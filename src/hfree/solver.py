@@ -24,28 +24,30 @@ searches stay cheap even on hosts with huge pendant bundles. Minimization
 packs once in the unmodified host, and iterative deepening starts at the
 count. Those packing calls are matcher calls, not search nodes.
 
-A search also remembers, in one set of marks, which host vertices root no
-copy: no copy puts the plan's first pattern vertex on them. Each root
-call skips the marked roots and reports every root whose subtree it
-exhausts, and a node that branches marks them. A modification at
-p = (a, b) can only create copies that hold both a and b, and such a copy
-lies within the first pattern vertex's eccentricity r of its root, so
-after a toggle every mark within distance r of both a and b in the new
-host is cleared. Each frame logs
-the marks its root call added and those its toggle cleared, and popping
-it restores its parent's marks exactly. Skipping a root with no copy
-cannot change which copy comes first, so copies, verdicts and node counts
-are those of the full scan. Patterns that are not connected keep the
-full scan.
-
 No root call sorts the host by degree: each search keeps the degree
 buckets of its adjacency (graphs._buckets) current through every toggle,
 and the matcher walks them in the sort's order. Minimization's root
 packing passes the buckets of its own unmodified adjacency.
+
+A search also remembers, in one set of marks, which host vertices root no
+copy: no copy puts the plan's first pattern vertex on them. Each root
+call reports every root whose subtree it exhausts, and a node that
+branches marks them and takes them out of the buckets, so later root
+calls walk only the live roots. A modification at p = (a, b) can only
+create copies that hold both a and b, and such a copy lies within the
+first pattern vertex's eccentricity r of its root, so after a toggle
+every mark within distance r of both a and b in the new host is cleared
+and put back in the bucket of its degree. Each frame logs the marks its
+root call added and those its toggle cleared, and popping it restores
+its parent's marks and buckets exactly. Leaving out a root with no copy
+cannot change which copy comes first, so copies, verdicts and node counts
+are those of the full scan. Patterns that are not connected keep the
+full scan.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import islice
 
@@ -176,17 +178,19 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
     trying. A failed candidate stays blocked for the rest of its frame, and
     nothing else blocks it, so an exhausted frame unblocks its candidates.
 
-    marked holds the vertices proven to root no copy, the one set of marks
-    every root call skips. dead logs the marks each root call set and
-    revived those each toggle cleared, in stack order, so popping a frame
-    and undoing its parent's toggle restore the parent's marks exactly. A
-    node that branches on nothing sets no marks, and the first root call
-    of a search reports none: a search that ends within one toggle then
-    pays for no ball.
-
     buckets are adj's degree buckets, built once and moved by each toggle
     of adj (_toggle), so every matcher call walks them instead of sorting
     the host.
+
+    marked holds the vertices proven to root no copy, the one set of marks.
+    A marked vertex is out of the buckets, so no root call walks it, and
+    goes back into the bucket of its current degree when its mark clears
+    (leave_out, put_back). dead logs the marks each root call set and
+    revived those each toggle cleared, in stack order, so popping a frame
+    and undoing its parent's toggle restore the parent's marks and buckets
+    exactly. A node that branches on nothing sets no marks, and the first
+    root call of a search reports none: a search that ends within one
+    toggle then pays for no ball.
     """
     adj = instance.graph.adjacency()
     buckets = _buckets(adj)
@@ -203,9 +207,20 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
     blocked = set()
     stack = []
 
+    def leave_out(vertices):
+        marked.update(vertices)
+        for v in vertices:
+            row = buckets[len(adj[v])]
+            del row[bisect_left(row, v)]
+
+    def put_back(vertices):
+        marked.difference_update(vertices)
+        for v in vertices:
+            insort(buckets[len(adj[v])], v)
+
     for _ in range(node_limit):  # one pass per search node
         died_at = len(dead)
-        image = find_embedding(adj, plan, roots=marked or None, dead=report if stack else None, buckets=buckets)
+        image = find_embedding(adj, plan, dead=report if stack else None, buckets=buckets)
         if image is None:
             return frozenset(chosen)
         remaining = budget - len(chosen)
@@ -225,10 +240,10 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
                     if count > remaining or not any(p in free and p not in blocked for p in pairs):
                         candidates = []
                         break
-        if candidates:
-            marked.update(dead[died_at:])
-        else:
+        if not candidates:
             del dead[died_at:]
+        elif len(dead) > died_at:
+            leave_out(dead[died_at:])
         stack.append([candidates, 0, died_at, len(revived)])
         while stack[-1][1] == len(stack[-1][0]):
             # Exhausted: unblock its candidates and clear its marks, then
@@ -236,15 +251,17 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
             # that toggle revived.
             candidates, _, died_at, _ = stack.pop()
             blocked.difference_update(candidates)
-            marked.difference_update(dead[died_at:])
-            del dead[died_at:]
+            if len(dead) > died_at:
+                put_back(dead[died_at:])
+                del dead[died_at:]
             if not stack:
                 return None
             pair = chosen.pop()
             _toggle(adj, (pair,), buckets)
             revived_at = stack[-1][3]
-            marked.update(revived[revived_at:])
-            del revived[revived_at:]
+            if len(revived) > revived_at:
+                leave_out(revived[revived_at:])
+                del revived[revived_at:]
             blocked.add(pair)
         frame = stack[-1]
         pair = frame[0][frame[1]]
@@ -256,7 +273,7 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
             hit = marked.intersection(_ball(adj, pair[0], reach))
             if hit:
                 hit.intersection_update(_ball(adj, pair[1], reach))
-                marked -= hit
+                put_back(hit)
                 revived += hit
         chosen.append(pair)
     raise SearchLimitError(f"exceeded {node_limit} search nodes")

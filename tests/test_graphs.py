@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import sys
+from bisect import insort
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -604,53 +605,83 @@ def _empty_roots(host, pattern, first):
     return [v for v in range(host.vertex_count) if v not in rooted]
 
 
+def _live_buckets(adj, marked):
+    """The degree buckets of an adjacency less the marked vertices."""
+    return [[v for v in row if v not in marked] for row in graphs._buckets(adj)]
+
+
+def _later_levels_anchored(plan):
+    """Whether every level after the first has an anchor: only such a plan
+    may be given buckets that leave out dead roots."""
+    return all(anchor is not None for _, anchor, _, _, _ in plan.levels[1:])
+
+
 @pytest.mark.parametrize("spelled,chunk", [(8, 16), (0, 1), (0, 2)])
-@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=_differential_cases(), data=st.data())
-def test_marked_roots_agree_with_the_sweep_on_random_cases(monkeypatch, spelled, chunk, case, data):
-    """With any set of the roots that carry no copy marked (or no marks),
-    the reporting call returns the plain call's image, and it reports
-    exactly the unmarked roots of large enough degree that come before the
-    image's root in the (degree, vertex) order: roots that carry no copy."""
+def test_marked_roots_agree_with_the_sweep_on_random_cases(monkeypatch, spelled, chunk):
+    """With any set of the roots that carry no copy left out of the buckets
+    (or none), the reporting call returns the plain call's image, and it
+    reports exactly the unmarked roots of large enough degree that come
+    before the image's root in the (degree, vertex) order: roots that carry
+    no copy. Marks are drawn only for plans with an anchor on every later
+    level, and at least a third of the cases leave some out."""
     monkeypatch.setattr(graphs, "_SPELLED", spelled)
     monkeypatch.setattr(graphs, "_CHUNK_LOOPS", chunk)
-    host, pattern, seed, _, _, _, _ = case
-    plan = graphs.MatchPlan(pattern, seed)
-    first = plan.levels[0][0]
-    empty = _empty_roots(host, pattern, first)
-    marked = data.draw(st.sets(st.sampled_from(empty))) if empty else set()
-    roots = set(marked)
-    passed = roots if marked or data.draw(st.booleans()) else None
-    dead = []
-    image = find_embedding(host._adj, plan, roots=passed, dead=dead)
-    assert image == find_embedding(host._adj, plan)
-    assert roots == marked
-    assert set(dead) <= set(empty)
-    if len(plan.levels) <= host.vertex_count:
-        order = sorted(range(host.vertex_count), key=host.degree)
-        scanned = order if image is None else order[: order.index(image[first])]
-        assert dead == [v for v in scanned if v not in marked and host.degree(v) >= pattern.degree(first)]
+    runs = {"cases": 0, "marked": 0}
+
+    @settings(max_examples=150)
+    @given(case=_differential_cases(), data=st.data())
+    def check(case, data):
+        host, pattern, seed, _, _, _, _ = case
+        plan = graphs.MatchPlan(pattern, seed)
+        first = plan.levels[0][0]
+        empty = _empty_roots(host, pattern, first)
+        marked = set()
+        if empty and _later_levels_anchored(plan):
+            marked = data.draw(st.sets(st.sampled_from(empty), min_size=1))
+        buckets = _live_buckets(host._adj, marked) if marked or data.draw(st.booleans()) else None
+        kept = None if buckets is None else [list(row) for row in buckets]
+        dead = []
+        image = find_embedding(host._adj, plan, dead=dead, buckets=buckets)
+        assert image == find_embedding(host._adj, plan)
+        assert buckets == kept
+        assert set(dead) <= set(empty)
+        if len(plan.levels) <= host.vertex_count:
+            order = sorted(range(host.vertex_count), key=host.degree)
+            scanned = order if image is None else order[: order.index(image[first])]
+            assert dead == [v for v in scanned if v not in marked and host.degree(v) >= pattern.degree(first)]
+        runs["cases"] += 1
+        runs["marked"] += bool(marked)
+
+    check()
+    assert 3 * runs["marked"] >= runs["cases"] >= 150
 
 
 def _assert_buckets_change_nothing(host, plan, fixed, blocked, marked):
     """Every call shape returns, visits and reports the same when given the
     host's fresh degree buckets as when it builds them itself: the plain
     call, blocked and fixed, a visit of every embedding, and the reporting
-    call with and without marks."""
+    call. Given the buckets less marked roots that carry no copy (only a
+    plan with an anchor on every later level may be), the reporting call
+    returns the same image and reports the same roots less the marked ones."""
     adj = host._adj
-    roots = set(marked)
 
     def record(**buckets):
-        seen, dead, skipped = [], [], []
+        seen, dead = [], []
         return [
             find_embedding(adj, plan, **buckets),
             find_embedding(adj, plan, blocked=blocked, fixed=fixed, **buckets),
             (find_embedding(adj, plan, fixed=fixed, visit=lambda image: seen.append(tuple(image)), **buckets), seen),
             (find_embedding(adj, plan, dead=dead, **buckets), dead),
-            (find_embedding(adj, plan, roots=roots, dead=skipped, **buckets), skipped),
         ]
 
-    assert record(buckets=graphs._buckets(adj)) == record()
+    expected = record()
+    assert record(buckets=graphs._buckets(adj)) == expected
+    if marked:
+        assert _later_levels_anchored(plan)
+        skipped = []
+        image = find_embedding(adj, plan, dead=skipped, buckets=_live_buckets(adj, marked))
+        image_expected, dead = expected[-1]
+        assert (image, skipped) == (image_expected, [v for v in dead if v not in marked])
 
 
 @pytest.mark.parametrize("spelled,chunk", [(8, 16), (0, 1), (0, 2)])
@@ -661,7 +692,7 @@ def test_buckets_change_no_answer_on_random_cases(monkeypatch, spelled, chunk, c
     monkeypatch.setattr(graphs, "_CHUNK_LOOPS", chunk)
     host, pattern, seed, fixed, blocked, break_twins, _ = case
     plan = graphs.MatchPlan(pattern, seed, break_twins)
-    empty = _empty_roots(host, pattern, plan.levels[0][0])
+    empty = _empty_roots(host, pattern, plan.levels[0][0]) if _later_levels_anchored(plan) else []
     marked = data.draw(st.sets(st.sampled_from(empty))) if empty else set()
     _assert_buckets_change_nothing(host, plan, fixed, blocked, marked)
 
@@ -691,7 +722,8 @@ def test_buckets_change_no_answer_on_named_cases(pattern, seed):
         pairs = list(itertools.combinations(range(host.vertex_count), 2))
         blocked = set(rng.sample(pairs, min(2, len(pairs))))
         fixed = tuple(rng.sample(range(host.vertex_count), min(len(seed), host.vertex_count)))
-        _assert_buckets_change_nothing(host, plan, fixed, blocked, set(_empty_roots(host, pattern, plan.levels[0][0])))
+        marked = set(_empty_roots(host, pattern, plan.levels[0][0])) if _later_levels_anchored(plan) else set()
+        _assert_buckets_change_nothing(host, plan, fixed, blocked, marked)
 
 
 def test_marks_take_only_the_plain_call_shape():
@@ -700,8 +732,38 @@ def test_marks_take_only_the_plain_call_shape():
     for shape in ({"fixed": (0,)}, {"blocked": {(0, 1)}}, {"visit": lambda image: False}):
         with pytest.raises(ValueError, match="roots"):
             find_embedding(square._adj, plan, dead=[], **shape)
-    with pytest.raises(ValueError, match="roots"):
-        find_embedding(square._adj, plan, roots={0})
+
+
+@settings(max_examples=200)
+@given(
+    n=st.integers(0, 9),
+    density=st.sampled_from((0.0, 0.3, 0.7, 1.0)),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_toggles_leave_left_out_vertices_out(n, density, seed, data):
+    """_toggle moves only the ends that sit in their buckets. A vertex left
+    out of them never comes back, the vertices in them stay bucketed by
+    their current degree, putting the left-out ones back at their degree
+    then gives the fresh buckets, and toggling the same pairs again
+    restores the buckets toggling started from."""
+    rng = random.Random(seed)
+    host = random_graph(rng, n, density)
+    out = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
+    pairs = list(itertools.combinations(range(n), 2))
+    flips = data.draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
+    adj = host.adjacency()
+    buckets = _live_buckets(adj, out)
+    start = [list(row) for row in buckets]
+    for pair in flips:
+        _toggle(adj, (pair,), buckets)
+        assert buckets == _live_buckets(adj, out)
+    restored = [list(row) for row in buckets]
+    for v in out:
+        insort(restored[len(adj[v])], v)
+    assert restored == graphs._buckets(adj)
+    _toggle(adj, flips, buckets)
+    assert buckets == start
 
 
 @pytest.mark.parametrize(

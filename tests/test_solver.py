@@ -434,33 +434,36 @@ def _plan_pattern(plan):
 @pytest.fixture
 def checked_root_calls(monkeypatch):
     """Check every root call of a search against the plain call on the same
-    adjacency, and every mark it passes against a search anchored at the
-    marked vertex: a mark may only skip a root that carries no copy, so both
-    calls return the same copy. Any call that passes degree buckets must
-    pass those of its adjacency as it stands. Counts root calls by whether
-    they skipped marks ("skipping"), only reported dead roots ("marking")
-    or did neither ("plain"), and those that passed buckets ("bucketed")."""
+    adjacency. The marks are the vertices missing from every bucket the
+    call passes, and the buckets must be those of its adjacency as it
+    stands, less the marks. Each mark is checked against a search anchored
+    at the marked vertex: a mark may only leave out a root that carries no
+    copy, so both calls return the same copy. Counts root calls by whether
+    they left marks out ("skipping"), only reported dead roots ("marking")
+    or did neither ("plain"), and those that passed buckets ("bucketed");
+    "left out" lists the number of marks of each root call, in order."""
     real = solver.find_embedding
-    counts = {"skipping": 0, "marking": 0, "plain": 0, "bucketed": 0}
+    counts = {"skipping": 0, "marking": 0, "plain": 0, "bucketed": 0, "left out": []}
 
     def checked(adj, plan, **kwargs):
-        if kwargs.get("buckets") is not None:
-            assert kwargs["buckets"] == graphs._buckets(adj)
+        buckets, marked = kwargs.get("buckets"), set()
+        if buckets is not None:
+            marked = set(range(len(adj))).difference(chain.from_iterable(buckets))
+            assert buckets == [[v for v in row if v not in marked] for row in graphs._buckets(adj)]
         if "dead" not in kwargs:
             return real(adj, plan, **kwargs)
-        counts["bucketed"] += kwargs.get("buckets") is not None
-        roots = kwargs["roots"]
+        counts["bucketed"] += buckets is not None
+        counts["left out"].append(len(marked))
         expected = real(adj, plan)
         if kwargs["dead"] is None:
+            assert not marked
             counts["plain"] += 1
-        elif roots is None:
+        elif not marked:
             counts["marking"] += 1
         else:
-            marked = sorted(roots)
-            assert marked
             counts["skipping"] += 1
             anchored = match_plan(_plan_pattern(plan), (plan.levels[0][0],))
-            assert all(real(adj, anchored, fixed=(v,)) is None for v in marked)
+            assert all(real(adj, anchored, fixed=(v,)) is None for v in sorted(marked))
         image = real(adj, plan, **kwargs)
         assert image == expected
         return image
@@ -503,6 +506,17 @@ def test_marked_root_calls_agree_with_plain_calls_on_long_descents(checked_root_
     solution = solve_sandwich(inst)
     assert len(solution) == k and is_solution(inst, solution)
     assert checked_root_calls["skipping"] > 0
+
+
+def test_dead_roots_leave_the_walk(checked_root_calls):
+    # Existence over 60 disjoint squares deletes one pair of each square in
+    # turn; every root call after the first leaves out the vertices of the
+    # squares broken so far but the last, 2 of them per square, and no
+    # root call walks them.
+    inst = disjoint_copies("c4", 60)
+    assert len(solve_sandwich(inst)) == 60
+    left_out = checked_root_calls["left out"]
+    assert left_out[-1] == 118 and sum(left_out) == 3540
 
 
 # Two p4 hosts, one per mode, on which the search must revive a marked root
