@@ -12,9 +12,9 @@ the ladder, one diagonal choice per square) that leave the gadget
 pattern-free must be exactly the predicted ones, the subsets tried must
 touch every free pair, and the free pairs must span no square. A
 failed check raises GadgetContractError rather than emitting a wrong
-instance. A contract walks its subsets in reflected Gray-code order, so
-each step flips one pair of an adjacency whose degree buckets the
-contract owns and keeps current, as the solver does.
+instance. A contract walks its subsets in reflected Gray-code order, last
+digit fastest, one flipped pair per step, and calls the matcher only when
+a flip lands inside the last copy found or no copy is held.
 
 Variable gadgets for deletion pair two mirrored all-or-nothing chains, one
 per truth value, coupled so that at least one chain fires and at most one
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cnf import CnfFormula, duplicate_for_min_occurrences, normalize_3cnf, occurrence_counts
-from .graphs import Graph, _buckets, _toggle, edge_key, find_embedding, is_h_free, match_plan
+from .graphs import Graph, _toggle, edge_key, find_embedding, is_h_free, match_plan
 from .patterns import (
     complete_graph, complete_minus_edge, cycle_graph, house_graph, named_pattern, require,
 )
@@ -317,12 +317,12 @@ def _gray_walk(digits):
 
 # Every contract is an exact solution set. _certify builds the gadget, checks
 # that its free pairs are of the mode's kind, walks the candidate subsets of
-# them on one adjacency (_gray_walk, one flipped pair per step, through
-# degree buckets the contract owns), and checks that the subsets leaving it
-# pattern-free are exactly the set the row predicts from the builder's
-# labels, that the candidates touch every free pair, and that the free pairs
-# span no square subgraph. Rows call their builders by module name at run
-# time, so a builder rebound there is the one certified.
+# them on one adjacency (_survivors: one flipped pair per step, and a matcher
+# call only where a flip lands inside the copy last found), and checks that
+# the subsets leaving it pattern-free are exactly the set the row predicts
+# from the builder's labels, that the candidates touch every free pair, and
+# that the free pairs span no square subgraph. Rows call their builders by
+# module name at run time, so a builder rebound there is the one certified.
 #
 #   contract: (builder, pattern, mode, predicted solutions, facts,
 #              digits: (labels, free pairs) -> one tuple of states per digit,
@@ -361,19 +361,23 @@ _CONTRACTS = {
 
 
 def _survivors(adj, plan, digits) -> tuple:
-    """Walk every choice of digits on adj (see _gray_walk), which it leaves
-    at the last choice. Returns the choices that leave adj free of plan's
-    pattern, the pairs the walk touched and the number of choices."""
-    buckets = _buckets(adj)
+    """Walk every choice of digits on adj (see _gray_walk), last digit
+    fastest, and leave adj at the last choice. Returns the choices that
+    leave adj free of plan's pattern, the pairs the walk touched and the
+    number of choices. The vertices of the last copy found hold one until
+    a flip lands inside them, so only then, or with no copy held, does a
+    step call the matcher."""
     current, covered, solutions = set(), set(), set()
-    checked = 0
-    for flips in _gray_walk(digits):
-        _toggle(adj, flips, buckets)
+    checked, held = 0, None
+    for flips in _gray_walk(digits[::-1]):
+        _toggle(adj, flips)
         current.symmetric_difference_update(flips)
         covered.update(flips)
         checked += 1
-        if find_embedding(adj, plan, buckets=buckets) is None:
-            solutions.add(frozenset(current))
+        if held is None or any(u in held and v in held for u, v in flips):
+            held = find_embedding(adj, plan)
+            if held is None:
+                solutions.add(frozenset(current))
     return solutions, covered, checked
 
 

@@ -352,11 +352,12 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
     no anchor, the host vertices by degree, ties by vertex, walking the
     buckets K from the level's degree up. That walk leaves out exactly the
     vertices the level's degree test would reject, so such a level tests
-    no degree. One test per level rejects a candidate on degree,
-    floor, adjacency, non-adjacency, blocked pairs, and equality with a
-    non-adjacent earlier image (an adjacent one differs already). Levels
-    past _SPELLED earlier vertices keep the earlier images in a set U
-    instead, added to on the way down and taken from on the way back: the
+    no degree. One test per level rejects a candidate on degree (where
+    its adjacency tests do not imply it), floor, adjacency, non-adjacency,
+    blocked pairs, and equality with a non-adjacent earlier image (an
+    adjacent one differs already). Levels past _SPELLED earlier vertices
+    keep the earlier images in a set U instead, added to on the way down
+    and taken from on the way back: the
     candidate must be outside U, and its neighbours must meet U in exactly
     its adjacent earlier images. Each chunk after the first takes U as its
     argument and reads back from I the few earlier images it names.
@@ -434,9 +435,11 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
                 pad = " " * depth
             near = [f"v{w}" for w, adjacent in checks if adjacent and w != anchor]
             apart = [f"v{w}" for w, adjacent in checks if not adjacent]
-            # A neighbour of the anchor image has degree 1 at least, and a
-            # walk of the buckets from the level's degree needs no test.
-            least = 1 if anchor is not None else needed if i >= pinned else 0
+            # A candidate that passes the adjacency tests neighbours the
+            # anchor image and every near image, all distinct, so its degree
+            # is 1 + len(near) at least; a walk of the buckets from the
+            # level's degree needs no test.
+            least = 1 + len(near) if anchor is not None else needed if i >= pinned else 0
             terms = [f"len(N) < {needed}"] if needed > least else []
             if floor is not None:
                 terms.append(f"{v} <= v{floor}")
@@ -455,8 +458,8 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
                 lines.append(f"{pad}if {' or '.join(terms)}: {fail}")
             if i == g and ahead:
                 # Level g has a term that reads N, so N is set. With an
-                # anchor it tests a degree of 2 at least (the anchor and the
-                # last vertex); without one it is adjacent to no earlier
+                # anchor it tests a degree above least (the last vertex is
+                # a neighbour too); without one it is adjacent to no earlier
                 # vertex, and it comes after the last level's anchor, so it
                 # tests a non-adjacent earlier image (or U) against N.
                 lines.append(f"{pad}if L is None:")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfree import gadgets, graphs
+from hfree import gadgets
 from hfree.cnf import duplicate_for_min_occurrences, formula, sat_brute_force, satisfies
 from hfree.gadgets import (
     GadgetContractError,
@@ -187,45 +187,60 @@ def test_contract_walk_matches_whole_subsets_on_a_fresh_adjacency(name):
     assert checked == len(candidates) == len(set(candidates))
 
 
-def test_contracts_flip_through_their_own_buckets(monkeypatch):
-    """The walks make 7,177 matcher calls over six contracts, each handed
-    the contract's buckets, so no call builds them, and toggle 6,568 pairs
-    on the ladder. Only the square check, is_h_free on a graph of the free
-    pairs alone, builds buckets of its own."""
-    calls, toggled, built = [], [], []
-    real_find, real_toggle, real_buckets = gadgets.find_embedding, gadgets._toggle, graphs._buckets
-    real_square = gadgets.has_c4_subgraph
+def test_contracts_call_the_matcher_only_when_a_flip_hits_the_held_copy(monkeypatch):
+    """The ladder still checks 6,561 subsets and toggles 6,568 pairs, but a
+    walk calls the matcher only with no copy held or when a flip has both
+    ends in it: at most 372 calls over the six contracts, 270 on the
+    ladder, against one per subset (7,177)."""
+    calls, toggled = {}, []
+    real_find, real_toggle = gadgets.find_embedding, gadgets._toggle
+    name = None
 
     def find(adj, plan, **kwargs):
-        calls.append(kwargs.get("buckets") is not None)
+        calls[name] = calls.get(name, 0) + 1
         return real_find(adj, plan, **kwargs)
 
-    def toggle(adj, pairs, buckets=None):
-        toggled.append((len(pairs), buckets is not None))
-        real_toggle(adj, pairs, buckets)
-
-    def buckets(adj):
-        built.append(len(adj))
-        return real_buckets(adj)
-
-    def square_check(graph):
-        before = len(built)
-        answer = real_square(graph)
-        del built[before:]
-        return answer
+    def toggle(adj, pairs, *args):
+        toggled.append(len(pairs))
+        real_toggle(adj, pairs, *args)
 
     monkeypatch.setattr(gadgets, "find_embedding", find)
-    monkeypatch.setattr(gadgets, "has_c4_subgraph", square_check)
     monkeypatch.setattr(gadgets, "_toggle", toggle)
-    monkeypatch.setattr(graphs, "_buckets", buckets)
-    assert gadgets._certify("c4-completion ladder").checked_subsets == 6561
-    assert sum(size for size, _ in toggled) == 6568
-    toggled.clear()
     for name in gadgets._CONTRACTS:
-        gadgets._certify(name)
-    assert len(calls) == 6561 + 7177 and all(calls)
-    assert all(owned for _, owned in toggled)
-    assert not built
+        toggled.clear()
+        contract = gadgets._certify(name)
+        if name == "c4-completion ladder":
+            assert contract.checked_subsets == 6561
+            assert sum(toggled) == 6568
+    assert calls["c4-completion ladder"] <= 270
+    assert sum(calls.values()) <= 372
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_held_copy_walk_matches_whole_subsets_on_random_hosts(data):
+    """The skip rule on hosts other than the gadgets: a random host of at
+    most 9 vertices, a pattern, and 1-6 free pairs as binary digits. The
+    walk's solutions equal those of toggling each subset in whole on a
+    fresh adjacency, including flips with one end in the held copy."""
+    n = data.draw(st.integers(2, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    host = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+    pattern = named_pattern(data.draw(st.sampled_from(["c4", "c5", "p5", "house"]))).graph
+    free = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=min(6, len(pairs)), unique=True))
+    plan = match_plan(pattern)
+    oracle = set()
+    for r in range(len(free) + 1):
+        for subset in itertools.combinations(free, r):
+            adj = host.adjacency()
+            _toggle(adj, subset)
+            if find_embedding(adj, plan) is None:
+                oracle.add(frozenset(subset))
+    digits = gadgets._free_pairs(None, free)
+    solutions, covered, checked = gadgets._survivors(host.adjacency(), plan, digits)
+    assert solutions == oracle
+    assert covered == set(free)
+    assert checked == 2 ** len(free)
 
 
 def _drop_rigid_edge(builder, mode, _pattern):
