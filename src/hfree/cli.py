@@ -10,11 +10,13 @@ verify check is a sub-parser that declares exactly the flags its handler
 reads.
 
 Exit codes: 0 on success or a passing check, 1 on a failing check, 2 on a
-usage or parse error, 3 when a guard or the node limit cut the run short,
-4 on an internal error. A flag the route does not take, or a required one
-left out, exits 2 from argparse before any file is read; content that
-cannot be read (a malformed file, an unknown pattern name, a pattern a
-target fixes itself) exits 2 from the ValueError it raises.
+usage or parse error, 3 when a guard or the node limit cut the run short
+(`complement` refuses a complement of more than COMPLEMENT_PAIR_GUARD
+pairs that way), 4 on an internal error. A flag the route does not take,
+or a required one left out, exits 2 from argparse before any file is
+read; content that cannot be read (a malformed file, an unknown pattern
+name, a pattern a target fixes itself) exits 2 from the ValueError it
+raises.
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ from .verify import (
 )
 
 _VERDICT_EXIT = {"pass": 0, "fail": 1, "skipped": 3}
+
+# The most pairs `hfree complement` writes: about 28 times the widest
+# complement a wired reduction of a small formula makes (some 144k pairs),
+# and far below a lifted host's (a 15,028-vertex house-del output has
+# about 112.9M, whose rows alone would not fit in memory).
+COMPLEMENT_PAIR_GUARD = 4_000_000
 
 
 def _read_text(args) -> str:
@@ -120,6 +128,11 @@ def _cmd_lift(args) -> int:
 
 def _cmd_complement(args) -> int:
     file = parse_instance(_read_text(args), _flag_pattern(args))
+    graph = file.instance.graph
+    n = graph.vertex_count
+    if n * (n - 1) // 2 - graph.edge_count > COMPLEMENT_PAIR_GUARD:
+        _write_text(args, "RESULT skipped complement pair-guard\n")
+        return 3
     flipped = complement_instance(file.instance)
     _write_text(args, render_instance(flipped, budget=file.budget, labels=file.labels))
     return 0

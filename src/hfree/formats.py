@@ -114,16 +114,22 @@ def _meaningful_lines(text):
         yield number, line.split()
 
 
-def _parse_pair(words, number, vertex_count):
-    try:
-        u, v = _read_int(words[0]), _read_int(words[1])
-    except ValueError:
-        raise FormatError(f"line {number}: endpoints must be integers") from None
+def _parse_pair(a, b, number, vertex_count):
+    """The pair of endpoint tokens a and b as (min, max). Tokens of ASCII
+    digits, what writers emit, skip _read_int's call; any other token gets
+    its rule and its error."""
+    if a.isdigit() and b.isdigit() and a.isascii() and b.isascii():
+        u, v = int(a), int(b)
+    else:
+        try:
+            u, v = _read_int(a), _read_int(b)
+        except ValueError:
+            raise FormatError(f"line {number}: endpoints must be integers") from None
     if u == v:
         raise FormatError(f"line {number}: pair endpoints must differ")
     if not (0 <= u < vertex_count and 0 <= v < vertex_count):
         raise FormatError(f"line {number}: endpoint out of range")
-    return edge_key(u, v)
+    return (u, v) if u < v else (v, u)
 
 
 def _count(words, number, message):
@@ -160,7 +166,33 @@ def parse_instance(text: str, default_pattern=None) -> InstanceFile:
     labels = []
     seen = set()
     for number, words in lines:
-        key, rest = words[0], words[1:]
+        # edge lines come first: nearly every line of a large file is one
+        key = words[0]
+        if key == "edge" or key == "nonedge":
+            if mode is None or vertex_count is None:
+                raise FormatError(f"line {number}: {key} before mode and vertices")
+            marked = len(words) == 4
+            if len(words) not in (3, 4) or marked and words[3] != "free":
+                raise FormatError(f"line {number}: expected '{key} u v [free]'")
+            pair = _parse_pair(words[1], words[2], number, vertex_count)
+            if key == "edge":
+                if pair in edges:
+                    raise FormatError(f"line {number}: duplicate edge {pair}")
+                edges.add(pair)
+                if marked:
+                    if mode != DELETION:
+                        raise FormatError(f"line {number}: free edges belong to deletion instances")
+                    free.add(pair)
+            else:
+                if not marked:
+                    raise FormatError(f"line {number}: a nonedge line must be marked free")
+                if mode != COMPLETION:
+                    raise FormatError(f"line {number}: fillable pairs belong to completion instances")
+                if pair in free:
+                    raise FormatError(f"line {number}: duplicate nonedge {pair}")
+                free.add(pair)
+            continue
+        rest = words[1:]
         if key in ("mode", "pattern", "vertices", "budget"):
             if key in seen:
                 raise FormatError(f"line {number}: {key} given twice")
@@ -175,34 +207,12 @@ def parse_instance(text: str, default_pattern=None) -> InstanceFile:
             pattern = named_pattern(rest[0])
         elif key == "vertices":
             vertex_count = _count(rest, number, "vertices takes one count")
-        elif key in ("edge", "nonedge"):
-            if mode is None or vertex_count is None:
-                raise FormatError(f"line {number}: {key} before mode and vertices")
-            if len(rest) not in (2, 3) or (len(rest) == 3 and rest[2] != "free"):
-                raise FormatError(f"line {number}: expected '{key} u v [free]'")
-            pair = _parse_pair(rest, number, vertex_count)
-            if key == "edge":
-                if pair in edges:
-                    raise FormatError(f"line {number}: duplicate edge {pair}")
-                edges.add(pair)
-                if len(rest) == 3:
-                    if mode != DELETION:
-                        raise FormatError(f"line {number}: free edges belong to deletion instances")
-                    free.add(pair)
-            else:
-                if len(rest) != 3:
-                    raise FormatError(f"line {number}: a nonedge line must be marked free")
-                if mode != COMPLETION:
-                    raise FormatError(f"line {number}: fillable pairs belong to completion instances")
-                if pair in free:
-                    raise FormatError(f"line {number}: duplicate nonedge {pair}")
-                free.add(pair)
         elif key == "budget":
             budget = _count(rest, number, "budget takes one nonnegative integer")
         elif key == "label":
             if len(rest) != 3 or vertex_count is None:
                 raise FormatError(f"line {number}: expected 'label name u v' after vertices")
-            labels.append((rest[0], _parse_pair(rest[1:], number, vertex_count)))
+            labels.append((rest[0], _parse_pair(rest[1], rest[2], number, vertex_count)))
         else:
             raise FormatError(f"line {number}: unknown directive {key!r}")
 

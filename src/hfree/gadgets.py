@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cnf import CnfFormula, duplicate_for_min_occurrences, normalize_3cnf, occurrence_counts
-from .graphs import Graph, _toggle, edge_key, find_embedding, is_h_free, match_plan
+from .graphs import Graph, _glue, _toggle, edge_key, find_embedding, is_h_free, match_plan
 from .patterns import (
     complete_graph, complete_minus_edge, cycle_graph, house_graph, named_pattern, require,
 )
@@ -542,29 +542,29 @@ def _require_square_instance(instance: SandwichInstance, mode: str):
         raise ValueError("free pairs span a square; the house translation would be unsound")
 
 
+# a vertex seeing both terminals: the roof of an edge, and the c4-del guard
+_APEX = Graph(3, [(0, 2), (1, 2)])
+
+
 def reduce_c4comp_to_house_comp(instance: SandwichInstance) -> SandwichInstance:
     """Square completion to house completion by putting an apex on every edge.
 
     Each original edge gains a degree-two roof vertex, so an induced square
     through that edge becomes an induced house and houses arise no other
     way: a square through an apex would need the roofed edge as a chord,
-    and the free pairs span no square of their own.
+    and the free pairs span no square of their own. The roofs are one
+    _glue of the apex guard over the sorted edges, one apex per edge,
+    numbered after the host's vertices in edge order.
     """
     _require_square_instance(instance, COMPLETION)
-    builder = _GraphBuilder()
-    builder.plant(instance.graph)
-    for u, v in sorted(instance.graph.edges):
-        apex = builder.fresh()
-        builder.add_edge(u, apex)
-        builder.add_edge(v, apex)
-    graph = Graph(builder.vertex_count, builder.edges)
+    graph = _glue(instance.graph, _APEX, (0, 1), sorted(instance.graph.edges), 1)
     return SandwichInstance(graph, named_pattern("house"), COMPLETION, instance.free)
 
 
 # ---------------------------------------------------------------------------
 # gap lifts
 
-# Every lift plants the host and then guards each formerly fixed site (a
+# Every lift keeps the host and guards each formerly fixed site (a
 # fixed edge for deletion, a fixed non-edge for completion) with p(k) +
 # extra copies of a guard graph glued onto the site by its two terminals.
 # Touching the site springs every copy open at once and the copies share
@@ -579,7 +579,7 @@ LIFTS = {
     "general-del": (None, DELETION, 0, None, None),
     "general-comp": (None, COMPLETION, 0, None, None),
     # a vertex seeing both ends; two of them form a square once the edge goes
-    "c4-del": (cycle_graph(4), DELETION, 2, (Graph(3, [(0, 2), (1, 2)]), (0, 1)), None),
+    "c4-del": (cycle_graph(4), DELETION, 2, (_APEX, (0, 1)), None),
     # a three-path and a two-path between the ends, which close into a
     # pentagon once the edge goes
     "c5-del": (
@@ -610,7 +610,9 @@ def lift_specific(instance: SandwichInstance, family: str, polynomial: Polynomia
     The general families accept any 3-connected pattern; the named ones
     check that the instance carries the matching pattern and mode. The
     house-del family is the square-to-house translation, so it expects a
-    square deletion instance and emits a house one.
+    square deletion instance and emits a house one. The lifted host is one
+    _glue of the guard over the sorted fixed sites; no guard has adjacent
+    terminals, so _glue takes every row.
     """
     if family not in LIFTS:
         raise ValueError(f"unknown lift family {family!r}")
@@ -630,17 +632,9 @@ def lift_specific(instance: SandwichInstance, family: str, polynomial: Polynomia
         _require_square_instance(instance, mode)
     elif instance.mode != mode or pattern.graph != want:
         raise ValueError(f"family {family!r} needs a matching pattern and mode")
-    graph, (s, t) = guard
     k = len(instance.free)
     sites = instance.graph.edges if mode == DELETION else set(instance.graph.non_edges())
-    builder = _GraphBuilder()
-    builder.plant(instance.graph)
-    copies = polynomial(k) + extra
-    for u, v in sorted(sites - instance.free):
-        glue = {s: u, t: v}
-        for _ in range(copies):
-            builder.plant(graph, glue)
-    lifted = Graph(builder.vertex_count, builder.edges)
+    lifted = _glue(instance.graph, *guard, sorted(sites - instance.free), polynomial(k) + extra)
     free = lifted.edges if mode == DELETION else frozenset(lifted.non_edges())
     out = named_pattern(output) if output else pattern
     return BudgetedInstance(SandwichInstance(lifted, out, mode, free), k)

@@ -40,9 +40,11 @@ built from. A mutable copy (adjacency) can iterate differently from its
 row, and _toggle's history moves that order too, so the solver's order
 also depends on the path to a node; the same input replays the same
 history, so answers stay deterministic. The rows are a graph's state,
-and its edge set is derived from them on demand: complement builds rows
-only, so a complement that is only checked and rendered never builds its
-set of pair tuples.
+and its edge set is derived from them on demand. Two operations build
+rows only, through _of_rows, and make graphs that are valid by
+construction: complement, and _glue, which hangs copies of a guard graph
+on sites of a host. A graph they make that is only checked and rendered
+never builds its set of pair tuples.
 """
 
 from __future__ import annotations
@@ -128,11 +130,14 @@ class Graph:
         """Whether every pair is (u, v) with 0 <= u < v < vertex_count and is
         an edge (present) or a non-edge (not present). A graph that holds its
         edge set answers by set tests, one that does not by looking v up in
-        u's row; there a u that is not an int answers False."""
+        u's row; there a u that is not an int answers False. The graph's own
+        edge set answers at once: all edges, and non-edges only when empty."""
         n, edges = self.vertex_count, self._edges
         if edges is None:
             adj = self._adj
             return all(type(u) is int and 0 <= u < v < n and (v in adj[u]) == present for u, v in pairs)
+        if pairs is edges:
+            return present or not pairs
         if present:
             return pairs <= edges
         return pairs.isdisjoint(edges) and all(0 <= u < v < n for u, v in pairs)
@@ -154,6 +159,18 @@ class Graph:
         return f"Graph({self.vertex_count}, {sorted(self.edges)})"
 
 
+def _of_rows(vertex_count: int, rows: tuple) -> Graph:
+    """The graph whose state is rows, one frozenset per vertex, taken as
+    they are. Only operations whose rows are valid by construction (no
+    loops, every pair in both rows, in range) call it."""
+    graph = object.__new__(Graph)
+    graph.vertex_count = vertex_count
+    graph._edges = None
+    graph._adj = rows
+    graph._hash = None
+    return graph
+
+
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly g's non-edges.
 
@@ -165,12 +182,55 @@ def complement(g: Graph) -> Graph:
     rows only: the edge set is derived from them when something reads it.
     """
     everyone = frozenset(range(g.vertex_count))
-    graph = object.__new__(Graph)
-    graph.vertex_count = g.vertex_count
-    graph._edges = None
-    graph._adj = tuple(everyone.difference(near | {v}) for v, near in enumerate(g._adj))
-    graph._hash = None
-    return graph
+    return _of_rows(g.vertex_count, tuple(everyone.difference(near | {v}) for v, near in enumerate(g._adj)))
+
+
+def _glue(host: Graph, guard: Graph, terminals, sites, copies: int) -> Graph:
+    """host plus copies copies of guard per site, each glued by its
+    terminals (s, t) onto the site (u, v), s onto u and t onto v, with
+    every other guard vertex fresh.
+
+    Fresh vertices are numbered after the host's: site by site in the
+    given order, copy by copy, and a copy's inner guard vertices in
+    ascending order, as planting the guard copy by copy numbers them. Rows
+    are filled directly: the host's sorted rows, then each terminal row
+    gains its block of fresh neighbours per site, larger than any before,
+    so every row is sorted and becomes a frozenset as the constructor
+    makes it; a fresh vertex's row is whole when its copy is made, and is
+    frozen then. Terminals that are adjacent in guard are refused, so every
+    guard edge touches a fresh vertex and no pair is made twice; so is a
+    site that is not 0 <= u < v < host.vertex_count.
+    """
+    s, t = terminals
+    size = guard.vertex_count
+    if not (0 <= s < size and 0 <= t < size) or s == t:
+        raise ValueError(f"terminals ({s}, {t}) are not two vertices of the guard")
+    if t in guard.neighbors(s):
+        raise ValueError(f"terminals ({s}, {t}) are adjacent in the guard")
+    n = host.vertex_count
+    inner = [w for w in range(size) if w != s and w != t]
+    place = {w: i for i, w in enumerate(inner)}
+    width = len(inner)
+    # per terminal, its inner neighbours' offsets in a copy; per inner
+    # vertex, whether it sees s and t and its inner neighbours' offsets
+    at_s = sorted(place[w] for w in guard.neighbors(s))
+    at_t = sorted(place[w] for w in guard.neighbors(t))
+    shapes = [
+        (s in near, t in near, sorted(place[x] for x in near - {s, t}))
+        for near in map(guard.neighbors, inner)
+    ]
+    rows = [sorted(near) for near in host._adj]
+    fresh = []
+    starts = [n + width * copy for copy in range(copies)]
+    for u, v in sites:
+        if not 0 <= u < v < n:
+            raise ValueError(f"site ({u}, {v}) is not a pair u < v of the host's {n} vertices")
+        blocks = [len(fresh) + start for start in starts]
+        rows[u] += [b + i for b in blocks for i in at_s]
+        rows[v] += [b + i for b in blocks for i in at_t]
+        ends = [([u] * sees_s + [v] * sees_t, near) for sees_s, sees_t, near in shapes]
+        fresh += [frozenset(head + [b + i for i in near]) for b in blocks for head, near in ends]
+    return _of_rows(n + len(fresh), (*map(frozenset, rows), *fresh))
 
 
 def _connected_without(g: Graph, removed) -> bool:

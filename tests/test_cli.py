@@ -434,6 +434,22 @@ def test_node_limit_reports_a_skip(tmp_path, capsys):
     assert capsys.readouterr().out == "RESULT skipped solve node-limit\n"
 
 
+def test_complement_pair_guard_reports_a_skip(tmp_path, capsys, monkeypatch):
+    """A complement wider than the guard is refused before any row is
+    built; one exactly at the guard is written."""
+    empty = write(tmp_path / "empty.hfi", "hfi 1\nmode deletion\npattern c4\nvertices 20000\n")
+    assert main(["complement", "-i", empty]) == 3
+    assert capsys.readouterr().out == "RESULT skipped complement pair-guard\n"
+    small = write(tmp_path / "small.hfi", "hfi 1\nmode deletion\npattern c4\nvertices 5\nedge 0 1\n")
+    monkeypatch.setattr(cli, "COMPLEMENT_PAIR_GUARD", 9)
+    assert main(["complement", "-i", small]) == 0
+    assert capsys.readouterr().out.count("edge ") == 9
+    monkeypatch.setattr(cli, "COMPLEMENT_PAIR_GUARD", 8)
+    out = tmp_path / "co.hfi"
+    assert main(["complement", "-i", small, "-o", str(out)]) == 3
+    assert out.read_text(encoding="ascii") == "RESULT skipped complement pair-guard\n"
+
+
 def test_existence_past_the_recursion_limit(tmp_path, capsys):
     squares = disjoint_copies("c4", sys.getrecursionlimit() + 100)
     src = write(tmp_path / "squares.hfi", render_instance(squares))

@@ -1,4 +1,5 @@
 import itertools
+import re
 import string
 
 import pytest
@@ -113,6 +114,27 @@ def test_instance_parse_errors():
     for text in ("hfi 1\nmode deletion\npattern c4\n", "hfi 1\npattern c4\nvertices 3\n"):
         with pytest.raises(FormatError, match="needs mode and vertices lines"):
             parse_instance(text)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("edge 0 -1", "line 6: endpoint out of range"),
+    ("edge -0 1", "line 6: duplicate edge (0, 1)"),
+    ("edge 3 \u00b2", "line 6: endpoints must be integers"),
+    ("edge \u0663 1", "line 6: endpoints must be integers"),
+    ("edge 2 02", "line 6: pair endpoints must differ"),
+    ("edge 0", "line 6: expected 'edge u v [free]'"),
+    ("edge 0 1 free x", "line 6: expected 'edge u v [free]'"),
+    ("nonedge 0 2 frees", "line 6: expected 'nonedge u v [free]'"),
+    ("nonedge 0 2 free", "line 6: fillable pairs belong to completion instances"),
+    ("edge 1 0", "line 6: duplicate edge (0, 1)"),
+    ("label a 0 -4", "line 6: endpoint out of range"),
+])
+def test_edge_line_errors_keep_their_messages(line, message):
+    """Every malformed edge, nonedge or label line names its line and its
+    fault, whether or not its endpoints are plain ASCII digits."""
+    text = f"hfi 1\nmode deletion\npattern c4\nvertices 4\nedge 00 1 free\n{line}\n"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_instance(text)
 
 
 def test_render_rejects_bad_labels():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -18,10 +19,13 @@ from hfree.gadgets import (
     reduce_3sat_to_c4del,
     reduce_3sat_to_c5del,
     reduce_c4comp_to_house_comp,
+    reduce_formula,
 )
-from hfree.graphs import Graph, _toggle, find_embedding, find_induced_copy, induced_subgraph, is_h_free, match_plan
+from hfree.graphs import (
+    Graph, _glue, _toggle, find_embedding, find_induced_copy, induced_subgraph, is_h_free, match_plan,
+)
 from hfree.patterns import complete_graph, cycle_graph, house_graph, named_pattern, path_graph
-from hfree.reductions import Polynomial, assignment_from_solution, solution_from_assignment
+from hfree.reductions import Polynomial, _GraphBuilder, assignment_from_solution, solution_from_assignment
 from hfree.solver import (
     COMPLETION,
     DELETION,
@@ -524,3 +528,64 @@ def test_lift_specific_rejections():
         lift_specific(square_del, "c5-del", GROW)
     with pytest.raises(ValueError, match="matching pattern and mode"):
         lift_specific(square_del, "c4-comp", GROW)
+
+
+def _planted(host, guard, terminals, sites, copies):
+    """host plus guard copies planted one at a time by the pair builder,
+    copies per site in site order, terminals glued onto the site."""
+    builder = _GraphBuilder()
+    builder.plant(host)
+    s, t = terminals
+    for u, v in sites:
+        for _ in range(copies):
+            builder.plant(guard, {s: u, t: v})
+    return Graph(builder.vertex_count, builder.edges)
+
+
+def _glue_guards():
+    """(guard, terminals) of every LIFTS row, the general rows on wheel4 and
+    the octahedron as lift_specific builds them; the c4-del row's guard is
+    also the roof of the square-to-house completion translation."""
+    guards = [row[3] for row in gadgets.LIFTS.values() if row[3] is not None]
+    for name in ("wheel4", "octahedron"):
+        pattern = named_pattern(name)
+        removed = min(pattern.edges)
+        guards += [(pattern.graph, pattern.non_edges[0]), (Graph(pattern.vertex_count, pattern.edges - {removed}), removed)]
+    return guards
+
+
+@pytest.mark.parametrize("guard,terminals", _glue_guards())
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_glue_equals_planting_copy_by_copy(guard, terminals, data):
+    """_glue makes the graph the pair builder makes, with every row
+    iterating alike, for sites in any order."""
+    n = data.draw(st.integers(2, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    host = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+    sites = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    copies = data.draw(st.integers(0, 3))
+    glued = _glue(host, guard, terminals, sites, copies)
+    planted = _planted(host, guard, terminals, sites, copies)
+    assert glued == planted
+    assert [list(glued.neighbors(v)) for v in range(glued.vertex_count)] == [
+        list(planted.neighbors(v)) for v in range(planted.vertex_count)
+    ]
+
+
+def test_house_del_lift_of_a_wired_output_is_pinned():
+    """The house-del lift of the c4del output of formula 0 of the translate
+    benchmark's pool is the pair builder's graph, row for row."""
+    instance, _ = reduce_formula("c4del", formula(4, [(-4, -3, -2), (-3, -1, 4), (2, 1, 4)]))
+    lifted = lift_specific(instance, "house-del", GROW)
+    graph = lifted.instance.graph
+    guard, terminals = gadgets.LIFTS["house-del"][3]
+    planted = _planted(instance.graph, guard, terminals, sorted(instance.graph.edges - instance.free), GROW(50) + 2)
+    assert (graph.vertex_count, graph.edge_count, lifted.budget) == (15028, 30083, 50)
+    assert graph == planted
+    rows = [list(graph.neighbors(v)) for v in range(graph.vertex_count)]
+    assert rows == [list(planted.neighbors(v)) for v in range(planted.vertex_count)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "d2bdec9ef87f78ec581fe2ccdc380d8a4da025597a7d8d193739254a66c21251"
+    )
+    assert lifted.instance.free is graph.edges

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hfree import graphs
 from hfree.graphs import (
     Graph,
+    _glue,
     _toggle,
     complement,
     edge_key,
@@ -123,6 +124,49 @@ def test_has_edge_reads_the_rows():
             with pytest.raises(ValueError):
                 co.has_edge(1, 1)
             assert co._edges is None
+
+
+def test_holds_answers_the_graphs_own_edge_set_at_once():
+    """The graph's own edge set holds as edges, and as non-edges only when
+    it is empty; an equal set that is not the graph's own answers alike."""
+    for g in (cycle_graph(4), Graph(3)):
+        for pairs in (g.edges, frozenset(g.edges)):
+            assert g._holds(pairs, True)
+            assert g._holds(pairs, False) == (not g.edges)
+
+
+ROOF = Graph(3, [(0, 2), (1, 2)])
+
+
+def test_glue_numbers_fresh_vertices_site_by_site():
+    """Each site gets its copies in turn, and a copy its inner guard
+    vertices in ascending order; rows build no edge set."""
+    guard = Graph(4, [(0, 2), (0, 3), (1, 3), (2, 3)])
+    glued = _glue(path_graph(3), guard, (0, 1), [(1, 2), (0, 1)], 2)
+    assert glued._edges is None
+    assert glued.vertex_count == 3 + 2 * 2 * 2
+    assert [sorted(glued.neighbors(v)) for v in range(11)] == [
+        [1, 7, 8, 9, 10], [0, 2, 3, 4, 5, 6, 8, 10], [1, 4, 6],
+        [1, 4], [1, 2, 3], [1, 6], [1, 2, 5], [0, 8], [0, 1, 7], [0, 10], [0, 1, 9],
+    ]
+    assert _glue(path_graph(3), ROOF, (1, 0), [(0, 2)], 1) == Graph(4, [(0, 1), (1, 2), (0, 3), (2, 3)])
+    assert _glue(path_graph(3), ROOF, (0, 1), [(0, 2)], 0) == path_graph(3)
+
+
+@pytest.mark.parametrize("guard,terminals,site,message", [
+    (Graph(3, [(0, 1), (1, 2)]), (0, 1), (0, 1), "adjacent in the guard"),
+    (Graph(3, [(0, 1), (1, 2)]), (1, 0), (0, 1), "adjacent in the guard"),
+    (ROOF, (0, 0), (0, 1), "not two vertices"),
+    (ROOF, (0, 3), (0, 1), "not two vertices"),
+    (ROOF, (-1, 1), (0, 1), "not two vertices"),
+    (ROOF, (0, 1), (2, 1), r"site \(2, 1\)"),
+    (ROOF, (0, 1), (1, 4), r"site \(1, 4\)"),
+    (ROOF, (0, 1), (-1, 2), r"site \(-1, 2\)"),
+    (ROOF, (0, 1), (2, 2), r"site \(2, 2\)"),
+])
+def test_glue_refuses_adjacent_terminals_and_bad_sites(guard, terminals, site, message):
+    with pytest.raises(ValueError, match=message):
+        _glue(cycle_graph(4), guard, terminals, [(0, 2), site], 1)
 
 
 def test_c5_is_self_complementary():
