@@ -24,14 +24,16 @@ level's degree test would reject. A caller that owns buckets, the solver,
 keeps them current through _toggle and passes them; for any other call
 find_embedding builds them once.
 
-A plain call can also report dead roots, host vertices proven to carry
-the plan's first pattern vertex in no copy. The matcher skips nothing
-itself: the solver keeps its marks out of the buckets it passes, so its
-root calls walk only live roots, in the full walk's order, and find the
-copy the full scan finds. It keeps its marks true as it toggles pairs: a
-toggle of (a, b) puts back the marks within the first vertex's
-eccentricity (MatchPlan.reach) of both a and b. Patterns that are not
-connected have no reach, and the solver scans them in full.
+A plain call that returns a copy has exhausted every root its walk met
+before the copy's root, so those roots carry the plan's first pattern
+vertex in no copy; _walked lists them from the buckets alone. The
+matcher skips nothing itself: the solver marks those dead roots and
+keeps its marks out of the buckets it passes, so its root calls walk
+only live roots, in the full walk's order, and find the copy the full
+scan finds. It keeps its marks true as it toggles pairs: a toggle of
+(a, b) puts back the marks within the first vertex's eccentricity
+(MatchPlan.reach) of both a and b. Patterns that are not connected have
+no reach, and the solver scans them in full.
 
 Each neighbour set of a Graph is built from its sorted row, so the order
 it iterates in, which the matcher follows, depends on the graph's edges
@@ -294,9 +296,8 @@ class MatchPlan:
     pattern is empty or not connected.
 
     searches caches the functions find_embedding runs for this plan, one
-    per call shape (pinned positions, blocking or not, visiting or not,
-    marking dead roots or not), each generated from levels by
-    _compile_search on the first such call.
+    per call shape (pinned positions, blocking or not, visiting or not),
+    each generated from levels by _compile_search on the first such call.
     """
 
     __slots__ = ("seed", "levels", "reach", "searches")
@@ -398,13 +399,13 @@ _CHUNK_LOOPS = 16
 _SPELLED = 8
 
 
-def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool, marking: bool):
+def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool):
     """Compile plan.levels into nested loops, one per unpinned level.
 
-    The result is search(A, F, B, visit, I, R, K): host adjacency, fixed,
-    blocked, visit, the image list it fills by pattern vertex, dead and
-    buckets (see find_embedding). It returns True once it found an
-    embedding (or visit accepted one).
+    The result is search(A, F, B, visit, I, K): host adjacency, fixed,
+    blocked, visit, the image list it fills by pattern vertex, and buckets
+    (see find_embedding). It returns True once it found an embedding (or
+    visit accepted one).
 
     Level i binds v<p> for its pattern vertex p: to F[i] when pinned, else
     in a loop over the candidates a level-by-level backtracker takes, in the
@@ -421,9 +422,6 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
     candidate must be outside U, and its neighbours must meet U in exactly
     its adjacent earlier images. Each chunk after the first takes U as its
     argument and reads back from I the few earlier images it names.
-
-    When marking, the root loop (level 0) appends to R each root whose
-    subtree it exhausts.
 
     One lookahead prunes dead branches. Let g be the level before the last.
     When the last level's anchor comes before g, g is unpinned and its
@@ -488,8 +486,6 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
                     lines.append(f"{pad}for {v} in A[v{anchor}]:")
                 else:
                     lines.append(f"{pad}for {v} in chain.from_iterable(islice(K, {needed}, None)):")
-                if marking and i == 0:
-                    closing.append(f"{pad} R.append({v})")
                 fail = "continue"
                 depth += 1
                 pad = " " * depth
@@ -545,13 +541,13 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
         lines.append(" " * base + "return False")
         chunks.append(lines)
     # The later chunks are closures over the search's arguments.
-    source = ["def search(A, F, B, visit, I, R, K):", *(line for lines in chunks[1:] + chunks[:1] for line in lines)]
+    source = ["def search(A, F, B, visit, I, K):", *(line for lines in chunks[1:] + chunks[:1] for line in lines)]
     namespace = {"chain": chain, "islice": islice}
     exec(compile("\n".join(source), "<match plan>", "exec"), namespace)
     return namespace["search"]
 
 
-def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=None, dead=None, buckets=None):
+def find_embedding(host_adj, plan: MatchPlan, *, blocked=None, fixed=None, visit=None, buckets=None):
     """Search for induced embeddings of the plan's pattern into the host adjacency.
 
     host_adj is indexable by vertex and yields neighbor sets. Embeddings
@@ -561,18 +557,13 @@ def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=No
     plan's seed vertices: match_plan(pattern, (a, b)) with fixed=(x, y)
     searches only copies that put a on x and b on y; fixed longer than
     plan.seed is an error. An image lists the host vertex of each pattern
-    vertex: image[p] carries p.
+    vertex: image[p] carries p. Every option is keyword-only.
 
     Without visit, returns the first image found, or None. With visit, the
     search calls visit(image) on every embedding the plan admits (all of
     them, unless the plan breaks twins; the list is reused, copy it to keep
     it) and stops at the first call that returns true; it then returns that
     image, and None when no call did.
-
-    dead, a list, asks for a report on dead roots: the search appends each
-    root (host vertex for the plan's first pattern vertex) whose subtree it
-    exhausts, which therefore carries that vertex in no copy. Only the
-    plain call shape reports (no blocked, fixed or visit).
 
     buckets are the host's degree buckets (see _buckets): every level
     without an anchor walks them from its own degree up, which is the
@@ -587,7 +578,10 @@ def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=No
     part: a toggle of (a, b) can only create copies that hold a and b, so
     it must put back every left-out vertex within plan.reach of both in
     the new host; a pattern that is not connected has no reach, and its
-    callers leave nothing out.
+    callers leave nothing out. A plain call (no blocked, fixed or visit)
+    that returns a copy exhausted every root its walk met before the
+    copy's root: those carry the first pattern vertex in no copy, and
+    _walked lists them.
 
     The search runs the nested loops _compile_search generated from the
     plan for this call shape, cached in plan.searches. They try candidates
@@ -598,22 +592,32 @@ def find_embedding(host_adj, plan: MatchPlan, blocked=None, fixed=None, visit=No
     pinned = len(fixed) if fixed else 0
     if pinned > len(plan.seed):
         raise ValueError(f"fixed pins {pinned} positions but the plan is seeded with {len(plan.seed)}")
-    marking = dead is not None
-    if marking and (pinned or blocked or visit is not None):
-        raise ValueError("dead roots are reported only by the plain call: no blocked, fixed or visit")
     n = len(plan.levels)
     if n > len(host_adj):
         return None
-    shape = (pinned, bool(blocked), visit is not None, marking)
+    shape = (pinned, bool(blocked), visit is not None)
     search = plan.searches.get(shape)
     if search is None:
         search = plan.searches[shape] = _compile_search(plan, *shape)
     if buckets is None:
         buckets = _buckets(host_adj)
     image = [0] * n
-    if search(host_adj, fixed, blocked, visit, image, dead, buckets):
+    if search(host_adj, fixed, blocked, visit, image, buckets):
         return list(image)
     return None
+
+
+def _walked(adj, buckets, plan: MatchPlan, root: int) -> list:
+    """The roots a plain find_embedding call on adj with these buckets
+    walks before root, in its order: the buckets from the degree of the
+    plan's first pattern vertex up to root's, then root's own bucket up
+    to root, which must be in it."""
+    degree, low = len(adj[root]), plan.levels[0][3]
+    row = buckets[degree]
+    walked = row[:bisect_left(row, root)]
+    if degree > low:
+        walked[:0] = chain.from_iterable(buckets[low:degree])
+    return walked
 
 
 def find_induced_copy(host: Graph, pattern: Graph):
@@ -633,15 +637,14 @@ def is_h_free(host: Graph, pattern: Graph) -> bool:
 
 
 def induced_subgraph(g: Graph, verts) -> Graph:
-    """Subgraph induced by verts, relabelled 0..len(verts)-1 in sorted order."""
+    """Subgraph induced by verts, relabelled 0..len(verts)-1 in sorted order.
+    It reads g's rows, so a graph built from rows builds no edge set."""
     verts = sorted(verts)
+    if verts and not (0 <= verts[0] and verts[-1] < g.vertex_count):
+        raise ValueError(f"vertices {verts[0]}..{verts[-1]} out of range for {g.vertex_count} vertices")
     index = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (index[u], index[v])
-        for u, v in combinations(verts, 2)
-        if (min(u, v), max(u, v)) in g.edges
-    ]
-    return Graph(len(verts), edges)
+    adj = g._adj
+    return Graph(len(verts), [(index[u], index[v]) for u, v in combinations(verts, 2) if v in adj[u]])
 
 
 def enumerate_induced_copies(host: Graph, pattern: Graph) -> list:

@@ -30,19 +30,19 @@ and the matcher walks them in the sort's order. Minimization's root
 packing passes the buckets of its own unmodified adjacency.
 
 A search also remembers, in one set of marks, which host vertices root no
-copy: no copy puts the plan's first pattern vertex on them. Each root
-call reports every root whose subtree it exhausts, and a node that
-branches marks them and takes them out of the buckets, so later root
-calls walk only the live roots. A modification at p = (a, b) can only
-create copies that hold both a and b, and such a copy lies within the
-first pattern vertex's eccentricity r of its root, so after a toggle
-every mark within distance r of both a and b in the new host is cleared
-and put back in the bucket of its degree. Each frame logs the marks its
-root call added and those its toggle cleared, and popping it restores
-its parent's marks and buckets exactly. Leaving out a root with no copy
-cannot change which copy comes first, so copies, verdicts and node counts
-are those of the full scan. Patterns that are not connected keep the
-full scan.
+copy: no copy puts the plan's first pattern vertex on them. A root call
+that returns a copy has exhausted every root its bucket walk met before
+the copy's root (graphs._walked), and a node that branches marks them
+and takes them out of the buckets, so later root calls walk only the
+live roots. A modification at p = (a, b) can only create copies that
+hold both a and b, and such a copy lies within the first pattern
+vertex's eccentricity r of its root, so after a toggle every mark within
+distance r of both a and b in the new host is cleared and put back in
+the bucket of its degree. Each frame keeps the marks its node added and
+those its toggle cleared, and popping it restores its parent's marks and
+buckets exactly. Leaving out a root with no copy cannot change which
+copy comes first, so copies, verdicts and node counts are those of the
+full scan. Patterns that are not connected keep the full scan.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import islice
 
-from .graphs import Graph, _buckets, _toggle, edge_key, find_embedding, is_h_free, match_plan
+from .graphs import Graph, _buckets, _toggle, _walked, edge_key, find_embedding, is_h_free, match_plan
 from .patterns import Pattern
 
 DELETION = "deletion"
@@ -172,9 +172,9 @@ def _ball(adj, v, radius) -> set:
 def _search(instance: SandwichInstance, budget: int, node_limit: int):
     """A solution of at most budget pairs, or None.
 
-    Each stack frame is [candidates, tried, died_at, revived_at]: one
-    node's sorted usable pairs, how many it has tried, and where the node's
-    entries start in dead and revived; chosen[i] is the pair frame i is
+    Each stack frame is [candidates, tried, died, revived]: one node's
+    sorted usable pairs, how many it has tried, the marks the node set and
+    those its current toggle cleared; chosen[i] is the pair frame i is
     trying. A failed candidate stays blocked for the rest of its frame, and
     nothing else blocks it, so an exhausted frame unblocks its candidates.
 
@@ -185,12 +185,11 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
     marked holds the vertices proven to root no copy, the one set of marks.
     A marked vertex is out of the buckets, so no root call walks it, and
     goes back into the bucket of its current degree when its mark clears
-    (leave_out, put_back). dead logs the marks each root call set and
-    revived those each toggle cleared, in stack order, so popping a frame
-    and undoing its parent's toggle restore the parent's marks and buckets
-    exactly. A node that branches on nothing sets no marks, and the first
-    root call of a search reports none: a search that ends within one
-    toggle then pays for no ball.
+    (leave_out, put_back). Popping a frame puts back its died, and undoing
+    its parent's toggle leaves out the parent's revived again, which
+    restores the parent's marks and buckets exactly. Only a node that
+    branches sets marks, and the search's first node sets none: a search
+    that ends within one toggle then pays for no ball.
     """
     adj = instance.graph.adjacency()
     buckets = _buckets(adj)
@@ -198,8 +197,6 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
     plan = match_plan(pattern.graph)
     reach = plan.reach
     marked = set()
-    dead, revived = [], []
-    report = None if reach is None else dead  # no marks on patterns that are not connected
     free = instance.free
     breakers, positions = _breakers(instance)
     seeded = None  # plans pinned at each of `positions`, made at first use
@@ -219,8 +216,7 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
             insort(buckets[len(adj[v])], v)
 
     for _ in range(node_limit):  # one pass per search node
-        died_at = len(dead)
-        image = find_embedding(adj, plan, dead=report if stack else None, buckets=buckets)
+        image = find_embedding(adj, plan, buckets=buckets)
         if image is None:
             return frozenset(chosen)
         remaining = budget - len(chosen)
@@ -240,28 +236,27 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
                     if count > remaining or not any(p in free and p not in blocked for p in pairs):
                         candidates = []
                         break
-        if not candidates:
-            del dead[died_at:]
-        elif len(dead) > died_at:
-            leave_out(dead[died_at:])
-        stack.append([candidates, 0, died_at, len(revived)])
+        died = ()
+        if candidates and stack and reach is not None:  # no marks on patterns that are not connected
+            died = _walked(adj, buckets, plan, image[plan.levels[0][0]])
+            leave_out(died)
+        stack.append([candidates, 0, died, ()])
         while stack[-1][1] == len(stack[-1][0]):
             # Exhausted: unblock its candidates and clear its marks, then
-            # undo and block the pair its parent tried, marking again what
-            # that toggle revived.
-            candidates, _, died_at, _ = stack.pop()
+            # undo and block the pair its parent tried, leaving out again
+            # what that toggle revived.
+            candidates, _, died, _ = stack.pop()
             blocked.difference_update(candidates)
-            if len(dead) > died_at:
-                put_back(dead[died_at:])
-                del dead[died_at:]
+            if died:
+                put_back(died)
             if not stack:
                 return None
             pair = chosen.pop()
             _toggle(adj, (pair,), buckets)
-            revived_at = stack[-1][3]
-            if len(revived) > revived_at:
-                leave_out(revived[revived_at:])
-                del revived[revived_at:]
+            frame = stack[-1]
+            if frame[3]:
+                leave_out(frame[3])
+                frame[3] = ()
             blocked.add(pair)
         frame = stack[-1]
         pair = frame[0][frame[1]]
@@ -274,7 +269,7 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
             if hit:
                 hit.intersection_update(_ball(adj, pair[1], reach))
                 put_back(hit)
-                revived += hit
+                frame[3] = hit
         chosen.append(pair)
     raise SearchLimitError(f"exceeded {node_limit} search nodes")
 

@@ -387,6 +387,23 @@ def test_induced_subgraph_relabels_in_sorted_order():
     assert sub == Graph(3, [(0, 2), (1, 2)])
 
 
+def test_induced_subgraph_of_a_complement_reads_its_rows():
+    rng = random.Random(5)
+    for n in (0, 1, 6, 9, 12):
+        g = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+        co = complement(g)
+        verts = rng.sample(range(n), rng.randint(0, n))
+        sub = induced_subgraph(co, verts)
+        assert co._edges is None
+        verts.sort()
+        non_edges = set(g.non_edges())
+        pairs = itertools.combinations(range(len(verts)), 2)
+        assert sub == Graph(len(verts), [(i, j) for i, j in pairs if (verts[i], verts[j]) in non_edges])
+    for verts in ([0, 4], [-1, 2]):
+        with pytest.raises(ValueError, match="out of range"):
+            induced_subgraph(cycle_graph(4), verts)
+
+
 def test_find_embedding_rejects_blocked_pairs_of_either_kind():
     # The only square of this host covers 0..3; vertex 4 hangs off it.
     host = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
@@ -663,11 +680,12 @@ def _later_levels_anchored(plan):
 @pytest.mark.parametrize("spelled,chunk", [(8, 16), (0, 1), (0, 2)])
 def test_marked_roots_agree_with_the_sweep_on_random_cases(monkeypatch, spelled, chunk):
     """With any set of the roots that carry no copy left out of the buckets
-    (or none), the reporting call returns the plain call's image, and it
-    reports exactly the unmarked roots of large enough degree that come
-    before the image's root in the (degree, vertex) order: roots that carry
-    no copy. Marks are drawn only for plans with an anchor on every later
-    level, and at least a third of the cases leave some out."""
+    (or none), the plain call returns the image it returns on the full
+    buckets, and _walked of the image's root lists exactly the unmarked
+    roots of large enough degree that come before it in the (degree,
+    vertex) order: roots that carry no copy. Marks are drawn only for plans
+    with an anchor on every later level, and at least a third of the cases
+    leave some out."""
     monkeypatch.setattr(graphs, "_SPELLED", spelled)
     monkeypatch.setattr(graphs, "_CHUNK_LOOPS", chunk)
     runs = {"cases": 0, "marked": 0}
@@ -684,15 +702,15 @@ def test_marked_roots_agree_with_the_sweep_on_random_cases(monkeypatch, spelled,
             marked = data.draw(st.sets(st.sampled_from(empty), min_size=1))
         buckets = _live_buckets(host._adj, marked) if marked or data.draw(st.booleans()) else None
         kept = None if buckets is None else [list(row) for row in buckets]
-        dead = []
-        image = find_embedding(host._adj, plan, dead=dead, buckets=buckets)
+        image = find_embedding(host._adj, plan, buckets=buckets)
         assert image == find_embedding(host._adj, plan)
         assert buckets == kept
-        assert set(dead) <= set(empty)
-        if len(plan.levels) <= host.vertex_count:
+        if image is not None:
+            walked = graphs._walked(host._adj, buckets or graphs._buckets(host._adj), plan, image[first])
+            assert set(walked) <= set(empty)
             order = sorted(range(host.vertex_count), key=host.degree)
-            scanned = order if image is None else order[: order.index(image[first])]
-            assert dead == [v for v in scanned if v not in marked and host.degree(v) >= pattern.degree(first)]
+            scanned = order[: order.index(image[first])]
+            assert walked == [v for v in scanned if v not in marked and host.degree(v) >= pattern.degree(first)]
         runs["cases"] += 1
         runs["marked"] += bool(marked)
 
@@ -701,31 +719,34 @@ def test_marked_roots_agree_with_the_sweep_on_random_cases(monkeypatch, spelled,
 
 
 def _assert_buckets_change_nothing(host, plan, fixed, blocked, marked):
-    """Every call shape returns, visits and reports the same when given the
-    host's fresh degree buckets as when it builds them itself: the plain
-    call, blocked and fixed, a visit of every embedding, and the reporting
-    call. Given the buckets less marked roots that carry no copy (only a
-    plan with an anchor on every later level may be), the reporting call
-    returns the same image and reports the same roots less the marked ones."""
+    """Every call shape returns and visits the same when given the host's
+    fresh degree buckets as when it builds them itself: the plain call,
+    blocked and fixed, and a visit of every embedding. Given the buckets
+    less marked roots that carry no copy (only a plan with an anchor on
+    every later level may be), the plain call returns the same image, and
+    _walked of its root lists the roots it lists on the full buckets less
+    the marked ones."""
     adj = host._adj
 
     def record(**buckets):
-        seen, dead = [], []
+        seen = []
         return [
             find_embedding(adj, plan, **buckets),
             find_embedding(adj, plan, blocked=blocked, fixed=fixed, **buckets),
             (find_embedding(adj, plan, fixed=fixed, visit=lambda image: seen.append(tuple(image)), **buckets), seen),
-            (find_embedding(adj, plan, dead=dead, **buckets), dead),
         ]
 
     expected = record()
     assert record(buckets=graphs._buckets(adj)) == expected
     if marked:
         assert _later_levels_anchored(plan)
-        skipped = []
-        image = find_embedding(adj, plan, dead=skipped, buckets=_live_buckets(adj, marked))
-        image_expected, dead = expected[-1]
-        assert (image, skipped) == (image_expected, [v for v in dead if v not in marked])
+        live = _live_buckets(adj, marked)
+        image = find_embedding(adj, plan, buckets=live)
+        assert image == expected[0]
+        if image is not None:
+            root = image[plan.levels[0][0]]
+            walked = graphs._walked(adj, graphs._buckets(adj), plan, root)
+            assert graphs._walked(adj, live, plan, root) == [v for v in walked if v not in marked]
 
 
 @pytest.mark.parametrize("spelled,chunk", [(8, 16), (0, 1), (0, 2)])
@@ -770,12 +791,32 @@ def test_buckets_change_no_answer_on_named_cases(pattern, seed):
         _assert_buckets_change_nothing(host, plan, fixed, blocked, marked)
 
 
-def test_marks_take_only_the_plain_call_shape():
+def test_matcher_options_are_keyword_only():
     square = cycle_graph(4)
-    plan = match_plan(square, (0,))
-    for shape in ({"fixed": (0,)}, {"blocked": {(0, 1)}}, {"visit": lambda image: False}):
-        with pytest.raises(ValueError, match="roots"):
-            find_embedding(square._adj, plan, dead=[], **shape)
+    with pytest.raises(TypeError):
+        find_embedding(square._adj, match_plan(square), {(0, 1)})
+
+
+def test_walked_lists_the_roots_before_the_root_in_walk_order():
+    # Degrees: 0 and 6 have 0, 5 has 1, 1 and 3 have 2, 2 has 3, 4 has 4.
+    host = Graph(7, [(1, 2), (2, 3), (3, 4), (4, 1), (2, 4), (4, 5)])
+    adj, buckets = host._adj, graphs._buckets(host._adj)
+    edge, square, point = match_plan(Graph(2, [(0, 1)])), match_plan(cycle_graph(4)), match_plan(Graph(1))
+    # The first vertex of a square needs degree 2: its first walked bucket
+    # is [1, 3], and 1 starts it.
+    assert square.levels[0][3] == 2
+    assert graphs._walked(adj, buckets, square, 1) == []
+    assert graphs._walked(adj, buckets, square, 3) == [1]
+    assert graphs._walked(adj, buckets, square, 4) == [1, 3, 2]
+    assert graphs._walked(adj, buckets, edge, 3) == [5, 1]
+    # A first vertex of degree 0 starts the walk at bucket 0.
+    assert point.levels[0][3] == 0
+    assert graphs._walked(adj, buckets, point, 0) == []
+    assert graphs._walked(adj, buckets, point, 6) == [0]
+    assert graphs._walked(adj, buckets, point, 2) == [0, 6, 5, 1, 3]
+    # Marks left out of the buckets are left out of the walk.
+    live = _live_buckets(adj, {3, 6})
+    assert graphs._walked(adj, live, point, 2) == [0, 5, 1]
 
 
 @settings(max_examples=200)

@@ -433,16 +433,18 @@ def _plan_pattern(plan):
 
 @pytest.fixture
 def checked_root_calls(monkeypatch):
-    """Check every root call of a search against the plain call on the same
-    adjacency. The marks are the vertices missing from every bucket the
-    call passes, and the buckets must be those of its adjacency as it
-    stands, less the marks. Each mark is checked against a search anchored
-    at the marked vertex: a mark may only leave out a root that carries no
-    copy, so both calls return the same copy. Counts root calls by whether
-    they left marks out ("skipping"), only reported dead roots ("marking")
-    or did neither ("plain"), and those that passed buckets ("bucketed");
-    "left out" lists the number of marks of each root call, in order."""
-    real = solver.find_embedding
+    """Check every root call of a search (neither fixed nor blocked)
+    against the plain call on the same adjacency. The marks are the
+    vertices missing from every bucket the call passes, and the buckets
+    must be those of its adjacency as it stands, less the marks. Each mark
+    is checked against a search anchored at the marked vertex: a mark may
+    only leave out a root that carries no copy, so both calls return the
+    same copy. Counts root calls by whether they left marks out
+    ("skipping") or not ("plain"), and those that passed buckets
+    ("bucketed"); "marking" counts the nodes that marked the roots their
+    root call walked (solver._walked); "left out" lists the number of
+    marks of each root call, in order."""
+    real, walked = solver.find_embedding, solver._walked
     counts = {"skipping": 0, "marking": 0, "plain": 0, "bucketed": 0, "left out": []}
 
     def checked(adj, plan, **kwargs):
@@ -450,16 +452,13 @@ def checked_root_calls(monkeypatch):
         if buckets is not None:
             marked = set(range(len(adj))).difference(chain.from_iterable(buckets))
             assert buckets == [[v for v in row if v not in marked] for row in graphs._buckets(adj)]
-        if "dead" not in kwargs:
+        if "fixed" in kwargs or "blocked" in kwargs:
             return real(adj, plan, **kwargs)
         counts["bucketed"] += buckets is not None
         counts["left out"].append(len(marked))
         expected = real(adj, plan)
-        if kwargs["dead"] is None:
-            assert not marked
+        if not marked:
             counts["plain"] += 1
-        elif not marked:
-            counts["marking"] += 1
         else:
             counts["skipping"] += 1
             anchored = match_plan(_plan_pattern(plan), (plan.levels[0][0],))
@@ -468,7 +467,12 @@ def checked_root_calls(monkeypatch):
         assert image == expected
         return image
 
+    def marking(*args):
+        counts["marking"] += 1
+        return walked(*args)
+
     monkeypatch.setattr(solver, "find_embedding", checked)
+    monkeypatch.setattr(solver, "_walked", marking)
     return counts
 
 
@@ -481,7 +485,7 @@ def test_marked_root_calls_agree_with_plain_calls_on_the_random_corpus(checked_r
         verdicts(inst)
         skipped[inst.mode] += checked_root_calls["skipping"] - before
     assert min(skipped.values()) > 0 and checked_root_calls["plain"] > 0
-    calls = sum(checked_root_calls[kind] for kind in ("skipping", "marking", "plain"))
+    calls = sum(checked_root_calls[kind] for kind in ("skipping", "plain"))
     assert checked_root_calls["bucketed"] == calls
 
 
@@ -517,6 +521,16 @@ def test_dead_roots_leave_the_walk(checked_root_calls):
     assert len(solve_sandwich(inst)) == 60
     left_out = checked_root_calls["left out"]
     assert left_out[-1] == 118 and sum(left_out) == 3540
+
+
+def test_root_calls_compile_one_call_shape(monkeypatch):
+    # With the budget loose no packing runs, so every matcher call of the
+    # search is a plain root call on the plan's one unpinned shape.
+    plan = match_plan(cycle_graph(4))
+    monkeypatch.setattr(plan, "searches", {})
+    inst = disjoint_copies("c4", 8)
+    assert inst.free == inst.graph.edges and len(solve_sandwich(inst)) == 8
+    assert sorted(plan.searches) == [(0, False, False)]
 
 
 # Two p4 hosts, one per mode, on which the search must revive a marked root
