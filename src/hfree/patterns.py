@@ -1,8 +1,10 @@
 """Forbidden patterns and the small named library used throughout.
 
-A Pattern wraps a graph together with the derived facts the reductions
-check before building anything: the lexicographic non-edge list and whether
-the pattern is 3-connected (at least 3 vertices, survives removal of any 2).
+A Pattern stores its graph, vertex count and lexicographic non-edge list,
+the facts the reductions check before building anything. Whether it is
+3-connected (at least 3 vertices, survives removal of any 2) is computed
+each time it is read, by `require` and `hfree pattern info`, so building a
+pattern runs no connectivity check.
 
 named_pattern reads every pattern name from files and flags: the fixed
 names (house, wheel4, octahedron) from one table, the families cN, pN, kN
@@ -20,11 +22,17 @@ from .graphs import Graph, complement, is_3_connected
 
 @dataclass(frozen=True)
 class Pattern:
+    """A graph with its vertex count and non-edges; `three_connected` is
+    computed on each read."""
+
     graph: Graph
     vertex_count: int
     non_edges: tuple
-    three_connected: bool
     name: str = field(default="", compare=False)
+
+    @property
+    def three_connected(self) -> bool:
+        return is_3_connected(self.graph)
 
     @property
     def edges(self):
@@ -42,7 +50,6 @@ def make_pattern(graph: Graph, name: str = "") -> Pattern:
         graph=graph,
         vertex_count=graph.vertex_count,
         non_edges=tuple(graph.non_edges()),
-        three_connected=is_3_connected(graph),
         name=name,
     )
 

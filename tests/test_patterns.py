@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfree.graphs import Graph
-from hfree.patterns import make_pattern, named_pattern, require, wheel_graph
+import hfree.patterns
+from hfree.graphs import Graph, is_3_connected
+from hfree.patterns import _FIXED, complement_pattern, make_pattern, named_pattern, require, wheel_graph
 
 
 def test_make_pattern_derives_fields():
@@ -58,6 +59,28 @@ def test_require_checks_in_fixed_order():
     with pytest.raises(ValueError, match="needs 7 edges"):
         require(house, min_edges=7)
     require(named_pattern("wheel4"), three_connected=True, min_non_edges=2, min_edges=3)
+
+
+def test_three_connectivity_is_computed_when_read(monkeypatch):
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return is_3_connected(graph)
+
+    monkeypatch.setattr(hfree.patterns, "is_3_connected", counted)
+    names = [*_FIXED, "c4", "c5", "p5", "k5", "k5e", "c7"]
+    built = [named_pattern(name) for name in names]
+    built += [named_pattern("co-" + name) for name in names]
+    built += [complement_pattern(p) for p in built]
+    built += [make_pattern(p.graph, p.name) for p in built]
+    assert calls == []
+    for p in built:
+        assert p.three_connected == is_3_connected(p.graph), p.name
+    # one check per read: nothing is kept on the pattern
+    assert len(calls) == len(built)
+    with pytest.raises(ValueError, match="not 3-connected"):
+        require(named_pattern("house"), three_connected=True)
 
 
 def test_make_pattern_rejects_empty():

@@ -1,7 +1,11 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 
+import hfree.graphs
+import hfree.patterns
 from hfree.cnf import formula
 from hfree.gadgets import FORMULA_TARGETS
 from hfree.graphs import Graph
@@ -117,6 +121,57 @@ def test_duality_on_random_graphs():
 def test_duality_guards():
     assert verify_duality(Graph(8, []), named_pattern("house"), 1).verdict == "skipped"
     assert verify_duality(Graph(5, []), named_pattern("house"), 4).verdict == "skipped"
+
+
+def _count_calls(monkeypatch, counts):
+    """Count calls to the pattern builders and connectivity checks through
+    every hfree module that binds them, as a tracer that rebinds module
+    attributes would."""
+    originals = {
+        "make_pattern": hfree.patterns.make_pattern,
+        "complement": hfree.graphs.complement,
+        "is_connected": hfree.graphs.is_connected,
+        "is_3_connected": hfree.graphs.is_3_connected,
+    }
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("hfree."):
+            for name, fn in originals.items():
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted(name, fn))
+
+
+def test_a_repeated_check_does_the_same_work(monkeypatch):
+    counts = Counter()
+    _count_calls(monkeypatch, counts)
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (2, 5)])
+    house = named_pattern("house")
+    wheel = named_pattern("wheel4")
+    source = SandwichInstance(wheel.graph, wheel, DELETION, {(0, 1)})
+    runs = {
+        "duality": lambda: verify_duality(g, house, 2),
+        "gap": lambda: verify_gap(source, "general-del", GROW),
+    }
+    seen = {}
+    for check, run in runs.items():
+        passes = []
+        for _ in range(2):
+            counts.clear()
+            assert run().verdict == "pass"
+            passes.append(dict(counts))
+        assert passes[0] == passes[1], check
+        seen[check] = passes[0]
+    # the counters saw the work: the duality check builds the complement
+    # pattern, and the general lift reads the pattern's 3-connectivity
+    assert seen["duality"]["make_pattern"] >= 1 and seen["duality"]["complement"] >= 1
+    assert seen["gap"]["is_3_connected"] >= 1
 
 
 def test_opt_scaling_reports():
