@@ -25,3 +25,44 @@ def test_package_imports_only_the_standard_library():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for name in absolute_imports(tree):
             assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+BENCHMARKS = sorted((Path(__file__).resolve().parent.parent / "benchmarks").glob("*.py"))
+
+
+def hfree_names(tree):
+    """(module, name) for every name a benchmark file takes from hfree:
+    each `from hfree.x import name`, and each attribute read off a module
+    bound by `import hfree.x as m` or spelled out as `hfree.x.name`. A
+    string constant that imports from hfree is a script a benchmark runs
+    in a child process, and is read the same way."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "from hfree." in node.value:
+            yield from hfree_names(ast.parse(node.value))
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").startswith("hfree."):
+            yield from ((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("hfree.") and alias.asname:
+                    aliases[alias.asname] = alias.name
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        base = node.value
+        if isinstance(base, ast.Name) and base.id in aliases:
+            yield aliases[base.id], node.attr
+        elif isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name) and base.value.id == "hfree":
+            yield f"hfree.{base.attr}", node.attr
+
+
+def test_benchmarks_read_only_names_hfree_has():
+    import importlib
+
+    seen = set()
+    for path in BENCHMARKS:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for module, name in hfree_names(tree):
+            seen.add((module, name))
+            assert hasattr(importlib.import_module(module), name), f"{path.name} reads {module}.{name}"
+    assert len(seen) >= 20
