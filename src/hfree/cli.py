@@ -118,11 +118,8 @@ def _cmd_graph2minones(args) -> int:
 
 def _cmd_lift(args) -> int:
     file = parse_instance(_read_text(args), _flag_pattern(args))
-    budgeted = lift_specific(file.instance, args.family, Polynomial.parse(args.poly))
-    _write_text(
-        args,
-        render_instance(budgeted.instance, budget=budgeted.budget, labels=file.labels),
-    )
+    lifted, budget = lift_specific(file.instance, args.family, Polynomial.parse(args.poly))
+    _write_text(args, render_instance(lifted, budget=budget, labels=file.labels))
     return 0
 
 

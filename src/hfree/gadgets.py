@@ -41,12 +41,12 @@ from functools import lru_cache
 from .cnf import CnfFormula, duplicate_for_min_occurrences, normalize_3cnf, occurrence_counts
 from .graphs import Graph, _glue, _toggle, edge_key, find_embedding, is_h_free, match_plan
 from .patterns import (
-    complete_graph, complete_minus_edge, cycle_graph, house_graph, named_pattern, require,
+    Pattern, complete_graph, complete_minus_edge, cycle_graph, house_graph, named_pattern, require,
 )
 from .reductions import (
     Polynomial, _GraphBuilder, _wire, reduce_3sat_to_sandwich_comp, reduce_3sat_to_sandwich_del,
 )
-from .solver import BudgetedInstance, COMPLETION, DELETION, SandwichInstance
+from .solver import COMPLETION, DELETION, SandwichInstance
 
 
 class GadgetContractError(RuntimeError):
@@ -315,13 +315,14 @@ def _gray_walk(digits):
         state[j] = k
 
 
-# Every contract is an exact solution set. _certify builds the gadget, checks
-# that its free pairs are of the mode's kind, walks the candidate subsets of
-# them on one adjacency (_survivors: one flipped pair per step, and a matcher
-# call only where a flip lands inside the copy last found), and checks that
-# the subsets leaving it pattern-free are exactly the set the row predicts
-# from the builder's labels, that the candidates touch every free pair, and
-# that the free pairs span no square subgraph. Rows call their builders by
+# Every contract is an exact solution set. _certify builds the gadget and
+# its SandwichInstance, which checks that the free pairs are of the mode's
+# kind, walks the candidate subsets of them on one adjacency (_survivors:
+# one flipped pair per step, and a matcher call only where a flip lands
+# inside the copy last found), and checks that the subsets leaving it
+# pattern-free are exactly the set the row predicts from the builder's
+# labels, that the candidates touch every free pair, and that the free
+# pairs span no square subgraph. Rows call their builders by
 # module name at run time, so a builder rebound there is the one certified.
 #
 #   contract: (builder, pattern, mode, predicted solutions, facts,
@@ -387,10 +388,12 @@ def _certify(name: str) -> GadgetContract:
     builder = _GraphBuilder()
     labels = build(builder)
     n, free = builder.vertex_count, frozenset(builder.free)
-    kind = "an edge" if mode == DELETION else "a non-edge"
-    if any((pair in builder.edges) != (mode == DELETION) for pair in free):
-        raise GadgetContractError(f"{name} gadget: a free pair is not {kind}")
-    adj = Graph(n, builder.edges).adjacency()
+    graph = Graph(n, builder.edges)
+    try:
+        SandwichInstance(graph, Pattern(pattern), mode, free)
+    except ValueError as error:
+        raise GadgetContractError(f"{name} gadget: {error}") from None
+    adj = graph.adjacency()
     solutions, covered, checked = _survivors(adj, match_plan(pattern), digits(labels, free))
     if solutions != predict(labels):
         raise GadgetContractError(f"{name} gadget: solutions are not the predicted set")
@@ -604,8 +607,9 @@ LIFTS = {
 LIFT_FAMILIES = tuple(LIFTS)
 
 
-def lift_specific(instance: SandwichInstance, family: str, polynomial: Polynomial) -> BudgetedInstance:
-    """Lift an instance by its family's row of LIFTS, at budget k = |free|.
+def lift_specific(instance: SandwichInstance, family: str, polynomial: Polynomial) -> tuple:
+    """Lift an instance by its family's row of LIFTS: the lifted instance
+    and its budget k = |free|, the source's free count.
 
     The general families accept any 3-connected pattern; the named ones
     check that the instance carries the matching pattern and mode. The
@@ -637,7 +641,7 @@ def lift_specific(instance: SandwichInstance, family: str, polynomial: Polynomia
     lifted = _glue(instance.graph, *guard, sorted(sites - instance.free), polynomial(k) + extra)
     free = lifted.edges if mode == DELETION else frozenset(lifted.non_edges())
     out = named_pattern(output) if output else pattern
-    return BudgetedInstance(SandwichInstance(lifted, out, mode, free), k)
+    return SandwichInstance(lifted, out, mode, free), k
 
 
 # ---------------------------------------------------------------------------

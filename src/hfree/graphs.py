@@ -27,13 +27,11 @@ find_embedding builds them once.
 A plain call that returns a copy has exhausted every root its walk met
 before the copy's root, so those roots carry the plan's first pattern
 vertex in no copy; _walked lists them from the buckets alone. The
-matcher skips nothing itself: the solver marks those dead roots and
-keeps its marks out of the buckets it passes, so its root calls walk
-only live roots, in the full walk's order, and find the copy the full
-scan finds. It keeps its marks true as it toggles pairs: a toggle of
-(a, b) puts back the marks within the first vertex's eccentricity
-(MatchPlan.reach) of both a and b. Patterns that are not connected have
-no reach, and the solver scans them in full.
+matcher skips nothing itself. A caller may leave such roots out of the
+buckets it passes, for a plan whose every unpinned level after the
+first has an anchor; the root walk then finds the copy the full walk
+finds. Keeping that proof true as the host changes is the caller's
+part, and the solver's docstring says how it does so.
 
 Each neighbour set of a Graph is built from its sorted row, so the order
 it iterates in, which the matcher follows, depends on the graph's edges
@@ -127,22 +125,6 @@ class Graph:
         """All absent pairs, in lexicographic order."""
         n = self.vertex_count
         return [(u, v) for u, near in enumerate(self._adj) for v in range(u + 1, n) if v not in near]
-
-    def _holds(self, pairs: frozenset, present: bool) -> bool:
-        """Whether every pair is (u, v) with 0 <= u < v < vertex_count and is
-        an edge (present) or a non-edge (not present). A graph that holds its
-        edge set answers by set tests, one that does not by looking v up in
-        u's row; there a u that is not an int answers False. The graph's own
-        edge set answers at once: all edges, and non-edges only when empty."""
-        n, edges = self.vertex_count, self._edges
-        if edges is None:
-            adj = self._adj
-            return all(type(u) is int and 0 <= u < v < n and (v in adj[u]) == present for u, v in pairs)
-        if pairs is edges:
-            return present or not pairs
-        if present:
-            return pairs <= edges
-        return pairs.isdisjoint(edges) and all(0 <= u < v < n for u, v in pairs)
 
     def degree_sequence(self) -> tuple:
         return tuple(sorted(len(s) for s in self._adj))
@@ -575,13 +557,9 @@ def find_embedding(host_adj, plan: MatchPlan, *, blocked=None, fixed=None, visit
     after the first has an anchor, as in any plan of a connected pattern:
     only the root walk reads them then, and it finds the copy the full
     walk finds. Keeping that proof true as the host changes is the caller's
-    part: a toggle of (a, b) can only create copies that hold a and b, so
-    it must put back every left-out vertex within plan.reach of both in
-    the new host; a pattern that is not connected has no reach, and its
-    callers leave nothing out. A plain call (no blocked, fixed or visit)
-    that returns a copy exhausted every root its walk met before the
-    copy's root: those carry the first pattern vertex in no copy, and
-    _walked lists them.
+    part. A plain call (no blocked, fixed or visit) that returns a copy
+    exhausted every root its walk met before the copy's root: those carry
+    the first pattern vertex in no copy, and _walked lists them.
 
     The search runs the nested loops _compile_search generated from the
     plan for this call shape, cached in plan.searches. They try candidates
@@ -637,9 +615,10 @@ def is_h_free(host: Graph, pattern: Graph) -> bool:
 
 
 def induced_subgraph(g: Graph, verts) -> Graph:
-    """Subgraph induced by verts, relabelled 0..len(verts)-1 in sorted order.
-    It reads g's rows, so a graph built from rows builds no edge set."""
-    verts = sorted(verts)
+    """Subgraph induced by the distinct vertices of verts, relabelled in
+    sorted order. It reads g's rows, so a graph built from rows builds no
+    edge set."""
+    verts = sorted(set(verts))
     if verts and not (0 <= verts[0] and verts[-1] < g.vertex_count):
         raise ValueError(f"vertices {verts[0]}..{verts[-1]} out of range for {g.vertex_count} vertices")
     index = {v: i for i, v in enumerate(verts)}

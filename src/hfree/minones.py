@@ -225,7 +225,8 @@ def reduce_minones_to_quarantined(inst: MinOnesInstance, n: int = 5, pendant_bas
 
 
 def lift_quarantine(instance: SandwichInstance, polynomial=None):
-    """Budgeted instance with the quarantine converted into pendant copies.
+    """The quarantine converted into pendant copies: the lifted instance and
+    its budget, as lift_specific returns them.
 
     The quarantine is every edge of the deletion instance outside its free
     set. Delegates to the general deletion lift, which glues pattern copies

@@ -1,10 +1,11 @@
 """Forbidden patterns and the small named library used throughout.
 
-A Pattern stores its graph, vertex count and lexicographic non-edge list,
-the facts the reductions check before building anything. Whether it is
-3-connected (at least 3 vertices, survives removal of any 2) is computed
-each time it is read, by `require` and `hfree pattern info`, so building a
-pattern runs no connectivity check.
+A Pattern is built from its graph alone: it refuses an empty graph,
+stores the lexicographic non-edge list, the fact the reductions check
+before building anything, and reads its vertex count off the graph.
+Whether it is 3-connected (at least 3 vertices, survives removal of any
+2) is computed each time it is read, by `require` and `hfree pattern
+info`, so building a pattern runs no connectivity check.
 
 named_pattern reads every pattern name from files and flags: the fixed
 names (house, wheel4, octahedron) from one table, the families cN, pN, kN
@@ -22,13 +23,21 @@ from .graphs import Graph, complement, is_3_connected
 
 @dataclass(frozen=True)
 class Pattern:
-    """A graph with its vertex count and non-edges; `three_connected` is
-    computed on each read."""
+    """A graph with at least one vertex and its non-edges; the vertex count
+    is the graph's, and `three_connected` is computed on each read."""
 
     graph: Graph
-    vertex_count: int
-    non_edges: tuple
     name: str = field(default="", compare=False)
+    non_edges: tuple = field(init=False, compare=False)
+
+    def __post_init__(self):
+        if self.graph.vertex_count < 1:
+            raise ValueError("pattern graph must have at least one vertex")
+        object.__setattr__(self, "non_edges", tuple(self.graph.non_edges()))
+
+    @property
+    def vertex_count(self) -> int:
+        return self.graph.vertex_count
 
     @property
     def three_connected(self) -> bool:
@@ -41,17 +50,6 @@ class Pattern:
     @property
     def edge_count(self) -> int:
         return self.graph.edge_count
-
-
-def make_pattern(graph: Graph, name: str = "") -> Pattern:
-    if graph.vertex_count < 1:
-        raise ValueError("pattern graph must have at least one vertex")
-    return Pattern(
-        graph=graph,
-        vertex_count=graph.vertex_count,
-        non_edges=tuple(graph.non_edges()),
-        name=name,
-    )
 
 
 def require(pattern: Pattern, three_connected: bool = False, min_non_edges: int = 0, min_edges: int = 0) -> None:
@@ -120,7 +118,7 @@ def complement_pattern(pattern: Pattern) -> Pattern:
         name = "co-" + pattern.name
     else:
         name = ""
-    return make_pattern(complement(pattern.graph), name)
+    return Pattern(complement(pattern.graph), name)
 
 
 # A family name is a letter, the order and an optional "e"; kNe is keyed "ke".
@@ -135,10 +133,10 @@ def named_pattern(name: str) -> Pattern:
     if key.startswith("co-"):
         return complement_pattern(named_pattern(key[3:]))
     if key in _FIXED:
-        return make_pattern(_FIXED[key](), key)
+        return Pattern(_FIXED[key](), key)
     match = _FAMILY_NAME.fullmatch(key)
     family = match and _FAMILIES.get(match[1] + match[3])
     if family is None:
         raise ValueError(f"unknown pattern name: {name!r}")
     n = int(match[2])
-    return make_pattern(family(n), f"{match[1]}{n}{match[3]}")
+    return Pattern(family(n), f"{match[1]}{n}{match[3]}")

@@ -35,7 +35,9 @@ within the lifted budget keeps its hands off. Pendant interiors meet the
 rest of the graph in only two vertices, which a 3-connected pattern cannot
 straddle. The lifts are rows of one table, `gadgets.LIFTS`: the general
 rows glue copies of the pattern itself, the named rows small guards of
-their own.
+their own. A lift returns the same pair shape as every translation,
+(instance, budget), with the lifted budget k in place of the trace, and
+`solver.solve_sandwich(instance, budget=k)` solves it.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ An instance fixes a host graph, a forbidden pattern, a mode, and the set of
 free elements: deletable edges in deletion mode, fillable non-edges in
 completion mode. A solution is any subset of the free elements whose
 application leaves the host with no induced copy of the pattern. Everything
-outside the free set is immutable.
+outside the free set is immutable. SandwichInstance checks its free pairs,
+and solve_sandwich its budget, the decision version's k.
 
 The solver branches on the free elements of one induced copy at a time.
 That is complete because a copy, once induced, can only be destroyed by
@@ -82,31 +83,27 @@ class SandwichInstance:
         if self.mode not in (DELETION, COMPLETION):
             raise ValueError(f"mode must be {DELETION!r} or {COMPLETION!r}")
         graph, free = self.graph, self.free
-        # One test by the graph passes a frozenset of valid pairs as it is;
-        # anything else is normalized pair by pair, naming the smallest pair
-        # at fault.
-        if type(free) is not frozenset or not graph._holds(free, self.mode == DELETION):
-            n = graph.vertex_count
-            free = frozenset(edge_key(u, v) for u, v in free)
-            for u, v in sorted(free):
-                if u < 0 or v >= n:
-                    raise ValueError(f"free pair ({u}, {v}) out of range")
-                edge = v in graph.neighbors(u)
-                if self.mode == DELETION and not edge:
-                    raise ValueError(f"free pair ({u}, {v}) is not an edge")
-                if self.mode == COMPLETION and edge:
-                    raise ValueError(f"free pair ({u}, {v}) is already an edge")
+        present = self.mode == DELETION
+        n, rows = graph.vertex_count, graph._adj
+        # A frozenset passes as it is when it is the graph's own edge set in
+        # deletion mode, or when one pass over the rows finds every pair a
+        # valid key of the mode's kind; anything else is normalized pair by
+        # pair, naming the smallest pair at fault.
+        if type(free) is frozenset and (
+            (present and free is graph._edges)
+            or all(type(u) is int and 0 <= u < v < n and (v in rows[u]) == present for u, v in free)
+        ):
+            return
+        free = frozenset(edge_key(u, v) for u, v in free)
+        for u, v in sorted(free):
+            if u < 0 or v >= n:
+                raise ValueError(f"free pair ({u}, {v}) out of range")
+            edge = v in rows[u]
+            if present and not edge:
+                raise ValueError(f"free pair ({u}, {v}) is not an edge")
+            if edge and not present:
+                raise ValueError(f"free pair ({u}, {v}) is already an edge")
         object.__setattr__(self, "free", free)
-
-
-@dataclass(frozen=True)
-class BudgetedInstance:
-    instance: SandwichInstance
-    budget: int
-
-    def __post_init__(self):
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
 
 
 def apply(instance: SandwichInstance, pairs) -> Graph:
@@ -284,10 +281,6 @@ def solve_sandwich(instance: SandwichInstance, budget=None, node_limit: int = DE
         raise ValueError("node_limit must be nonnegative")
     cap = len(instance.free) if budget is None else min(budget, len(instance.free))
     return _search(instance, cap, node_limit)
-
-
-def solve_budgeted(budgeted: BudgetedInstance, node_limit: int = DEFAULT_NODE_LIMIT):
-    return solve_sandwich(budgeted.instance, budget=budgeted.budget, node_limit=node_limit)
 
 
 def _root_packing(instance: SandwichInstance, limit: int) -> list:

@@ -25,13 +25,7 @@ from .gadgets import (
 from .graphs import Graph
 from .minones import MinOnesInstance, minones_brute_force, reduce_minones_to_quarantined
 from .reductions import Polynomial, complement_instance
-from .solver import (
-    DELETION,
-    SandwichInstance,
-    solve_budgeted,
-    solve_min,
-    solve_sandwich,
-)
+from .solver import DELETION, SandwichInstance, solve_min, solve_sandwich
 
 EQUIVALENCE_VARIABLE_GUARD = 4
 EQUIVALENCE_CLAUSE_GUARD = 3
@@ -123,15 +117,15 @@ def verify_gap(instance: SandwichInstance, family: str, polynomial: Polynomial) 
         return _skipped("gap-lift", digest, details, f"guard is {GAP_FREE_GUARD} free elements")
 
     solvable = solve_sandwich(instance) is not None
-    lifted = lift_specific(instance, family, polynomial)
+    lifted, budget = lift_specific(instance, family, polynomial)
     details["side"] = "yes" if solvable else "no"
-    details["budget"] = lifted.budget
+    details["budget"] = budget
     if solvable:
-        held = solve_budgeted(lifted) is not None
-        details["checked"] = f"cost<={lifted.budget}"
+        held = solve_sandwich(lifted, budget=budget) is not None
+        details["checked"] = f"cost<={budget}"
     else:
-        cap = polynomial(lifted.budget)
-        held = solve_sandwich(lifted.instance, budget=cap) is None
+        cap = polynomial(budget)
+        held = solve_sandwich(lifted, budget=cap) is None
         details["checked"] = f"absent<={cap}"
     return _judged("gap-lift", digest, details, held, lambda: render_instance(instance))
 

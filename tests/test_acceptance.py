@@ -348,9 +348,9 @@ def test_criterion_09_size_bounds():
     for family, instances in gap_corpus().items():
         for instance in instances[:10]:
             for poly in (GAP_POLY, Polynomial(2, 1, 0)):
-                lifted = lift_specific(instance, family, poly)
+                lifted, _ = lift_specific(instance, family, poly)
                 want = lift_size_expectation(instance, family, poly)
-                got = (lifted.instance.graph.vertex_count, lifted.instance.graph.edge_count)
+                got = (lifted.graph.vertex_count, lifted.graph.edge_count)
                 ok = ok and got == want
                 lifts += 1
     record(9, "size bounds", ok, f"{outputs} reductions, {lifts} lifts")

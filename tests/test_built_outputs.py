@@ -50,7 +50,7 @@ def built_instances():
                 yield reduce_formula(target, f)[0]
     for family, instances in gap_corpus().items():
         for instance in instances:
-            yield lift_specific(instance, family, GAP_POLY).instance
+            yield lift_specific(instance, family, GAP_POLY)[0]
     for inst in desk_instances():
         yield reduce_minones_to_quarantined(inst, 5, pendant_base=desk_base(inst))[0]
 

@@ -26,15 +26,7 @@ from hfree.graphs import (
 )
 from hfree.patterns import complete_graph, cycle_graph, house_graph, named_pattern, path_graph
 from hfree.reductions import Polynomial, _GraphBuilder, assignment_from_solution, solution_from_assignment
-from hfree.solver import (
-    COMPLETION,
-    DELETION,
-    SandwichInstance,
-    apply,
-    is_solution,
-    solve_budgeted,
-    solve_sandwich,
-)
+from hfree.solver import COMPLETION, DELETION, SandwichInstance, apply, is_solution, solve_sandwich
 
 C4 = named_pattern("c4")
 C5 = named_pattern("c5")
@@ -261,12 +253,15 @@ def _add_free_pair(builder, mode, _pattern):
 
 
 def _add_wrong_kind_pair(builder, mode, _pattern):
+    """Add a free pair of the other kind, and return it."""
     if mode == DELETION:
         pairs = set(itertools.combinations(range(builder.vertex_count), 2)) - builder.edges
         # the clause K6 has no non-edge, so it gets one to an isolated vertex
-        builder.free.add(min(pairs) if pairs else (0, builder.fresh()))
+        pair = min(pairs) if pairs else (0, builder.fresh())
     else:
-        builder.free.add(min(builder.edges))
+        pair = min(builder.edges)
+    builder.free.add(pair)
+    return pair
 
 
 def _add_free_square(builder, mode, pattern):
@@ -304,10 +299,11 @@ def _add_free_square(builder, mode, pattern):
 def test_corrupted_gadget_fails_its_contract(monkeypatch, name, check, mode, corrupt):
     original = getattr(gadgets, name)
     pattern = cycle_graph(5) if check is check_c5_deletion_gadgets else cycle_graph(4)
+    added = []
 
     def broken(builder, *args):
         labels = original(builder, *args)
-        corrupt(builder, mode, pattern)
+        added.append(corrupt(builder, mode, pattern))
         return labels
 
     monkeypatch.setattr(gadgets, name, broken)
@@ -321,6 +317,10 @@ def test_corrupted_gadget_fails_its_contract(monkeypatch, name, check, mode, cor
     # square is caught one check earlier there
     if corrupt is _add_free_square and name != "_c4comp_ladder":
         assert "free pairs span a square" in str(info.value)
+    # a pair of the wrong kind is named by the instance check
+    if corrupt is _add_wrong_kind_pair:
+        kind = "not an edge" if mode == DELETION else "already an edge"
+        assert len(added) == 1 and str(info.value).endswith(f" gadget: free pair {added[0]} is {kind}")
 
 
 def test_wired_preconditions():
@@ -447,26 +447,25 @@ def test_house_translation_preconditions():
 
 def test_house_deletion_guards():
     source = SandwichInstance(cycle_graph(4), C4, DELETION, frozenset({(0, 1)}))
-    lifted = lift_specific(source, "house-del", GROW)
+    lifted, budget = lift_specific(source, "house-del", GROW)
     guards = GROW(1) + 2
-    assert lifted.budget == 1
-    assert lifted.instance.pattern.graph == house_graph()
-    assert lifted.instance.graph.vertex_count == 4 + 2 * guards * 3
-    assert lifted.instance.free == lifted.instance.graph.edges
-    assert solve_budgeted(lifted) is not None
+    assert budget == 1
+    assert lifted.pattern.graph == house_graph()
+    assert lifted.graph.vertex_count == 4 + 2 * guards * 3
+    assert lifted.free == lifted.graph.edges
+    assert solve_sandwich(lifted, budget=budget) is not None
 
-    hard = lift_specific(
+    hard, _ = lift_specific(
         SandwichInstance(cycle_graph(4), C4, DELETION, frozenset()), "house-del", GROW)
-    assert solve_budgeted(type(hard)(hard.instance, GROW(0))) is None
+    assert solve_sandwich(hard, budget=GROW(0)) is None
 
 
 def test_house_deletion_guard_witness():
     # Deleting a guarded edge exposes a house on the edge ends, one full
     # guard, and a second guard's inner vertex.
     source = SandwichInstance(complete_graph(2), C4, DELETION, frozenset())
-    lifted = lift_specific(source, "house-del", GROW)
-    stripped = Graph(lifted.instance.graph.vertex_count,
-                     set(lifted.instance.graph.edges) - {(0, 1)})
+    lifted, _ = lift_specific(source, "house-del", GROW)
+    stripped = Graph(lifted.graph.vertex_count, set(lifted.graph.edges) - {(0, 1)})
     witness = find_induced_copy(stripped, house_graph())
     assert witness is not None
     image = set(witness)
@@ -484,40 +483,40 @@ def test_house_deletion_guard_witness():
 def test_lift_specific_gap(family, graph, pattern, mode, yes_free):
     pattern = named_pattern(pattern)
     yes = SandwichInstance(graph, pattern, mode, frozenset(yes_free))
-    lifted = lift_specific(yes, family, GROW)
-    assert lifted.budget == 1
-    assert solve_budgeted(lifted) is not None
+    lifted, budget = lift_specific(yes, family, GROW)
+    assert budget == 1
+    assert solve_sandwich(lifted, budget=budget) is not None
 
     no = SandwichInstance(graph, pattern, mode, frozenset())
-    lifted_no = lift_specific(no, family, GROW)
-    assert lifted_no.budget == 0
-    assert solve_budgeted(type(lifted_no)(lifted_no.instance, GROW(0))) is None
+    lifted_no, budget_no = lift_specific(no, family, GROW)
+    assert budget_no == 0
+    assert solve_sandwich(lifted_no, budget=GROW(0)) is None
 
 
 def test_lift_specific_sizes():
     yes = SandwichInstance(cycle_graph(4), C4, DELETION, frozenset({(0, 1)}))
-    lifted = lift_specific(yes, "c4-del", GROW)
-    assert lifted.instance.graph.vertex_count == 4 + (GROW(1) + 2) * 3
+    lifted, _ = lift_specific(yes, "c4-del", GROW)
+    assert lifted.graph.vertex_count == 4 + (GROW(1) + 2) * 3
 
     pent = SandwichInstance(cycle_graph(5), C5, DELETION, frozenset({(0, 1)}))
-    lifted = lift_specific(pent, "c5-del", GROW)
-    assert lifted.instance.graph.vertex_count == 5 + 3 * (GROW(1) + 1) * 4
+    lifted, _ = lift_specific(pent, "c5-del", GROW)
+    assert lifted.graph.vertex_count == 5 + 3 * (GROW(1) + 1) * 4
 
     comp = SandwichInstance(cycle_graph(4), C4, COMPLETION, frozenset({(0, 2)}))
-    lifted = lift_specific(comp, "c4-comp", GROW)
-    assert lifted.instance.graph.vertex_count == 4 + 2 * (GROW(1) + 1) * 1
+    lifted, _ = lift_specific(comp, "c4-comp", GROW)
+    assert lifted.graph.vertex_count == 4 + 2 * (GROW(1) + 1) * 1
 
     roof = SandwichInstance(house_graph(), HOUSE, COMPLETION, frozenset({(0, 1)}))
-    lifted = lift_specific(roof, "house-comp", GROW)
-    assert lifted.instance.graph.vertex_count == 5 + 3 * (GROW(1) + 1) * 3
+    lifted, _ = lift_specific(roof, "house-comp", GROW)
+    assert lifted.graph.vertex_count == 5 + 3 * (GROW(1) + 1) * 3
 
 
 def test_lift_specific_general_delegation():
     wheel = named_pattern("wheel4")
     yes = SandwichInstance(wheel.graph, wheel, DELETION, frozenset({(0, 1)}))
-    lifted = lift_specific(yes, "general-del", GROW)
-    assert lifted.budget == 1
-    assert solve_budgeted(lifted) is not None
+    lifted, budget = lift_specific(yes, "general-del", GROW)
+    assert budget == 1
+    assert solve_sandwich(lifted, budget=budget) is not None
 
 
 def test_lift_specific_rejections():
@@ -577,15 +576,15 @@ def test_house_del_lift_of_a_wired_output_is_pinned():
     """The house-del lift of the c4del output of formula 0 of the translate
     benchmark's pool is the pair builder's graph, row for row."""
     instance, _ = reduce_formula("c4del", formula(4, [(-4, -3, -2), (-3, -1, 4), (2, 1, 4)]))
-    lifted = lift_specific(instance, "house-del", GROW)
-    graph = lifted.instance.graph
+    lifted, budget = lift_specific(instance, "house-del", GROW)
+    graph = lifted.graph
     guard, terminals = gadgets.LIFTS["house-del"][3]
     planted = _planted(instance.graph, guard, terminals, sorted(instance.graph.edges - instance.free), GROW(50) + 2)
-    assert (graph.vertex_count, graph.edge_count, lifted.budget) == (15028, 30083, 50)
+    assert (graph.vertex_count, graph.edge_count, budget) == (15028, 30083, 50)
     assert graph == planted
     rows = [list(graph.neighbors(v)) for v in range(graph.vertex_count)]
     assert rows == [list(planted.neighbors(v)) for v in range(planted.vertex_count)]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "d2bdec9ef87f78ec581fe2ccdc380d8a4da025597a7d8d193739254a66c21251"
     )
-    assert lifted.instance.free is graph.edges
+    assert lifted.free is graph.edges

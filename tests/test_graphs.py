@@ -126,15 +126,6 @@ def test_has_edge_reads_the_rows():
             assert co._edges is None
 
 
-def test_holds_answers_the_graphs_own_edge_set_at_once():
-    """The graph's own edge set holds as edges, and as non-edges only when
-    it is empty; an equal set that is not the graph's own answers alike."""
-    for g in (cycle_graph(4), Graph(3)):
-        for pairs in (g.edges, frozenset(g.edges)):
-            assert g._holds(pairs, True)
-            assert g._holds(pairs, False) == (not g.edges)
-
-
 ROOF = Graph(3, [(0, 2), (1, 2)])
 
 
@@ -385,6 +376,8 @@ def test_induced_subgraph_relabels_in_sorted_order():
     sub = induced_subgraph(g, [4, 1, 3])
     # Hub 4 is adjacent to both rim vertices; rim 1 and 3 are opposite.
     assert sub == Graph(3, [(0, 2), (1, 2)])
+    # a repeated vertex is one vertex of the subgraph
+    assert induced_subgraph(cycle_graph(4), [0, 0, 1]) == Graph(2, [(0, 1)])
 
 
 def test_induced_subgraph_of_a_complement_reads_its_rows():

@@ -216,9 +216,9 @@ def test_lift_round_trip():
     g = Graph(6, complete_graph(6).edges - {(0, 1)})
     source = SandwichInstance(g, named_pattern("k5e"), DELETION, {(0, 2), (0, 3), (0, 4), (0, 5)})
     source_opt = solve_min(source)
-    lifted = lift_quarantine(source, Polynomial(1, 1, 1))
-    assert lifted.budget == 4
-    lifted_opt = solve_min(lifted.instance)
+    lifted, budget = lift_quarantine(source, Polynomial(1, 1, 1))
+    assert budget == 4
+    lifted_opt = solve_min(lifted)
     assert len(lifted_opt) == len(source_opt) == 2
     assert lifted_opt <= g.edges
 
@@ -226,16 +226,16 @@ def test_lift_round_trip():
 def test_lift_sizes_and_identity():
     square = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     k5e = named_pattern("k5e")
-    lifted = lift_quarantine(SandwichInstance(square, k5e, DELETION, {(1, 2), (0, 3)}))
+    lifted, budget = lift_quarantine(SandwichInstance(square, k5e, DELETION, {(1, 2), (0, 3)}))
     # m = 4 edges, so 16 pendant pattern copies per quarantined edge,
     # each contributing 3 fresh vertices and 9 fresh edges
-    assert lifted.instance.graph.vertex_count == 4 + 3 * 2 * 16
-    assert lifted.instance.graph.edge_count == 4 + 9 * 2 * 16
-    assert lifted.budget == 2
+    assert lifted.graph.vertex_count == 4 + 3 * 2 * 16
+    assert lifted.graph.edge_count == 4 + 9 * 2 * 16
+    assert budget == 2
 
-    untouched = lift_quarantine(SandwichInstance(square, k5e, DELETION, square.edges))
-    assert untouched.instance.graph == square
-    assert untouched.budget == 4
+    untouched, budget = lift_quarantine(SandwichInstance(square, k5e, DELETION, square.edges))
+    assert untouched.graph == square
+    assert budget == 4
 
 
 def test_transfer_group_directions():

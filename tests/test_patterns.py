@@ -4,19 +4,23 @@ from hypothesis import strategies as st
 
 import hfree.patterns
 from hfree.graphs import Graph, is_3_connected
-from hfree.patterns import _FIXED, complement_pattern, make_pattern, named_pattern, require, wheel_graph
+from hfree.patterns import _FIXED, Pattern, complement_pattern, named_pattern, require, wheel_graph
 
 
-def test_make_pattern_derives_fields():
-    p = make_pattern(wheel_graph(4))
+def test_pattern_derives_fields():
+    p = Pattern(wheel_graph(4))
     assert p.vertex_count == 5
     assert p.non_edges == ((0, 2), (1, 3))
     assert p.three_connected
     assert p.edge_count == 8
+    # the derived facts are not arguments, so they cannot disagree with the graph
+    for wrong in ({"vertex_count": 4}, {"non_edges": ()}):
+        with pytest.raises(TypeError):
+            Pattern(wheel_graph(4), **wrong)
 
 
 def test_named_patterns():
-    assert named_pattern("wheel4") == make_pattern(wheel_graph(4))
+    assert named_pattern("wheel4") == Pattern(wheel_graph(4))
     assert named_pattern("octahedron").non_edges == ((0, 1), (2, 3), (4, 5))
     assert named_pattern("octahedron").three_connected
     assert named_pattern("house").edge_count == 6
@@ -73,7 +77,7 @@ def test_three_connectivity_is_computed_when_read(monkeypatch):
     built = [named_pattern(name) for name in names]
     built += [named_pattern("co-" + name) for name in names]
     built += [complement_pattern(p) for p in built]
-    built += [make_pattern(p.graph, p.name) for p in built]
+    built += [Pattern(p.graph, p.name) for p in built]
     assert calls == []
     for p in built:
         assert p.three_connected == is_3_connected(p.graph), p.name
@@ -83,9 +87,9 @@ def test_three_connectivity_is_computed_when_read(monkeypatch):
         require(named_pattern("house"), three_connected=True)
 
 
-def test_make_pattern_rejects_empty():
-    with pytest.raises(ValueError):
-        make_pattern(Graph(0))
+def test_pattern_rejects_empty():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        Pattern(Graph(0))
 
 
 # smallest order each family builds

@@ -15,13 +15,7 @@ from hfree.reductions import (
     reduce_3sat_to_sandwich_del,
     solution_from_assignment,
 )
-from hfree.solver import (
-    BudgetedInstance,
-    SandwichInstance,
-    is_solution,
-    solve_budgeted,
-    solve_sandwich,
-)
+from hfree.solver import SandwichInstance, is_solution, solve_sandwich
 
 from test_formats import round_trips, sandwich_instances
 
@@ -147,17 +141,17 @@ def test_lift_del_yes_and_no():
     poly = Polynomial(1, 1, 1)
 
     yes = SandwichInstance(Graph(5, wg.edges), WHEEL, "deletion", frozenset({(0, 1)}))
-    lifted = lift_specific(yes, "general-del", poly)
-    assert lifted.budget == 1
-    got = solve_budgeted(lifted)
-    assert got is not None and len(got) <= lifted.budget
+    lifted, budget = lift_specific(yes, "general-del", poly)
+    assert budget == 1
+    got = solve_sandwich(lifted, budget=budget)
+    assert got is not None and len(got) <= budget
 
     no = SandwichInstance(Graph(5, wg.edges), WHEEL, "deletion", frozenset())
-    lifted_no = lift_specific(no, "general-del", poly)
-    assert lifted_no.budget == 0
+    lifted_no, budget_no = lift_specific(no, "general-del", poly)
+    assert budget_no == 0
     # The lifted graph has one pendant copy per original edge.
-    assert lifted_no.instance.graph.vertex_count == 5 + 8 * 3
-    assert solve_budgeted(BudgetedInstance(lifted_no.instance, poly(0))) is None
+    assert lifted_no.graph.vertex_count == 5 + 8 * 3
+    assert solve_sandwich(lifted_no, budget=poly(0)) is None
 
 
 def test_lift_comp_yes_and_no():
@@ -166,28 +160,28 @@ def test_lift_comp_yes_and_no():
     host = Graph(6, wg.edges)
 
     yes = SandwichInstance(host, WHEEL, "completion", frozenset({(0, 2)}))
-    lifted = lift_specific(yes, "general-comp", poly)
-    got = solve_budgeted(lifted)
-    assert got is not None and len(got) <= lifted.budget == 1
+    lifted, budget = lift_specific(yes, "general-comp", poly)
+    got = solve_sandwich(lifted, budget=budget)
+    assert got is not None and len(got) <= budget == 1
 
     no = SandwichInstance(host, WHEEL, "completion", frozenset({(0, 5)}))
-    lifted_no = lift_specific(no, "general-comp", poly)
-    assert solve_budgeted(BudgetedInstance(lifted_no.instance, poly(1))) is None
+    lifted_no, _ = lift_specific(no, "general-comp", poly)
+    assert solve_sandwich(lifted_no, budget=poly(1)) is None
 
 
 def test_lift_pendant_counts_and_identity_cases():
     wg = WHEEL.graph
     k5mm = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) not in {(0, 1), (2, 3)}])
     one_fixed = SandwichInstance(k5mm, WHEEL, "completion", frozenset({(0, 1)}))
-    lifted = lift_specific(one_fixed, "general-comp", Polynomial(1, 1, 2))
+    lifted, _ = lift_specific(one_fixed, "general-comp", Polynomial(1, 1, 2))
     # p(1) = 3 pendant copies, each adding vertex_count - 2 fresh vertices.
-    assert lifted.instance.graph.vertex_count == 5 + 3 * 3
+    assert lifted.graph.vertex_count == 5 + 3 * 3
 
     all_free_comp = SandwichInstance(Graph(6, wg.edges), WHEEL, "completion", frozenset(Graph(6, wg.edges).non_edges()))
-    assert lift_specific(all_free_comp, "general-comp", Polynomial(1, 1, 1)).instance == all_free_comp
+    assert lift_specific(all_free_comp, "general-comp", Polynomial(1, 1, 1))[0] == all_free_comp
 
     all_free_del = SandwichInstance(Graph(5, wg.edges), WHEEL, "deletion", frozenset(wg.edges))
-    assert lift_specific(all_free_del, "general-del", Polynomial(1, 1, 1)).instance == all_free_del
+    assert lift_specific(all_free_del, "general-del", Polynomial(1, 1, 1))[0] == all_free_del
 
     with pytest.raises(ValueError, match="deletion"):
         lift_specific(all_free_comp, "general-del", Polynomial(1, 1, 1))

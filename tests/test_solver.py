@@ -10,18 +10,9 @@ from hypothesis import strategies as st
 from hfree import graphs, solver
 from hfree.cnf import formula
 from hfree.graphs import Graph, _toggle, complement, edge_key, find_induced_copy, is_h_free, match_plan
-from hfree.patterns import complete_graph, cycle_graph, make_pattern, named_pattern, path_graph, wheel_graph
+from hfree.patterns import Pattern, complete_graph, cycle_graph, named_pattern, path_graph, wheel_graph
 from hfree.reductions import Polynomial, complement_instance
-from hfree.solver import (
-    BudgetedInstance,
-    SandwichInstance,
-    SearchLimitError,
-    apply,
-    is_solution,
-    solve_budgeted,
-    solve_min,
-    solve_sandwich,
-)
+from hfree.solver import SandwichInstance, SearchLimitError, apply, is_solution, solve_min, solve_sandwich
 from hfree.verify import verify_gap, verify_sat_equivalence
 
 
@@ -47,7 +38,7 @@ def brute_force_solutions(instance):
 
 def test_instance_validation():
     c4 = cycle_graph(4)
-    pat = make_pattern(complete_graph(3))
+    pat = Pattern(complete_graph(3))
     with pytest.raises(ValueError, match="mode"):
         SandwichInstance(c4, pat, "removal", frozenset())
     with pytest.raises(ValueError, match="not an edge"):
@@ -59,8 +50,8 @@ def test_instance_validation():
     for mode in ("deletion", "completion"):
         with pytest.raises(ValueError, match="out of range"):
             SandwichInstance(c4, pat, mode, frozenset({(-1, 2)}))
-    with pytest.raises(ValueError):
-        BudgetedInstance(deletion_instance(c4, pat), -1)
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        solve_sandwich(deletion_instance(c4, pat), budget=-1)
 
 
 def test_constructors_accept_every_input_shape():
@@ -153,6 +144,21 @@ def test_free_pairs_checked_one_by_one_read_rows_only():
     assert host._edges is None
 
 
+def test_an_instance_takes_the_graphs_own_edge_set_as_it_is():
+    """The graph's own edge set, and an equal frozenset that is not the
+    graph's own, are kept as they are as deletable pairs; as fillable pairs
+    they pass only when empty, and otherwise name the smallest edge."""
+    pattern = named_pattern("c4")
+    for g in (cycle_graph(4), Graph(3)):
+        for pairs in (g.edges, frozenset(sorted(g.edges))):
+            assert SandwichInstance(g, pattern, "deletion", pairs).free is pairs
+            if g.edges:
+                with pytest.raises(ValueError, match=r"^free pair \(0, 1\) is already an edge$"):
+                    SandwichInstance(g, pattern, "completion", pairs)
+            else:
+                assert SandwichInstance(g, pattern, "completion", pairs).free is pairs
+
+
 def drawn_graph(seed, index):
     """The index-th sparse graph that random.Random(seed) draws: n from 30
     to 90 vertices, then 2n distinct pairs. Returns n and the sorted pairs."""
@@ -241,10 +247,10 @@ def test_completion_fills_a_path_into_a_cycle():
     assert solve_sandwich(inst, budget=0) is None
 
 
-def test_budgeted_wrapper():
+def test_budget_decides_the_square():
     inst = deletion_instance(cycle_graph(4), named_pattern("c4"))
-    assert solve_budgeted(BudgetedInstance(inst, 1)) is not None
-    assert solve_budgeted(BudgetedInstance(inst, 0)) is None
+    assert solve_sandwich(inst, budget=1) is not None
+    assert solve_sandwich(inst, budget=0) is None
 
 
 def test_negative_budget_is_rejected():
@@ -265,7 +271,7 @@ def test_negative_node_limit_is_rejected():
 
 def test_node_limit_raises_instead_of_lying():
     host = complete_graph(7)
-    inst = deletion_instance(host, make_pattern(complete_graph(3)))
+    inst = deletion_instance(host, Pattern(complete_graph(3)))
     with pytest.raises(SearchLimitError):
         solve_sandwich(inst, node_limit=2)
 
@@ -274,7 +280,7 @@ def random_instance(rng):
     n = rng.randint(3, 6)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.55]
     g = Graph(n, edges)
-    pattern = rng.choice([named_pattern("c4"), make_pattern(complete_graph(3), "k3"), named_pattern("p4")])
+    pattern = rng.choice([named_pattern("c4"), Pattern(complete_graph(3), "k3"), named_pattern("p4")])
     mode = rng.choice(["deletion", "completion"])
     pool = sorted(g.edges) if mode == "deletion" else g.non_edges()
     free = frozenset(p for p in pool if rng.random() < 0.7)
@@ -310,7 +316,7 @@ def test_solver_matches_exhaustive_enumeration():
 def test_empty_free_set():
     inst = deletion_instance(cycle_graph(4), named_pattern("c4"), free=set())
     assert solve_sandwich(inst) is None
-    triangle_free = deletion_instance(cycle_graph(4), make_pattern(complete_graph(3)), free=set())
+    triangle_free = deletion_instance(cycle_graph(4), Pattern(complete_graph(3)), free=set())
     assert solve_sandwich(triangle_free) == frozenset()
 
 

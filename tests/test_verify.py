@@ -10,7 +10,7 @@ from hfree.cnf import formula
 from hfree.gadgets import FORMULA_TARGETS
 from hfree.graphs import Graph
 from hfree.minones import MinOnesInstance
-from hfree.patterns import cycle_graph, house_graph, make_pattern, named_pattern
+from hfree.patterns import Pattern, cycle_graph, house_graph, named_pattern
 from hfree.reductions import Polynomial
 from hfree.solver import COMPLETION, DELETION, SandwichInstance
 from hfree.verify import (
@@ -124,11 +124,10 @@ def test_duality_guards():
 
 
 def _count_calls(monkeypatch, counts):
-    """Count calls to the pattern builders and connectivity checks through
-    every hfree module that binds them, as a tracer that rebinds module
-    attributes would."""
+    """Count calls to the complement and connectivity checks through every
+    hfree module that binds them, as a tracer that rebinds module
+    attributes would, and every Pattern built."""
     originals = {
-        "make_pattern": hfree.patterns.make_pattern,
         "complement": hfree.graphs.complement,
         "is_connected": hfree.graphs.is_connected,
         "is_3_connected": hfree.graphs.is_3_connected,
@@ -146,6 +145,7 @@ def _count_calls(monkeypatch, counts):
             for name, fn in originals.items():
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, counted(name, fn))
+    monkeypatch.setattr(Pattern, "__post_init__", counted("Pattern", Pattern.__post_init__))
 
 
 def test_a_repeated_check_does_the_same_work(monkeypatch):
@@ -170,7 +170,7 @@ def test_a_repeated_check_does_the_same_work(monkeypatch):
         seen[check] = passes[0]
     # the counters saw the work: the duality check builds the complement
     # pattern, and the general lift reads the pattern's 3-connectivity
-    assert seen["duality"]["make_pattern"] >= 1 and seen["duality"]["complement"] >= 1
+    assert seen["duality"]["Pattern"] >= 1 and seen["duality"]["complement"] >= 1
     assert seen["gap"]["is_3_connected"] >= 1
 
 
@@ -199,12 +199,16 @@ def _refuse_completion(instance, budget=None):
     return None if instance.mode == COMPLETION else frozenset()
 
 
+def _refuse_budgets(instance, budget=None):
+    return frozenset() if budget is None else None
+
+
 # (check, solver call to replace, replacement, run): each replacement makes
 # the one solver answer the check compares disagree with the other route
 FAILING_CHECKS = [
     ("sat-equivalence", "solve_sandwich", lambda *a, **k: None,
      lambda: verify_sat_equivalence(formula(3, [(1, 2, 3)]), "c4-del")),
-    ("gap-lift", "solve_budgeted", lambda *a, **k: None,
+    ("gap-lift", "solve_sandwich", _refuse_budgets,
      lambda: verify_gap(SandwichInstance(cycle_graph(4), named_pattern("c4"), DELETION, {(0, 1)}), "c4-del", GROW)),
     ("duality", "solve_sandwich", _refuse_completion,
      lambda: verify_duality(cycle_graph(5), named_pattern("c5"), 1)),
