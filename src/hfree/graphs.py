@@ -6,7 +6,8 @@ inputs: connectivity tests brute-force over removal sets, and the induced
 copy search is a backtracker with degree and adjacency pruning, compiled
 per pattern plan into nested Python loops, that looks ahead from the level
 before the last to the last one's candidates; its one symmetry breaking,
-ordering twin images, serves vertex-set enumeration.
+ordering twin images, serves vertex-set enumeration, and the pattern's
+automorphisms prune its root walks (below).
 
 find_embedding is the one induced-copy search: find_induced_copy and
 is_h_free, enumerate_induced_copies, the solver, the gadget contracts
@@ -32,6 +33,17 @@ buckets it passes, for a plan whose every unpinned level after the
 first has an anchor; the root walk then finds the copy the full walk
 finds. Keeping that proof true as the host changes is the caller's
 part, and the solver's docstring says how it does so.
+
+The proof reaches below the root through the pattern's symmetry: if no
+copy puts the first pattern vertex p0 on x, no copy puts any vertex q of
+p0's orbit under the pattern's automorphisms on x either (compose the
+copy with an automorphism sending p0 to q). So the root walks of plans
+without twin floors, neither pinned nor visiting, reject at each later
+level in that orbit the roots the walk has exhausted so far and the
+vertices the caller marks as rooting no copy (find_embedding's marked=).
+The cut branches hold no copy, so every copy and its order stay those of
+the full search. A plan whose first vertex is alone in its orbit
+compiles as before.
 
 Each neighbour set of a Graph is built from its sorted row, so the order
 it iterates in, which the matcher follows, depends on the graph's edges
@@ -280,9 +292,12 @@ class MatchPlan:
     searches caches the functions find_embedding runs for this plan, one
     per call shape (pinned positions, blocking or not, visiting or not),
     each generated from levels by _compile_search on the first such call.
+    The orbit of the first vertex under the pattern's automorphisms, which
+    the root-walking shapes prune by (see _orbit), is computed on the first
+    compile that needs it and kept with the plan.
     """
 
-    __slots__ = ("seed", "levels", "reach", "searches")
+    __slots__ = ("seed", "levels", "reach", "searches", "_pattern", "_orbit")
 
     def __init__(self, pattern: Graph, seed=(), break_twins=False):
         n = pattern.vertex_count
@@ -324,6 +339,8 @@ class MatchPlan:
             ball |= ring
         self.seed = tuple(seed)
         self.searches = {}
+        self._pattern = pattern
+        self._orbit = None
 
 
 @lru_cache(maxsize=4096)
@@ -384,10 +401,10 @@ _SPELLED = 8
 def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool):
     """Compile plan.levels into nested loops, one per unpinned level.
 
-    The result is search(A, F, B, visit, I, K): host adjacency, fixed,
-    blocked, visit, the image list it fills by pattern vertex, and buckets
-    (see find_embedding). It returns True once it found an embedding (or
-    visit accepted one).
+    The result is search(A, F, B, visit, I, K, M): host adjacency, fixed,
+    blocked, visit, the image list it fills by pattern vertex, buckets and
+    marked (see find_embedding). It returns True once it found an
+    embedding (or visit accepted one).
 
     Level i binds v<p> for its pattern vertex p: to F[i] when pinned, else
     in a loop over the candidates a level-by-level backtracker takes, in the
@@ -398,8 +415,16 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
     no degree. One test per level rejects a candidate on degree (where
     its adjacency tests do not imply it), floor, adjacency, non-adjacency,
     blocked pairs, and equality with a non-adjacent earlier image (an
-    adjacent one differs already). Levels past _SPELLED earlier vertices
-    keep the earlier images in a set U instead, added to on the way down
+    adjacent one differs already). In a root walk (nothing pinned, no
+    visit) of a plan without floors, the root loop adds each root it
+    exhausts to a set D, and each later level whose pattern vertex lies in
+    the root's orbit (_orbit) also rejects a candidate in D or in the
+    caller's marks M: no copy puts the root's pattern vertex there, so by
+    an automorphism no copy puts an orbit vertex there either. A floor
+    breaks that argument, since the composed copy need not respect it, and
+    a visit that declines copies exhausts roots that carry them. Plans
+    whose root is alone in its orbit emit neither. Levels past _SPELLED
+    earlier vertices keep the earlier images in a set U instead, added to on the way down
     and taken from on the way back: the
     candidate must be outside U, and its neighbours must meet U in exactly
     its adjacent earlier images. Each chunk after the first takes U as its
@@ -422,6 +447,11 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
     """
     levels = plan.levels
     order = [level[0] for level in levels]
+    # Orbit pruning: the later levels whose pattern vertex shares the root's
+    # orbit reject the roots this call exhausted (D) and the marked ones (M).
+    pruned = ()
+    if not pinned and not visiting and levels and all(level[2] is None for level in levels):
+        pruned = _orbit(plan) - {order[0]}
     # The lookahead from level g to the last level: its candidates among
     # the anchor image's neighbours, as far as the images before g decide.
     g, ahead = len(levels) - 2, []
@@ -462,6 +492,8 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
                 lines.append(f"{pad}{v} = F[{i}]")
                 anchor, fail = None, "return False"
             else:
+                if i == 0 and pruned:
+                    lines.append(f"{pad}D = set()")
                 if i == g and ahead:
                     lines.append(f"{pad}L = None")
                 if anchor is not None:
@@ -481,6 +513,8 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
             terms = [f"len(N) < {needed}"] if needed > least else []
             if floor is not None:
                 terms.append(f"{v} <= v{floor}")
+            if vertex in pruned:
+                terms.append(f"{v} in D or {v} in M")
             terms.extend(f"{w} not in N" for w in near)
             if i > _SPELLED:
                 terms.append(f"{v} in U or len(N & U) != {len(checks) - len(apart)}")
@@ -520,16 +554,80 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
         else:
             lines.append(f"{pad}return True")
         lines.extend(reversed(closing))
+        if k == 0 and pruned:
+            lines.append(f"  D.add(v{order[0]})")
         lines.append(" " * base + "return False")
         chunks.append(lines)
     # The later chunks are closures over the search's arguments.
-    source = ["def search(A, F, B, visit, I, K):", *(line for lines in chunks[1:] + chunks[:1] for line in lines)]
+    source = ["def search(A, F, B, visit, I, K, M):", *(line for lines in chunks[1:] + chunks[:1] for line in lines)]
     namespace = {"chain": chain, "islice": islice}
     exec(compile("\n".join(source), "<match plan>", "exec"), namespace)
     return namespace["search"]
 
 
-def find_embedding(host_adj, plan: MatchPlan, *, blocked=None, fixed=None, visit=None, buckets=None):
+def _orbit(plan: MatchPlan) -> frozenset:
+    """The orbit of the plan's first pattern vertex p0 under the pattern's
+    automorphisms, computed on first use and kept in the plan.
+
+    Colour refinement proposes the candidates: every automorphism keeps
+    each colour, so the orbit lies in p0's colour class. Rounds run while
+    that class shrinks; stopping before the colouring is stable only leaves
+    more candidates. A candidate joins when an automorphism sends p0 to it
+    (_sends_first_to).
+    """
+    if plan._orbit is None:
+        adj = plan._pattern._adj
+        first = plan.levels[0][0]
+        colours, cell = [0] * len(adj), None
+        while True:
+            names = {}
+            colours = [
+                names.setdefault((colour, tuple(sorted(colours[w] for w in near))), len(names))
+                for colour, near in zip(colours, adj)
+            ]
+            shrunk = [v for v in (cell or range(len(adj))) if colours[v] == colours[first]]
+            if cell is not None and len(shrunk) == len(cell):
+                break
+            cell = shrunk
+        plan._orbit = frozenset(q for q in cell if q == first or _sends_first_to(plan, q))
+    return plan._orbit
+
+
+def _sends_first_to(plan: MatchPlan, q: int) -> bool:
+    """Whether the pattern embeds in itself with the plan's first vertex on
+    q: an automorphism, since an injective map of the vertices onto
+    themselves that keeps every edge keeps every non-edge too.
+
+    A level-by-level backtracker over plan.levels with an explicit stack:
+    each level's image is unused and neighbours the images of its placed
+    neighbours, drawn from its anchor's image's neighbours (any vertex
+    when it has no anchor); its degree test only prunes. It walks the
+    pattern's rows instead of compiling the plan's pinned search, which
+    would cost about as much as compiling the plan itself: 0.19 s for a
+    1100-vertex path, where this walk takes milliseconds.
+    """
+    adj, levels = plan._pattern._adj, plan.levels
+    image, used = {}, set()
+    tries = [iter((q,))]
+    while tries:
+        vertex, _, _, degree, _ = levels[len(tries) - 1]
+        used.discard(image.pop(vertex, None))
+        for x in tries[-1]:
+            if x not in used and len(adj[x]) == degree and all(image[w] in adj[x] for w in adj[vertex] if w in image):
+                break
+        else:
+            tries.pop()
+            continue
+        image[vertex] = x
+        used.add(x)
+        if len(tries) == len(levels):
+            return True
+        anchor = levels[len(tries)][1]
+        tries.append(iter(range(len(adj)) if anchor is None else adj[image[anchor]]))
+    return False
+
+
+def find_embedding(host_adj, plan: MatchPlan, *, blocked=None, fixed=None, visit=None, buckets=None, marked=None):
     """Search for induced embeddings of the plan's pattern into the host adjacency.
 
     host_adj is indexable by vertex and yields neighbor sets. Embeddings
@@ -561,6 +659,15 @@ def find_embedding(host_adj, plan: MatchPlan, *, blocked=None, fixed=None, visit
     exhausted every root its walk met before the copy's root: those carry
     the first pattern vertex in no copy, and _walked lists them.
 
+    marked is a set of host vertices the caller proves to root no copy in
+    the host as it stands: no copy puts the plan's first pattern vertex on
+    any of them. A call that walks roots (no fixed, no visit) on a plan
+    without twin floors then rejects them, and the roots it has exhausted,
+    at every later level whose pattern vertex shares the first vertex's
+    orbit (see _compile_search); other shapes ignore marked. A wrong mark
+    can hide a copy, so only proven ones may be passed. The root walk
+    itself reads only the buckets.
+
     The search runs the nested loops _compile_search generated from the
     plan for this call shape, cached in plan.searches. They try candidates
     in the order of a level-by-level backtracker over plan.levels: the
@@ -580,7 +687,7 @@ def find_embedding(host_adj, plan: MatchPlan, *, blocked=None, fixed=None, visit
     if buckets is None:
         buckets = _buckets(host_adj)
     image = [0] * n
-    if search(host_adj, fixed, blocked, visit, image, buckets):
+    if search(host_adj, fixed, blocked, visit, image, buckets, marked or ()):
         return list(image)
     return None
 

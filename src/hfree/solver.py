@@ -41,9 +41,13 @@ vertex's eccentricity r of its root, so after a toggle every mark within
 distance r of both a and b in the new host is cleared and put back in
 the bucket of its degree. Each frame keeps the marks its node added and
 those its toggle cleared, and popping it restores its parent's marks and
-buckets exactly. Leaving out a root with no copy cannot change which
-copy comes first, so copies, verdicts and node counts are those of the
-full scan. Patterns that are not connected keep the full scan.
+buckets exactly. Each root call also hands the marks to the matcher
+(find_embedding's marked=), which rejects them below the root too, at
+every level whose pattern vertex shares the root's orbit under the
+pattern's automorphisms. Leaving out a root with no copy, or rejecting
+it where no copy can put an orbit vertex, cannot change which copy comes
+first, so copies, verdicts and node counts are those of the full scan.
+Patterns that are not connected keep the full scan.
 """
 
 from __future__ import annotations
@@ -87,15 +91,17 @@ class SandwichInstance:
         n, rows = graph.vertex_count, graph._adj
         # A frozenset passes as it is when it is the graph's own edge set in
         # deletion mode, or when one pass over the rows finds every pair a
-        # valid key of the mode's kind; anything else is normalized pair by
-        # pair, naming the smallest pair at fault.
+        # valid key of the mode's kind (two ints); anything else is
+        # normalized pair by pair, naming the smallest pair at fault.
         if type(free) is frozenset and (
             (present and free is graph._edges)
-            or all(type(u) is int and 0 <= u < v < n and (v in rows[u]) == present for u, v in free)
+            or all(type(u) is int and type(v) is int and 0 <= u < v < n and (v in rows[u]) == present for u, v in free)
         ):
             return
         free = frozenset(edge_key(u, v) for u, v in free)
         for u, v in sorted(free):
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"free pair ({u}, {v}) is not a pair of integers")
             if u < 0 or v >= n:
                 raise ValueError(f"free pair ({u}, {v}) out of range")
             edge = v in rows[u]
@@ -213,7 +219,7 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
             insort(buckets[len(adj[v])], v)
 
     for _ in range(node_limit):  # one pass per search node
-        image = find_embedding(adj, plan, buckets=buckets)
+        image = find_embedding(adj, plan, buckets=buckets, marked=marked)
         if image is None:
             return frozenset(chosen)
         remaining = budget - len(chosen)

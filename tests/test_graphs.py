@@ -858,3 +858,149 @@ def test_toggles_leave_left_out_vertices_out(n, density, seed, data):
 )
 def test_plan_reach_is_the_first_vertex_eccentricity(pattern, reach):
     assert match_plan(pattern).reach == reach
+
+
+def _permutation_orbits(pattern):
+    """For each vertex, the vertices some automorphism sends it to, by
+    trying every permutation: one that keeps every edge is an
+    automorphism."""
+    edges = pattern.edges
+    automorphisms = [
+        perm
+        for perm in itertools.permutations(range(pattern.vertex_count))
+        if all(edge_key(perm[u], perm[v]) in edges for u, v in edges)
+    ]
+    return [{perm[v] for perm in automorphisms} for v in range(pattern.vertex_count)]
+
+
+def _assert_orbits_are_permutation_orbits(pattern):
+    """The orbit of every plan's first vertex, unseeded and seeded at each
+    vertex, is the permutation orbit."""
+    orbits = _permutation_orbits(pattern)
+    for seed in ((), *((v,) for v in range(pattern.vertex_count))):
+        plan = graphs.MatchPlan(pattern, seed)
+        assert graphs._orbit(plan) == orbits[plan.levels[0][0]]
+
+
+STOCK_NAMES = (
+    "c3", "c4", "c5", "c6", "p1", "p2", "p3", "p4", "p5", "p6",
+    "k1", "k2", "k3", "k4", "k5", "k4e", "k5e", "house", "wheel4", "octahedron",
+)
+
+
+@pytest.mark.parametrize("name", [*STOCK_NAMES, *(f"co-{name}" for name in STOCK_NAMES)])
+def test_plan_orbits_are_permutation_orbits_on_named_patterns(name):
+    _assert_orbits_are_permutation_orbits(named_pattern(name).graph)
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        # Colour refinement cannot split a regular graph, so every vertex
+        # is a candidate: the search must refuse the other component's
+        # (a triangle beside a square), and the same in the complement.
+        Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]),
+        complement(Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])),
+        # A path of odd order: its middle vertex is an orbit of its own.
+        path_graph(7),
+    ],
+)
+def test_plan_orbits_are_permutation_orbits_on_hard_cases(pattern):
+    _assert_orbits_are_permutation_orbits(pattern)
+
+
+@settings(max_examples=120)
+@given(n=st.integers(1, 7), data=st.data())
+def test_plan_orbits_are_permutation_orbits_on_random_graphs(n, data):
+    # Half the graphs are closed under a drawn permutation, so they have a
+    # non-trivial automorphism more often than a random graph does.
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    if data.draw(st.booleans()):
+        perm = data.draw(st.permutations(range(n)))
+        moved = {edge_key(perm[u], perm[v]) for u, v in edges}
+        while not moved <= edges:
+            edges |= moved
+            moved = {edge_key(perm[u], perm[v]) for u, v in edges}
+    _assert_orbits_are_permutation_orbits(Graph(n, edges))
+
+
+@pytest.mark.parametrize(
+    "name,size",
+    [("c4", 4), ("c5", 5), ("house", 2), ("p5", 2), ("k5e", 3), ("wheel4", 1), ("octahedron", 6)],
+)
+def test_plan_orbit_sizes_are_pinned(name, size):
+    assert len(graphs._orbit(match_plan(named_pattern(name).graph))) == size
+
+
+def _names_of(search):
+    """The local and closure names of a compiled search."""
+    return set(search.__code__.co_varnames) | set(search.__code__.co_cellvars)
+
+
+def test_only_root_walking_shapes_of_orbit_plans_prune():
+    # The square's root has an orbit of four and the wheel's hub one of
+    # one: only the square's plain and blocked root walks keep a set of
+    # exhausted roots. Pinned, visiting and twin-floored shapes keep none.
+    square, wheel = match_plan(cycle_graph(4)), match_plan(wheel_graph(4))
+    assert "D" in _names_of(graphs._compile_search(square, 0, False, False))
+    assert "D" in _names_of(graphs._compile_search(square, 0, True, False))
+    assert "D" not in _names_of(graphs._compile_search(square, 0, False, True))
+    assert "D" not in _names_of(graphs._compile_search(match_plan(cycle_graph(4), (0,)), 1, False, False))
+    assert "D" not in _names_of(graphs._compile_search(wheel, 0, False, False))
+    floored = match_plan(complete_graph(3), break_twins=True)
+    assert graphs._orbit(floored) == {0, 1, 2}
+    assert "D" not in _names_of(graphs._compile_search(floored, 0, False, False))
+
+
+def test_twin_floors_never_prune():
+    # K2 with break_twins: the floor asks the second image to exceed the
+    # first. Roots 1 and 2 are exhausted under the floor, and root 0's only
+    # images for the second vertex are 1 and 2; pruning by the exhausted
+    # roots would return None, though the host holds a copy.
+    host = Graph(3, [(0, 1), (0, 2)])
+    plan = match_plan(complete_graph(2), break_twins=True)
+    assert find_embedding(host._adj, plan) == [0, 1]
+    assert find_embedding(host._adj, plan, blocked={(1, 2)}) == [0, 1]
+    assert enumerate_induced_copies(host, complete_graph(2)) == [(0, 1), (0, 2)]
+
+
+def test_visits_never_prune():
+    # A visit that accepts nothing exhausts every root though every root
+    # carries copies: it must still see all 8 embeddings of the square in
+    # the square, and the 8 in a square with a pendant, given the pendant
+    # as a marked dead root.
+    seen = []
+
+    def visit(image):
+        seen.append(tuple(image))
+
+    for host, marked in ((cycle_graph(4), None), (Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)]), {4})):
+        seen.clear()
+        assert find_embedding(host._adj, match_plan(cycle_graph(4)), visit=visit, marked=marked) is None
+        assert len(seen) == len(set(seen)) == 8
+
+
+@pytest.mark.parametrize("spelled,chunk", [(8, 16), (0, 1), (0, 2)])
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_differential_cases(), data=st.data())
+def test_marked_dead_roots_change_no_answer(monkeypatch, spelled, chunk, case, data):
+    """Marking any vertices that root no copy (by the sweep) changes no
+    answer of any call shape; only the root walks of plans without twin
+    floors read the marks. Each copy is the first embedding a visit meets,
+    since visiting shapes prune nothing."""
+    monkeypatch.setattr(graphs, "_SPELLED", spelled)
+    monkeypatch.setattr(graphs, "_CHUNK_LOOPS", chunk)
+    host, pattern, seed, fixed, blocked, break_twins, stop = case
+    plan = graphs.MatchPlan(pattern, seed, break_twins)
+    empty = _empty_roots(host, pattern, plan.levels[0][0])
+    marked = data.draw(st.sets(st.sampled_from(empty))) if empty else set()
+    adj = host._adj
+    for shape in ({}, {"blocked": blocked}, {"fixed": fixed, "blocked": blocked}):
+        first = find_embedding(adj, plan, visit=lambda image: True, **shape)
+        assert find_embedding(adj, plan, **shape) == first
+        assert find_embedding(adj, plan, marked=marked, **shape) == first
+    seen, marked_seen = [], []
+    find_embedding(adj, plan, fixed=fixed, visit=lambda image: seen.append(tuple(image)))
+    find_embedding(adj, plan, fixed=fixed, visit=lambda image: marked_seen.append(tuple(image)), marked=marked)
+    assert marked_seen == seen

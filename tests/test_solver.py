@@ -54,6 +54,15 @@ def test_instance_validation():
         solve_sandwich(deletion_instance(c4, pat), budget=-1)
 
 
+@pytest.mark.parametrize("pair", [(0, 2.5), (2.5, 0), (0.0, 2), (True, 3)])
+@pytest.mark.parametrize("shape", [frozenset, list])
+def test_free_pairs_must_be_pairs_of_integers(pair, shape):
+    # A frozenset takes the row pass first, anything else the normalizing
+    # path; both refuse an endpoint that is not an int.
+    with pytest.raises(ValueError, match="is not a pair of integers"):
+        SandwichInstance(path_graph(4), named_pattern("c4"), "completion", shape({pair}))
+
+
 def test_constructors_accept_every_input_shape():
     """The validating constructors take any iterable of pairs: a
     generator, pairs in either orientation, repeats in one orientation or
