@@ -26,8 +26,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .cnf import _read_count, _read_int
-from .graphs import Graph, edge_key
-from .minones import MinOnesInstance, constraint_arity
+from .graphs import Graph
+from .minones import MinOnesInstance, _checked_args, constraint_arity
 from .patterns import named_pattern
 from .solver import COMPLETION, DELETION, SandwichInstance
 
@@ -91,13 +91,16 @@ def render_instance(instance: SandwichInstance, budget=None, labels=()) -> str:
         if budget < 0:
             raise FormatError("budget must be nonnegative")
         lines.append(f"budget {budget}")
-    entries = sorted((str(name), edge_key(u, v)) for name, (u, v) in labels)
+    entries = sorted((str(name), (min(u, v), max(u, v))) for name, (u, v) in labels)
     if len(set(entries)) != len(entries):
         raise FormatError("duplicate label entry")
-    for name, pair in entries:
+    for name, (u, v) in entries:
         if not name or any(ch.isspace() for ch in name):
             raise FormatError(f"label name {name!r} must be a single token")
-        lines.append(f"label {name} {pair[0]} {pair[1]}")
+        # What parse_instance reads back: two distinct vertices in range.
+        if not 0 <= u < v < n:
+            raise FormatError(f"label {name} pair ({u}, {v}) is not two distinct vertices of {n}")
+        lines.append(f"label {name} {u} {v}")
     return "\n".join(lines) + "\n"
 
 
@@ -204,7 +207,10 @@ def parse_instance(text: str, default_pattern=None) -> InstanceFile:
         elif key == "pattern":
             if len(rest) != 1:
                 raise FormatError(f"line {number}: pattern takes one name")
-            pattern = named_pattern(rest[0])
+            try:
+                pattern = named_pattern(rest[0])
+            except ValueError as error:
+                raise FormatError(f"line {number}: {error}") from None
         elif key == "vertices":
             vertex_count = _count(rest, number, "vertices takes one count")
         elif key == "budget":
@@ -275,10 +281,10 @@ def parse_minones(text: str) -> MinOnesInstance:
             args = tuple(_read_int(x) for x in rest)
         except ValueError:
             raise FormatError(f"line {number}: arguments must be integers") from None
-        constraints.append((kind, args))
+        try:
+            constraints.append((kind, _checked_args(kind, args, variable_count)))
+        except ValueError as error:
+            raise FormatError(f"line {number}: {error}") from None
     if variable_count is None:
         raise FormatError("constraint file needs an nvars line")
-    try:
-        return MinOnesInstance(variable_count, tuple(constraints))
-    except ValueError as error:
-        raise FormatError(str(error)) from None
+    return MinOnesInstance(variable_count, tuple(constraints))

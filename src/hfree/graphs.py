@@ -276,14 +276,15 @@ class MatchPlan:
     neighbors, so connected patterns extend through adjacency (candidates
     come from one placed neighbor).
 
-    levels holds one (vertex, anchor, floor, degree, checks) entry per
-    pattern vertex, in plan order. anchor is the first earlier vertex
-    adjacent to vertex, whose neighbours are its candidates; floor is the
-    earlier vertex its image must exceed; degree is vertex's own; checks
-    holds one (earlier vertex, adjacent) test per earlier vertex. All of
-    them name pattern vertices, not positions. Only break_twins sets
-    floors: the previous twin (same neighbours apart from each other). That
-    drops twin permutations only, so K_n and K_n - e embed once per copy.
+    levels holds one (vertex, anchor, floor, degree, near) entry per
+    pattern vertex, in plan order. near lists vertex's neighbours placed
+    before it, in plan order, so each pattern edge appears once, at its
+    later end; anchor is near[0] (None when near is empty), whose image's
+    neighbours are its candidates; floor is the earlier vertex its image
+    must exceed; degree is vertex's own. All of them name pattern vertices,
+    not positions. Only break_twins sets floors: the previous twin (same
+    neighbours apart from each other). That drops twin permutations only,
+    so K_n and K_n - e embed once per copy.
 
     reach is the eccentricity of the first vertex in the pattern, the
     farthest any copy's image lies from its root's, or None when the
@@ -300,34 +301,26 @@ class MatchPlan:
     __slots__ = ("seed", "levels", "reach", "searches", "_pattern", "_orbit")
 
     def __init__(self, pattern: Graph, seed=(), break_twins=False):
-        n = pattern.vertex_count
+        n, adj = pattern.vertex_count, pattern._adj
         order = list(seed)
-        placed = set(seed)
-        while len(order) < n:
-            best = None
-            best_key = None
-            for v in range(n):
-                if v in placed:
-                    continue
-                key = (len(pattern.neighbors(v) & placed), pattern.degree(v), -v)
-                if best_key is None or key > best_key:
-                    best, best_key = v, key
+        # Per vertex, how many of its neighbours are placed.
+        counts = [len(near.intersection(seed)) for near in adj]
+        unplaced = set(range(n)).difference(seed)
+        while unplaced:
+            best = max(unplaced, key=lambda v: (counts[v], len(adj[v]), -v))
+            unplaced.remove(best)
             order.append(best)
-            placed.add(best)
+            for w in adj[best]:
+                counts[w] += 1
+        position = {v: i for i, v in enumerate(order)}
         self.levels = []
         for i, v in enumerate(order):
-            anchor = floor = None
-            checks = []
-            for w in order[:i]:
-                adjacent = w in pattern.neighbors(v)
-                checks.append((w, adjacent))
-                if adjacent and anchor is None:
-                    anchor = w
-                # Twinship is an equivalence, so the latest earlier twin
-                # chains each class into one increasing run.
-                if break_twins and pattern.neighbors(v) - {w} == pattern.neighbors(w) - {v}:
-                    floor = w
-            self.levels.append((v, anchor, floor, pattern.degree(v), checks))
+            near = tuple(sorted((w for w in adj[v] if position[w] < i), key=position.__getitem__))
+            # Twinship is an equivalence, so the latest earlier twin chains
+            # each class into one increasing run.
+            twins = [w for w in order[:i] if adj[v] - {w} == adj[w] - {v}] if break_twins else ()
+            floor = twins[-1] if twins else None
+            self.levels.append((v, near[0] if near else None, floor, len(adj[v]), near))
         # Rings of growing distance around the first vertex; on a connected
         # pattern they cover every vertex within n - 1 passes.
         self.reach, ring, ball = None, set(order[:1]), set(order[:1])
@@ -399,9 +392,17 @@ _SPELLED = 8
 
 
 def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool):
-    """Compile plan.levels into nested loops, one per unpinned level.
+    """The search function _search_source writes for this call shape."""
+    namespace = {"chain": chain, "islice": islice}
+    exec(compile(_search_source(plan, pinned, blocking, visiting), "<match plan>", "exec"), namespace)
+    return namespace["search"]
 
-    The result is search(A, F, B, visit, I, K, M): host adjacency, fixed,
+
+def _search_source(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool) -> str:
+    """The source of plan.levels compiled into nested loops, one per
+    unpinned level.
+
+    It defines search(A, F, B, visit, I, K, M): host adjacency, fixed,
     blocked, visit, the image list it fills by pattern vertex, buckets and
     marked (see find_embedding). It returns True once it found an
     embedding (or visit accepted one).
@@ -456,11 +457,11 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
     # the anchor image's neighbours, as far as the images before g decide.
     g, ahead = len(levels) - 2, []
     if g >= pinned:
-        _, anchor, _, _, checks = levels[-1]
-        if anchor not in (None, order[g]) and checks[-1] == (order[g], True):
-            inside = [w for w, adjacent in checks[:-1] if adjacent]
-            outside = [w for w, adjacent in checks if not adjacent]
-            ahead = inside + outside
+        near = levels[-1][4]
+        if len(near) > 1 and near[-1] == order[g]:
+            inside = near[:-1]
+            outside = [w for w in order[:-1] if w not in near]
+            ahead = [*inside, *outside]
             lookahead = " & ".join(f"A[v{w}]" for w in inside)
             if len(inside) > 1:
                 lookahead = f"({lookahead})"
@@ -477,15 +478,14 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
             # Every level here is past _SPELLED, so only its anchor, floor
             # and adjacent earlier vertices are named, and the lookahead's.
             named = sorted({
-                w for _, anchor, floor, _, checks in levels[start:end]
-                for w in (anchor, floor, *(w for w, adjacent in checks if adjacent))
+                w for _, _, floor, _, near in levels[start:end] for w in (floor, *near)
             }.union(ahead if start <= g < end else ()).intersection(order[:start]))
             lines.append(f" def c{k}(U):")
             if named:
                 lines.append(f"  {''.join(f'v{w}, ' for w in named)}= {''.join(f'I[{w}], ' for w in named)}")
         closing = []
         for i in range(start, end):
-            vertex, anchor, floor, needed, checks = levels[i]
+            vertex, anchor, floor, needed, near = levels[i]
             v = f"v{vertex}"
             pad = " " * depth
             if i < pinned:
@@ -503,28 +503,29 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
                 fail = "continue"
                 depth += 1
                 pad = " " * depth
-            near = [f"v{w}" for w, adjacent in checks if adjacent and w != anchor]
-            apart = [f"v{w}" for w, adjacent in checks if not adjacent]
-            # A candidate that passes the adjacency tests neighbours the
-            # anchor image and every near image, all distinct, so its degree
-            # is 1 + len(near) at least; a walk of the buckets from the
-            # level's degree needs no test.
-            least = 1 + len(near) if anchor is not None else needed if i >= pinned else 0
+            # The loop draws from the anchor image's neighbours, so only the
+            # other near images are tested.
+            tested = near if anchor is None else near[1:]
+            # A candidate that passes the adjacency tests neighbours every
+            # near image, all distinct, so its degree is len(near) at least;
+            # a walk of the buckets from the level's degree needs no test.
+            least = len(near) if anchor is not None else needed if i >= pinned else 0
             terms = [f"len(N) < {needed}"] if needed > least else []
             if floor is not None:
                 terms.append(f"{v} <= v{floor}")
             if vertex in pruned:
                 terms.append(f"{v} in D or {v} in M")
-            terms.extend(f"{w} not in N" for w in near)
+            terms.extend(f"v{w} not in N" for w in tested)
             if i > _SPELLED:
-                terms.append(f"{v} in U or len(N & U) != {len(checks) - len(apart)}")
+                terms.append(f"{v} in U or len(N & U) != {len(near)}")
                 if blocking:
                     terms.append(f"any((({v}, w) if {v} < w else (w, {v})) in B for w in U)")
             else:
-                terms.extend(f"{v} == {w}" for w in apart)
-                terms.extend(f"{w} in N" for w in apart)
+                apart = [w for w in order[:i] if w not in near]
+                terms.extend(f"{v} == v{w}" for w in apart)
+                terms.extend(f"v{w} in N" for w in apart)
                 if blocking:
-                    terms.extend(f"(({v}, v{w}) if {v} < v{w} else (v{w}, {v})) in B" for w, _ in checks)
+                    terms.extend(f"(({v}, v{w}) if {v} < v{w} else (v{w}, {v})) in B" for w in order[:i])
             if terms:
                 lines.append(f"{pad}N = A[{v}]")
                 lines.append(f"{pad}if {' or '.join(terms)}: {fail}")
@@ -560,9 +561,7 @@ def _compile_search(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool
         chunks.append(lines)
     # The later chunks are closures over the search's arguments.
     source = ["def search(A, F, B, visit, I, K, M):", *(line for lines in chunks[1:] + chunks[:1] for line in lines)]
-    namespace = {"chain": chain, "islice": islice}
-    exec(compile("\n".join(source), "<match plan>", "exec"), namespace)
-    return namespace["search"]
+    return "\n".join(source)
 
 
 def _orbit(plan: MatchPlan) -> frozenset:

@@ -86,16 +86,20 @@ class MinOnesInstance:
     def __post_init__(self):
         if self.variable_count < 0:
             raise ValueError("variable count must be nonnegative")
-        normalized = []
-        for kind, args in self.constraints:
-            args = tuple(args)
-            want = constraint_arity(kind)
-            if len(args) != want:
-                raise ValueError(f"constraint {kind!r} takes {want} arguments, got {len(args)}")
-            if any(not 0 <= x < self.variable_count for x in args):
-                raise ValueError(f"constraint {kind!r} names a variable out of range")
-            normalized.append((kind, args))
-        object.__setattr__(self, "constraints", tuple(normalized))
+        normalized = tuple((kind, _checked_args(kind, args, self.variable_count)) for kind, args in self.constraints)
+        object.__setattr__(self, "constraints", normalized)
+
+
+def _checked_args(kind: str, args, variable_count: int) -> tuple:
+    """args as a tuple, once kind takes that many and each names one of
+    variable_count variables; parse_minones checks each line by it."""
+    args = tuple(args)
+    want = constraint_arity(kind)
+    if len(args) != want:
+        raise ValueError(f"constraint {kind!r} takes {want} arguments, got {len(args)}")
+    if any(not 0 <= x < variable_count for x in args):
+        raise ValueError(f"constraint {kind!r} names a variable out of range")
+    return args
 
 
 def satisfies_instance(inst: MinOnesInstance, assignment) -> bool:

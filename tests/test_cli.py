@@ -227,6 +227,18 @@ def test_non_ascii_pattern_digits_are_unknown_names(tmp_path, capsys, name):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command,name,text", [
+    (["solve"], "in.hfi", "hfi 1\nmode deletion\npattern zz9\nvertices 4\n"),
+    (["solve"], "in.hfi", "hfi 1\nmode deletion\npattern c2\nvertices 4\n"),
+    (["reduce", "minones2graph"], "in.mo", "minones 1\nnvars 3\nf1 0 1\n"),
+    (["reduce", "minones2graph"], "in.mo", "minones 1\nnvars 3\nf2 5\n"),
+])
+def test_parse_errors_name_their_line(tmp_path, capsys, command, name, text):
+    src = write(tmp_path / name, text)
+    assert main([*command, "-i", src]) == 2
+    assert capsys.readouterr().err.startswith("error: line 3: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "c4del", "--node-limit", "5"],
     ["complement", "--node-limit", "5"],

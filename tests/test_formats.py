@@ -146,6 +146,41 @@ def test_render_rejects_bad_labels():
         render_instance(deletion_example(), budget=-1)
 
 
+@pytest.mark.parametrize("pair", [(0, 99), (-1, 2), (2, 2), (4, 1)])
+def test_render_refuses_labels_the_parser_refuses(pair):
+    with pytest.raises(FormatError, match=r"^label x pair \(.*\) is not two distinct vertices of 4$"):
+        render_instance(deletion_example(), labels=[("x", pair)])
+
+
+def test_labels_in_range_round_trip_in_either_orientation():
+    text = render_instance(deletion_example(), labels=[("x", (3, 0)), ("y", (1, 2))])
+    assert text.endswith("label x 0 3\nlabel y 1 2\n")
+    parsed = parse_instance(text)
+    assert parsed.labels == (("x", (0, 3)), ("y", (1, 2)))
+    assert render_instance(parsed.instance, labels=parsed.labels) == text
+
+
+@pytest.mark.parametrize("name,fault", [
+    ("zz9", "unknown pattern name: 'zz9'"),
+    ("c2", "cycle needs at least 3 vertices"),
+    ("p0", "pattern graph must have at least one vertex"),
+])
+def test_pattern_line_errors_name_their_line(name, fault):
+    text = f"hfi 1\nmode deletion\npattern {name}\nvertices 4\n"
+    with pytest.raises(FormatError, match=f"^line 3: {re.escape(fault)}$"):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize("line,fault", [
+    ("f1 0 1", "constraint 'f1' takes 3 arguments, got 2"),
+    ("f2 5", "constraint 'f2' names a variable out of range"),
+    ("gn 5 0 1 2", "constraint 'gn5' takes 9 arguments, got 3"),
+])
+def test_minones_constraint_errors_name_their_line(line, fault):
+    with pytest.raises(FormatError, match=f"^line 4: {re.escape(fault)}$"):
+        parse_minones(f"minones 1\nnvars 3\nf2 0\n{line}\nf2 1\n")
+
+
 def test_free_pair_consistency_is_checked():
     text = render_instance(deletion_example()).replace("edge 1 2", "edge 1 2 free", 1)
     assert (1, 2) in parse_instance(text).instance.free

@@ -443,7 +443,7 @@ def test_hub_host_work_is_pinned(monkeypatch, matcher_calls):
 
 def _plan_pattern(plan):
     """The pattern a plan was made for, read back from its levels."""
-    return Graph(len(plan.levels), [edge_key(v, w) for v, _, _, _, checks in plan.levels for w, adj in checks if adj])
+    return Graph(len(plan.levels), [edge_key(v, w) for v, _, _, _, near in plan.levels for w in near])
 
 
 @pytest.fixture
