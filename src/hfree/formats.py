@@ -14,8 +14,10 @@ is not fillable. Constraint files start with `minones 1` and `nvars`,
 followed by one constraint per line in instance order: `f1 a b c`,
 `f2 a`, `fn <n> v...`, or `gn <n> v...`.
 
-parse_instance checks every line itself; the rule across lines, that a
-fillable pair is no edge, is the instance constructor's. render_instance
+parse_instance checks every line itself, and names both lines of a fault
+across lines: a fillable pair that is also an edge, or a label given
+twice. It records each pair's and each label's line as it reads it, so
+the instance constructor finds nothing left to refuse. render_instance
 writes the edge lines from the graph's adjacency, row by row, and never
 reads the graph's edge set, so a complement renders in time linear in its
 output.
@@ -163,10 +165,11 @@ def parse_instance(text: str, default_pattern=None) -> InstanceFile:
     mode = None
     pattern = default_pattern
     vertex_count = None
-    edges = set()
-    free = set()
+    # each pair and each label entry, with the line that gave it
+    edges = {}
+    free = {}
     budget = None
-    labels = []
+    labels = {}
     seen = set()
     for number, words in lines:
         # edge lines come first: nearly every line of a large file is one
@@ -181,11 +184,11 @@ def parse_instance(text: str, default_pattern=None) -> InstanceFile:
             if key == "edge":
                 if pair in edges:
                     raise FormatError(f"line {number}: duplicate edge {pair}")
-                edges.add(pair)
+                edges[pair] = number
                 if marked:
                     if mode != DELETION:
                         raise FormatError(f"line {number}: free edges belong to deletion instances")
-                    free.add(pair)
+                    free[pair] = number
             else:
                 if not marked:
                     raise FormatError(f"line {number}: a nonedge line must be marked free")
@@ -193,7 +196,7 @@ def parse_instance(text: str, default_pattern=None) -> InstanceFile:
                     raise FormatError(f"line {number}: fillable pairs belong to completion instances")
                 if pair in free:
                     raise FormatError(f"line {number}: duplicate nonedge {pair}")
-                free.add(pair)
+                free[pair] = number
             continue
         rest = words[1:]
         if key in ("mode", "pattern", "vertices", "budget"):
@@ -218,7 +221,10 @@ def parse_instance(text: str, default_pattern=None) -> InstanceFile:
         elif key == "label":
             if len(rest) != 3 or vertex_count is None:
                 raise FormatError(f"line {number}: expected 'label name u v' after vertices")
-            labels.append((rest[0], _parse_pair(rest[1], rest[2], number, vertex_count)))
+            entry = rest[0], _parse_pair(rest[1], rest[2], number, vertex_count)
+            if entry in labels:
+                raise FormatError(f"line {number}: duplicate label entry, given at line {labels[entry]}")
+            labels[entry] = number
         else:
             raise FormatError(f"line {number}: unknown directive {key!r}")
 
@@ -226,14 +232,16 @@ def parse_instance(text: str, default_pattern=None) -> InstanceFile:
         raise FormatError("instance file needs mode and vertices lines")
     if pattern is None:
         raise FormatError("instance file names no pattern and no default was given")
-    entries = tuple(sorted(labels))
-    if len(set(entries)) != len(entries):
-        raise FormatError("duplicate label entry")
+    if mode == COMPLETION:
+        clash = free.keys() & edges.keys()
+        if clash:
+            pair = min(clash, key=free.__getitem__)
+            raise FormatError(f"line {free[pair]}: free pair {pair} is already an edge, given at line {edges[pair]}")
     try:
         instance = SandwichInstance(Graph(vertex_count, edges), pattern, mode, frozenset(free))
     except ValueError as error:
         raise FormatError(str(error)) from None
-    return InstanceFile(instance, budget, entries)
+    return InstanceFile(instance, budget, tuple(sorted(labels)))
 
 
 def render_minones(inst: MinOnesInstance) -> str:

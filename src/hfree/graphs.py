@@ -45,13 +45,19 @@ The cut branches hold no copy, so every copy and its order stay those of
 the full search. A plan whose first vertex is alone in its orbit
 compiles as before.
 
-Each neighbour set of a Graph is built from its sorted row, so the order
-it iterates in, which the matcher follows, depends on the graph's edges
-alone: not on the order, orientation or repetition of the pairs it was
-built from. A mutable copy (adjacency) can iterate differently from its
-row, and _toggle's history moves that order too, so the solver's order
-also depends on the path to a node; the same input replays the same
-history, so answers stay deterministic. The rows are a graph's state,
+The matcher's order has a closed form. An anchored level tries its
+anchor image's neighbours in ascending order, walking sorted rows (_rows:
+each vertex's neighbours as an ascending list) kept beside the neighbour
+sets, which answer the membership tests. So a call's first copy is the
+least embedding under one key, level by level in plan order: a level
+without an anchor, the root among them, keys its image by (degree,
+vertex), and an anchored level by the vertex. That depends on the host's
+edges alone, not on the order in which its sets iterate or on the toggles
+that made them. A caller that owns sorted rows, the solver, keeps them
+current through _toggle and passes them, as it does buckets; any other
+call builds them once.
+
+A graph's state is its rows, one frozenset of neighbours per vertex,
 and its edge set is derived from them on demand. Two operations build
 rows only, through _of_rows, and make graphs that are valid by
 construction: complement, and _glue, which hangs copies of a guard graph
@@ -130,7 +136,8 @@ class Graph:
         return 0 <= u and v < self.vertex_count and v in self._adj[u]
 
     def adjacency(self) -> list:
-        """Mutable adjacency copy (list of sets), for search loops."""
+        """Mutable adjacency copy (list of sets), for search loops. How its
+        sets iterate moves no search: the matcher walks sorted rows."""
         return [set(s) for s in self._adj]
 
     def non_edges(self) -> list:
@@ -354,19 +361,36 @@ def _buckets(adj) -> list:
     return buckets
 
 
-def _toggle(adj, pairs, buckets=None) -> None:
+def _rows(adj) -> list:
+    """The sorted rows of an adjacency: entry v lists v's neighbours in
+    ascending order, the order anchored levels try them in."""
+    return [sorted(near) for near in adj]
+
+
+def _toggle(adj, pairs, buckets=None, rows=None) -> None:
     """Flip each pair of a mutable adjacency: an edge goes, a non-edge
     comes. The one way searches modify a host; flipping the same pairs
     again undoes it. Given the adjacency's buckets (see _buckets), it moves
     each end of each pair that sits in the bucket of its degree to the
     bucket of its new degree, in place. An end left out of the buckets
     stays out while its degree changes; the caller that left it out puts
-    it back in the bucket of its degree at that time."""
+    it back in the bucket of its degree at that time. Given its sorted rows
+    (see _rows), it takes each end out of, or puts it into, the other's
+    row at its place."""
     for u, v in pairs:
         near_u, near_v = adj[u], adj[v]
+        edge = v in near_u
+        if rows is not None:
+            row_u, row_v = rows[u], rows[v]
+            i, j = bisect_left(row_u, v), bisect_left(row_v, u)
+            if edge:
+                del row_u[i], row_v[j]
+            else:
+                row_u.insert(i, v)
+                row_v.insert(j, u)
         if buckets is not None:
             du, dv = len(near_u), len(near_v)
-            step = -1 if v in near_u else 1
+            step = -1 if edge else 1
             row = buckets[du]
             i = bisect_left(row, u)
             if i < len(row) and row[i] == u:
@@ -402,15 +426,15 @@ def _search_source(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool)
     """The source of plan.levels compiled into nested loops, one per
     unpinned level.
 
-    It defines search(A, F, B, visit, I, K, M): host adjacency, fixed,
-    blocked, visit, the image list it fills by pattern vertex, buckets and
-    marked (see find_embedding). It returns True once it found an
-    embedding (or visit accepted one).
+    It defines search(A, F, B, visit, I, K, M, S): host adjacency, fixed,
+    blocked, visit, the image list it fills by pattern vertex, buckets,
+    marked and sorted rows (see find_embedding). It returns True once it
+    found an embedding (or visit accepted one).
 
     Level i binds v<p> for its pattern vertex p: to F[i] when pinned, else
     in a loop over the candidates a level-by-level backtracker takes, in the
-    same order: the anchor image's neighbour set as it iterates, or, with
-    no anchor, the host vertices by degree, ties by vertex, walking the
+    same order: the anchor image's sorted row S, ascending, or, with no
+    anchor, the host vertices by degree, ties by vertex, walking the
     buckets K from the level's degree up. That walk leaves out exactly the
     vertices the level's degree test would reject, so such a level tests
     no degree. One test per level rejects a candidate on degree (where
@@ -497,7 +521,7 @@ def _search_source(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool)
                 if i == g and ahead:
                     lines.append(f"{pad}L = None")
                 if anchor is not None:
-                    lines.append(f"{pad}for {v} in A[v{anchor}]:")
+                    lines.append(f"{pad}for {v} in S[v{anchor}]:")
                 else:
                     lines.append(f"{pad}for {v} in chain.from_iterable(islice(K, {needed}, None)):")
                 fail = "continue"
@@ -560,7 +584,7 @@ def _search_source(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool)
         lines.append(" " * base + "return False")
         chunks.append(lines)
     # The later chunks are closures over the search's arguments.
-    source = ["def search(A, F, B, visit, I, K, M):", *(line for lines in chunks[1:] + chunks[:1] for line in lines)]
+    source = ["def search(A, F, B, visit, I, K, M, S):", *(line for lines in chunks[1:] + chunks[:1] for line in lines)]
     return "\n".join(source)
 
 
@@ -626,7 +650,7 @@ def _sends_first_to(plan: MatchPlan, q: int) -> bool:
     return False
 
 
-def find_embedding(host_adj, plan: MatchPlan, *, blocked=None, fixed=None, visit=None, buckets=None, marked=None):
+def find_embedding(host_adj, plan: MatchPlan, *, blocked=None, fixed=None, visit=None, buckets=None, rows=None, marked=None):
     """Search for induced embeddings of the plan's pattern into the host adjacency.
 
     host_adj is indexable by vertex and yields neighbor sets. Embeddings
@@ -646,10 +670,11 @@ def find_embedding(host_adj, plan: MatchPlan, *, blocked=None, fixed=None, visit
 
     buckets are the host's degree buckets (see _buckets): every level
     without an anchor walks them from its own degree up, which is the
-    stable sort by degree less the vertices its degree test rejects. When
-    buckets is None, the call builds them from host_adj. Stale buckets give
-    wrong answers, so a caller that passes them must flip pairs only
-    through _toggle with them. A caller may leave out of them vertices
+    stable sort by degree less the vertices its degree test rejects. rows
+    are its sorted rows (see _rows), which every anchored level walks.
+    When either is None, the call builds it from host_adj. Stale buckets or
+    rows give wrong answers, so a caller that passes them must flip pairs
+    only through _toggle with them. A caller may leave out of them vertices
     proven to root no copy, but only for a plan whose every unpinned level
     after the first has an anchor, as in any plan of a connected pattern:
     only the root walk reads them then, and it finds the copy the full
@@ -671,7 +696,10 @@ def find_embedding(host_adj, plan: MatchPlan, *, blocked=None, fixed=None, visit
     plan for this call shape, cached in plan.searches. They try candidates
     in the order of a level-by-level backtracker over plan.levels: the
     solver branches on the first copy found, so that order is part of the
-    contract, down to the order in which host_adj's neighbour sets iterate.
+    contract. It has a closed form: the first image is the least embedding
+    the call admits under the key that takes, level by level in plan
+    order, (degree, vertex) for a level without an anchor and the vertex
+    for an anchored one. How host_adj's sets iterate does not move it.
     """
     pinned = len(fixed) if fixed else 0
     if pinned > len(plan.seed):
@@ -685,8 +713,10 @@ def find_embedding(host_adj, plan: MatchPlan, *, blocked=None, fixed=None, visit
         search = plan.searches[shape] = _compile_search(plan, *shape)
     if buckets is None:
         buckets = _buckets(host_adj)
+    if rows is None:
+        rows = _rows(host_adj)
     image = [0] * n
-    if search(host_adj, fixed, blocked, visit, image, buckets, marked or ()):
+    if search(host_adj, fixed, blocked, visit, image, buckets, marked or (), rows):
         return list(image)
     return None
 

@@ -18,17 +18,28 @@ recursion limit caps the size of a solution.
 
 Both lower bounds come from one greedy packing of copies whose breaker
 pairs (the internal pairs a modification can flip) are pairwise disjoint:
-each such copy needs a pair of its own. Under a tight budget the search
-packs the copies through the last modified pair, which every copy that
-modification created holds internally; pinned at two vertices, those
-searches stay cheap even on hosts with huge pendant bundles. Minimization
-packs once in the unmodified host, and iterative deepening starts at the
-count. Those packing calls are matcher calls, not search nodes.
+each such copy needs a pair of its own. Under a tight budget a node
+inherits its parent's packing. A copy dies only when one of its own
+breaker pairs flips, and the breaker pairs of packed copies are disjoint,
+so the parent's toggle killed at most one of them, the one holding the
+toggled pair; every other one is still induced in the node's host, with
+the same breaker pairs. The node keeps those, and extends the packing
+with copies through the toggled pair, which every copy the toggle created
+holds internally, avoiding the kept copies' pairs; pinned at two
+vertices, those searches stay cheap even on hosts with huge pendant
+bundles. A search's first node packs nothing, nor does a node whose
+budget is not tight, so its children start from an empty packing.
+Minimization packs once in the unmodified host, and iterative deepening
+starts at the count. Those packing calls are matcher calls, not search
+nodes.
 
 No root call sorts the host by degree: each search keeps the degree
-buckets of its adjacency (graphs._buckets) current through every toggle,
-and the matcher walks them in the sort's order. Minimization's root
-packing passes the buckets of its own unmodified adjacency.
+buckets and the sorted rows of its adjacency (graphs._buckets and
+graphs._rows) current through every toggle, and the matcher walks them.
+Minimization's root packing builds both once for its own unmodified
+adjacency. So every call's first copy is the least embedding under the
+matcher's key (see graphs.find_embedding), a function of the node's host
+alone.
 
 A search also remembers, in one set of marks, which host vertices root no
 copy: no copy puts the plan's first pattern vertex on them. A root call
@@ -54,9 +65,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
-from .graphs import Graph, _buckets, _toggle, _walked, edge_key, find_embedding, is_h_free, match_plan
+from .graphs import Graph, _buckets, _rows, _toggle, _walked, edge_key, find_embedding, is_h_free, match_plan
 from .patterns import Pattern
 
 DELETION = "deletion"
@@ -138,20 +149,23 @@ def _mapped_pairs(image, breakers) -> list:
     return [edge_key(image[u], image[v]) for u, v in breakers]
 
 
-def _packing(adj, shapes, breakers, buckets):
+def _packing(adj, shapes, breakers, buckets, rows, used=None):
     """Greedy packing of induced copies with pairwise disjoint breaker pairs.
 
     For each next copy, tries the (plan, fixed) shapes in order and yields
     the first copy found, as (image, its breaker pairs); later copies avoid
-    the breaker pairs of every copy yielded so far. A copy dies only when
-    one of its own breaker pairs flips, so a solution holds a distinct pair
-    of each copy: their count is a lower bound on what it must modify.
-    buckets are adj's degree buckets (see graphs._buckets).
+    used, the breaker pairs of copies packed before the call (none when
+    None; in the search, those a tight node kept of its parent's packing),
+    and those of every copy yielded so far. used grows in place. A
+    copy dies only when one of its own breaker pairs flips, so a solution
+    holds a distinct pair of each copy: their count is a lower bound on
+    what it must modify. buckets and rows are adj's degree buckets and
+    sorted rows (see graphs._buckets and graphs._rows).
     """
-    used = set()
+    used = set() if used is None else used
     while True:
         for plan, fixed in shapes:
-            image = find_embedding(adj, plan, blocked=used, fixed=fixed, buckets=buckets)
+            image = find_embedding(adj, plan, blocked=used, fixed=fixed, buckets=buckets, rows=rows)
             if image is not None:
                 break
         else:
@@ -175,15 +189,22 @@ def _ball(adj, v, radius) -> set:
 def _search(instance: SandwichInstance, budget: int, node_limit: int):
     """A solution of at most budget pairs, or None.
 
-    Each stack frame is [candidates, tried, died, revived]: one node's
-    sorted usable pairs, how many it has tried, the marks the node set and
-    those its current toggle cleared; chosen[i] is the pair frame i is
-    trying. A failed candidate stays blocked for the rest of its frame, and
-    nothing else blocks it, so an exhausted frame unblocks its candidates.
+    Each stack frame is [candidates, tried, died, revived, packed]: one
+    node's sorted usable pairs, how many it has tried, the marks the node
+    set, those its current toggle cleared, and the breaker pairs of each
+    copy in the node's packing (empty unless its budget is tight); chosen[i]
+    is the pair frame i is trying. A failed candidate stays blocked for the
+    rest of its frame, and nothing else blocks it, so an exhausted frame
+    unblocks its candidates.
 
-    buckets are adj's degree buckets, built once and moved by each toggle
-    of adj (_toggle), so every matcher call walks them instead of sorting
-    the host.
+    A tight node prunes when the copies it keeps of its parent's packing
+    outnumber its remaining budget or one of them has no usable pair left
+    (free and not blocked); else it extends the packing and prunes the same
+    way on each copy it adds.
+
+    buckets and rows are adj's degree buckets and sorted rows, built once
+    and moved by each toggle of adj (_toggle), so every matcher call walks
+    them instead of sorting the host.
 
     marked holds the vertices proven to root no copy, the one set of marks.
     A marked vertex is out of the buckets, so no root call walks it, and
@@ -195,7 +216,7 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
     that ends within one toggle then pays for no ball.
     """
     adj = instance.graph.adjacency()
-    buckets = _buckets(adj)
+    buckets, rows = _buckets(adj), _rows(adj)
     pattern = instance.pattern
     plan = match_plan(pattern.graph)
     reach = plan.reach
@@ -218,44 +239,56 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
         for v in vertices:
             insort(buckets[len(adj[v])], v)
 
+    def usable(pairs):
+        return any(p in free and p not in blocked for p in pairs)
+
     for _ in range(node_limit):  # one pass per search node
-        image = find_embedding(adj, plan, buckets=buckets, marked=marked)
+        image = find_embedding(adj, plan, buckets=buckets, rows=rows, marked=marked)
         if image is None:
             return frozenset(chosen)
         remaining = budget - len(chosen)
         candidates = []
+        packed = []
         if remaining > 0:
             candidates = sorted(p for p in _mapped_pairs(image, breakers) if p in free and p not in blocked)
             if candidates and remaining <= _PACKING_SLACK and chosen:
-                # Every copy the last modification created holds its pair
-                # at one of `positions`, pinned there in both orientations.
-                # Each packed copy needs a modification of its own, so one
-                # with no usable free pair, or more than `remaining` of
-                # them, kills the branch.
-                seeded = seeded or [match_plan(pattern.graph, position) for position in positions]
-                u, v = chosen[-1]
-                shapes = [(anchored, fixed) for anchored in seeded for fixed in ((u, v), (v, u))]
-                for count, (_, pairs) in enumerate(_packing(adj, shapes, breakers, buckets), 1):
-                    if count > remaining or not any(p in free and p not in blocked for p in pairs):
-                        candidates = []
-                        break
+                # The parent's packed copies live on, less the one holding
+                # the pair it toggled; every copy that toggle created holds
+                # its pair at one of `positions`, pinned there in both
+                # orientations. Each packed copy needs a modification of its
+                # own, so one with no usable free pair, or more than
+                # `remaining` of them, kills the branch.
+                pair = chosen[-1]
+                packed = [pairs for pairs in stack[-1][4] if pair not in pairs]
+                if len(packed) > remaining or not all(map(usable, packed)):
+                    candidates = []
+                else:
+                    seeded = seeded or [match_plan(pattern.graph, position) for position in positions]
+                    u, v = pair
+                    shapes = [(anchored, fixed) for anchored in seeded for fixed in ((u, v), (v, u))]
+                    used = set(chain.from_iterable(packed))
+                    for _, pairs in _packing(adj, shapes, breakers, buckets, rows, used):
+                        packed.append(pairs)
+                        if len(packed) > remaining or not usable(pairs):
+                            candidates = []
+                            break
         died = ()
         if candidates and stack and reach is not None:  # no marks on patterns that are not connected
             died = _walked(adj, buckets, plan, image[plan.levels[0][0]])
             leave_out(died)
-        stack.append([candidates, 0, died, ()])
+        stack.append([candidates, 0, died, (), packed])
         while stack[-1][1] == len(stack[-1][0]):
             # Exhausted: unblock its candidates and clear its marks, then
             # undo and block the pair its parent tried, leaving out again
             # what that toggle revived.
-            candidates, _, died, _ = stack.pop()
+            candidates, _, died, _, _ = stack.pop()
             blocked.difference_update(candidates)
             if died:
                 put_back(died)
             if not stack:
                 return None
             pair = chosen.pop()
-            _toggle(adj, (pair,), buckets)
+            _toggle(adj, (pair,), buckets, rows)
             frame = stack[-1]
             if frame[3]:
                 leave_out(frame[3])
@@ -264,7 +297,7 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
         frame = stack[-1]
         pair = frame[0][frame[1]]
         frame[1] += 1
-        _toggle(adj, (pair,), buckets)
+        _toggle(adj, (pair,), buckets, rows)
         if marked:
             # A new copy holds both ends of the pair, so its root lies
             # within reach of each of them in the new host.
@@ -292,8 +325,8 @@ def solve_sandwich(instance: SandwichInstance, budget=None, node_limit: int = DE
 def _root_packing(instance: SandwichInstance, limit: int) -> list:
     """Up to `limit` copies of the packing in the unmodified host."""
     shapes = [(match_plan(instance.pattern.graph), None)]
-    adj = instance.graph.adjacency()
-    packing = _packing(adj, shapes, _breakers(instance)[0], _buckets(adj))
+    adj = instance.graph._adj  # read only: the packing flips no pair
+    packing = _packing(adj, shapes, _breakers(instance)[0], _buckets(adj), _rows(adj))
     return [image for image, _ in islice(packing, limit)]
 
 

@@ -189,6 +189,21 @@ def test_free_pair_consistency_is_checked():
         parse_instance(conflicted)
 
 
+@pytest.mark.parametrize("lines,message", [
+    ("edge 0 1\nnonedge 1 0 free", "line 6: free pair (0, 1) is already an edge, given at line 5"),
+    ("nonedge 1 0 free\nedge 0 1", "line 5: free pair (0, 1) is already an edge, given at line 6"),
+    ("nonedge 2 3 free\nedge 0 1\nnonedge 0 1 free\nedge 3 2", "line 5: free pair (2, 3) is already an edge, given at line 8"),
+    ("edge 0 1\nlabel a 0 1\nlabel b 0 1\nlabel a 1 0", "line 8: duplicate label entry, given at line 6"),
+])
+def test_cross_line_faults_name_their_lines(lines, message):
+    """A fault that two lines make together names the line that completes
+    it and the line it clashes with; of several fillable pairs that are
+    edges, the one listed first as fillable."""
+    text = f"hfi 1\nmode completion\npattern c4\nvertices 4\n{lines}\n"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_instance(text)
+
+
 def test_minones_round_trip():
     inst = MinOnesInstance(
         12,

@@ -468,8 +468,10 @@ def _matcher_record(rng, adj, pattern):
 
 def test_matcher_outputs_are_pinned():
     # The solver branches on the first copy the matcher finds, so a faster
-    # matcher must find the same copies in the same order; set iteration
-    # order decides it, so the hosts carry flip history.
+    # matcher must find the same copies in the same order. Anchored levels
+    # walk sorted rows, so the sets' flip history (the hosts carry some)
+    # must not move it; the closed-form tests below say which copy comes
+    # first.
     rng = random.Random(909)
     digest = hashlib.sha256()
     churned = 0
@@ -490,7 +492,57 @@ def test_matcher_outputs_are_pinned():
         for pattern in (path_graph(length - 2), cycle_graph(length - 4), path_graph(length + 3)):
             digest.update(repr(_matcher_record(rng, adj, pattern)).encode())
     assert churned > 0
-    assert digest.hexdigest() == "36c06b01036df9c9046d74757f4f0551668942a3a4716617a1563ab538f650f3"
+    assert digest.hexdigest() == "eb05931ecccbd82f098326df71a8902813df1ce4be826ee1204bd1d7dd1960bc"
+
+
+def least_embedding(adj, plan, blocked=None, fixed=None):
+    """The first copy in closed form: the least of every embedding the plan
+    admits (found through visit) under one key, level by level in plan
+    order: a level without an anchor keys its image by (degree, vertex),
+    the root's among them, and an anchored level by the vertex alone.
+    Pinned levels hold the same image in every embedding. None when there
+    is no embedding."""
+    found = []
+    find_embedding(adj, plan, blocked=blocked, fixed=fixed, visit=lambda image: found.append(list(image)))
+
+    def key(image):
+        return [image[p] if anchor is not None else (len(adj[image[p]]), image[p]) for p, anchor, *_ in plan.levels]
+
+    return min(found, key=key, default=None)
+
+
+def test_first_copy_is_the_least_embedding_on_hosts_with_flip_history():
+    """On hosts changed by toggles that keep buckets and sorted rows, as
+    the solver's are, every call shape's first copy is the least embedding
+    by the closed-form key, whether the call passes those rows and buckets
+    or builds its own from the sets."""
+    rng = random.Random(32)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(6, 12)
+        host = random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
+        adj = host.adjacency()
+        buckets, rows = graphs._buckets(adj), graphs._rows(adj)
+        pairs = list(itertools.combinations(range(n), 2))
+        flips = rng.sample(pairs, rng.randint(1, len(pairs)))
+        _toggle(adj, flips, buckets, rows)
+        _toggle(adj, flips[: len(flips) // 2], buckets, rows)
+        assert rows == [sorted(near) for near in adj]
+        for pattern in DIGEST_PATTERNS[:-2]:
+            seeded = match_plan(pattern, tuple(rng.sample(range(pattern.vertex_count), 2)))
+            cut = set(rng.sample(pairs, rng.randint(1, 4)))
+            for plan, blocked, fixed in (
+                (match_plan(pattern), None, None),
+                (match_plan(pattern), cut, None),
+                (match_plan(pattern, break_twins=True), None, None),
+                (seeded, cut, tuple(rng.sample(range(n), 2))),
+                (seeded, cut, tuple(rng.sample(range(n), 1))),
+            ):
+                least = least_embedding(adj, plan, blocked, fixed)
+                checked += least is not None
+                assert find_embedding(adj, plan, blocked=blocked, fixed=fixed) == least
+                assert find_embedding(adj, plan, blocked=blocked, fixed=fixed, buckets=buckets, rows=rows) == least
+    assert checked > 500
 
 
 def _carried_long_copies(host, pattern):

@@ -45,7 +45,7 @@ GOLDEN_SHAPES = [
     ("p20_root.txt", lambda: MatchPlan(path_graph(20)), (0, False, False)),
 ]
 
-SWEEP_DIGEST = "2af51a200c50ff733cf78fa43972bab8bd619eb51eaeed1fc9d1970d46b3be62"
+SWEEP_DIGEST = "bf24d182bc483d92af1e1a99d69c6d34e61f776054d4bcf7a42eb73d40816ca3"
 
 
 def _mismatch(label, expected, actual):

@@ -15,6 +15,8 @@ from hfree.reductions import Polynomial, complement_instance
 from hfree.solver import SandwichInstance, SearchLimitError, apply, is_solution, solve_min, solve_sandwich
 from hfree.verify import verify_gap, verify_sat_equivalence
 
+from test_graphs import least_embedding
+
 
 def deletion_instance(graph, pattern, free=None):
     free = graph.edges if free is None else free
@@ -405,40 +407,125 @@ def test_solve_min_work_is_pinned(matcher_calls, name, make, cost, root, anchore
     assert matcher_calls["anchored"] <= anchored
 
 
-def test_random_corpus_work_is_pinned(matcher_calls):
-    rng = random.Random(7)
-    results = [verdicts(pinned_random_instance(rng)) for _ in range(320)]
-    digest = hashlib.sha256(repr(results).encode()).hexdigest()
-    assert digest == "a5a2462ce2caffad5bc21966be6e754ccebfc7a36ebbdfb130615351abfa3de3"
-    assert matcher_calls["root"] <= 17922
-    assert matcher_calls["anchored"] <= 49106
-
-
-def test_hub_host_work_is_pinned(monkeypatch, matcher_calls):
-    # Gap-corpus house-del item 46: a rigid square whose every vertex is
-    # joined to one fresh vertex by a free edge. Its lift is the slowest gap
-    # check, on a host with hubs, where the matcher meets far more dead
-    # branches than on the small random hosts of its own pinned digest; so
-    # pin every copy the solver branches on, in order.
+def item_46():
+    """Gap-corpus house-del item 46, before its lift: a rigid square whose
+    every vertex is joined to one fresh vertex by a free edge."""
     square = cycle_graph(4)
     free = frozenset((u, 4) for u in range(4))
-    inst = SandwichInstance(Graph(5, square.edges | free), named_pattern("c4"), "deletion", free)
-    roots = []
-    counting = solver.find_embedding
+    return SandwichInstance(Graph(5, square.edges | free), named_pattern("c4"), "deletion", free)
+
+
+def root_copies(monkeypatch, run):
+    """run()'s result and the copies its unpinned matcher calls through the
+    solver returned, in order: one per search node, and the root packing's."""
+    real, roots = solver.find_embedding, []
 
     def recording(*args, **kwargs):
-        image = counting(*args, **kwargs)
+        image = real(*args, **kwargs)
         if kwargs.get("fixed") is None:
             roots.append(image)
         return image
 
-    monkeypatch.setattr(solver, "find_embedding", recording)
-    report = verify_gap(inst, "house-del", Polynomial(1, 1, 1))
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "find_embedding", recording)
+        return run(), roots
+
+
+def test_random_corpus_work_is_pinned(matcher_calls):
+    rng = random.Random(7)
+    results = [verdicts(pinned_random_instance(rng)) for _ in range(320)]
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "43e555b961cc273e4813032457966c9452165c32b5d84fc7b53f59b475ba47f7"
+    assert matcher_calls["root"] <= 16935
+    assert matcher_calls["anchored"] <= 40393
+
+
+def test_hub_host_work_is_pinned(monkeypatch, matcher_calls):
+    # Item 46's lift is the slowest gap check, on a host with hubs, where
+    # the matcher meets far more dead branches than on the small random
+    # hosts of its own pinned digest; so pin every copy the solver branches
+    # on, in order. test_packing_prunes_only_cut_subtrees_on_the_hub_host
+    # checks that they are a subsequence of the copies the search branches
+    # on without packing.
+    report, roots = root_copies(monkeypatch, lambda: verify_gap(item_46(), "house-del", Polynomial(1, 1, 1)))
     assert (report.verdict, report.details["checked"]) == ("pass", "absent<=5")
     digest = hashlib.sha256(repr(roots).encode()).hexdigest()
-    assert digest == "eccb4b6660624921c7905c581dfaed07c6bb4823d3b90a9cb1d56b70b02c4aea"
-    assert matcher_calls["root"] <= 2685
-    assert matcher_calls["anchored"] <= 5498
+    assert digest == "6a947e16cb39d73764e13fc829868dc6c4c7874f2708dda5865e8bdf700e5430"
+    assert matcher_calls["root"] <= 496
+    assert matcher_calls["anchored"] <= 1151
+
+
+def test_every_matcher_call_of_the_hub_search_finds_the_least_embedding(monkeypatch):
+    # Root calls (marked roots left out of the buckets) and packing calls
+    # (pinned, under blocked pairs) alike return the least embedding by
+    # the closed-form key, on the rows the search keeps through toggles.
+    real, calls = solver.find_embedding, []
+
+    def checked(adj, plan, **kwargs):
+        image = real(adj, plan, **kwargs)
+        assert image == least_embedding(adj, plan, kwargs.get("blocked"), kwargs.get("fixed"))
+        calls.append(kwargs.get("fixed") is None)
+        return image
+
+    monkeypatch.setattr(solver, "find_embedding", checked)
+    assert verify_gap(item_46(), "house-del", Polynomial(1, 1, 1)).verdict == "pass"
+    assert calls.count(True) > 400 and calls.count(False) > 1000
+
+
+def is_subsequence(short, long):
+    rest = iter(long)
+    return all(any(x == y for y in rest) for x in short)
+
+
+def assert_prunes_only_cut_subtrees(monkeypatch, run):
+    """A packing prune makes a node a leaf and changes nothing else, and the
+    first copy depends on the host alone, so the copies the searches branch
+    on with packing are a subsequence of those without, and the answers
+    agree. Returns both copy counts."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_PACKING_SLACK", -1)
+        unpacked, everything = root_copies(monkeypatch, run)
+    packed, kept = root_copies(monkeypatch, run)
+    assert packed == unpacked
+    assert is_subsequence(kept, everything)
+    return len(everything), len(kept)
+
+
+def test_packing_prunes_only_cut_subtrees_on_the_hub_host(monkeypatch):
+    run = lambda: verify_gap(item_46(), "house-del", Polynomial(1, 1, 1)).details["checked"]
+    assert assert_prunes_only_cut_subtrees(monkeypatch, run) == (2962, 496)
+
+
+def test_packing_prunes_only_cut_subtrees_on_the_random_corpus(monkeypatch):
+    rng = random.Random(7)
+    everything = kept = 0
+    for _ in range(320):
+        inst = pinned_random_instance(rng)
+
+        def run():
+            best = solve_min(inst)
+            return [solve_sandwich(inst, budget=b) for b in (None, 0, 1, 2, 3, 5)], best
+
+        counts = assert_prunes_only_cut_subtrees(monkeypatch, run)
+        everything, kept = everything + counts[0], kept + counts[1]
+    assert kept < everything
+
+
+@pytest.mark.parametrize("name,mode,n,edges,free", [
+    # Keeping the parent's copy that its toggle destroyed counts a copy
+    # the host no longer holds.
+    ("p4", "completion", 6, [(0, 1), (1, 2), (1, 3), (1, 4), (3, 4), (3, 5)], [(0, 5), (2, 5), (4, 5)]),
+    # Extending the packing without blocking the kept copies' pairs packs a
+    # copy that shares a pair with a kept one.
+    ("p5", "deletion", 7, [(0, 1), (0, 3), (1, 6), (2, 3), (2, 4), (3, 5), (4, 6), (5, 6)], [(1, 6), (2, 4), (5, 6)]),
+])
+def test_inherited_packings_keep_the_only_solution(name, mode, n, edges, free):
+    # The one solution modifies every free pair, so every node below the
+    # first is tight and inherits its parent's packing; a packing that
+    # counts one copy too many prunes the solution's branch.
+    inst = SandwichInstance(Graph(n, edges), named_pattern(name), mode, frozenset(free))
+    assert brute_force_solutions(inst) == [frozenset(free)]
+    assert solve_sandwich(inst) == solve_min(inst) == frozenset(free)
 
 
 def _plan_pattern(plan):
@@ -508,10 +595,7 @@ def test_marked_root_calls_agree_with_plain_calls_on_hub_hosts(checked_root_call
     # Deletion: gap-corpus item 46, lifted by house-del (see
     # test_hub_host_work_is_pinned). Completion: the c4-comp ladder of one
     # clause.
-    square = cycle_graph(4)
-    free = frozenset((u, 4) for u in range(4))
-    inst = SandwichInstance(Graph(5, square.edges | free), named_pattern("c4"), "deletion", free)
-    assert verify_gap(inst, "house-del", Polynomial(1, 1, 1)).verdict == "pass"
+    assert verify_gap(item_46(), "house-del", Polynomial(1, 1, 1)).verdict == "pass"
     deletion = checked_root_calls["skipping"]
     assert verify_sat_equivalence(formula(3, [(1, 2, 3)]), "c4-comp").verdict == "pass"
     assert deletion > 0 and checked_root_calls["skipping"] > deletion
@@ -691,11 +775,11 @@ def test_root_packing_is_a_lower_bound(name, mode, seed):
     free = sorted(inst.free)
     pair = free[seed % len(free)]
     adj = host.adjacency()
-    buckets = graphs._buckets(adj)
-    _toggle(adj, (pair,), buckets)
+    buckets, rows = graphs._buckets(adj), graphs._rows(adj)
+    _toggle(adj, (pair,), buckets, rows)
     breakers, positions = solver._breakers(inst)
     shapes = [(match_plan(pattern.graph, position), fixed) for position in positions for fixed in (pair, pair[::-1])]
-    packed = list(islice(solver._packing(adj, shapes, breakers, buckets), host.vertex_count**2))
+    packed = list(islice(solver._packing(adj, shapes, breakers, buckets, rows), host.vertex_count**2))
     flipped = SandwichInstance(apply(inst, [pair]), pattern, mode, inst.free - {pair})
     assert_packed([image for image, _ in packed], pattern, flipped.graph.edges, flippable)
     for image, pairs in packed:
@@ -720,22 +804,23 @@ def test_toggles_keep_the_degree_buckets_current(mode, n, density, seed, moves):
     """Toggles and undos through _toggle, in the solver's stack order, keep
     each bucket equal to a fresh bucketing of the adjacency, so a walk of
     the buckets from degree d is the stable sort by degree less the
-    vertices below d."""
+    vertices below d, and each sorted row equal to its set, sorted."""
     rng = random.Random(seed)
     g = Graph(n, [pair for pair in combinations(range(n), 2) if rng.random() < density])
     pool = sorted(g.edges) if mode == "deletion" else g.non_edges()
     adj = g.adjacency()
-    buckets = graphs._buckets(adj)
+    buckets, rows = graphs._buckets(adj), graphs._rows(adj)
     applied = []
     for move in [None, *moves]:
         if move is not None:
             usable = [pair for pair in pool if pair not in applied]
             if usable and (move % 3 or not applied):
                 applied.append(usable[move % len(usable)])
-                _toggle(adj, applied[-1:], buckets)
+                _toggle(adj, applied[-1:], buckets, rows)
             elif applied:
-                _toggle(adj, (applied.pop(),), buckets)
+                _toggle(adj, (applied.pop(),), buckets, rows)
         assert buckets == graphs._buckets(adj)
+        assert rows == graphs._rows(adj)
         order = sorted(range(n), key=lambda v: len(adj[v]))
         for d in range(n + 1):
             walk = list(chain.from_iterable(islice(buckets, d, None)))
