@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cnf import CnfFormula, duplicate_for_min_occurrences, normalize_3cnf, occurrence_counts
-from .graphs import Graph, _glue, _toggle, edge_key, find_embedding, is_h_free, match_plan
+from .graphs import Graph, SearchHost, _glue, edge_key, find_embedding, is_h_free, match_plan
 from .patterns import (
     Pattern, complete_graph, complete_minus_edge, cycle_graph, house_graph, named_pattern, require,
 )
@@ -367,16 +367,18 @@ def _survivors(adj, plan, digits) -> tuple:
     leave adj free of plan's pattern, the pairs the walk touched and the
     number of choices. The vertices of the last copy found hold one until
     a flip lands inside them, so only then, or with no copy held, does a
-    step call the matcher."""
+    step call the matcher, on a SearchHost built for that call."""
     current, covered, solutions = set(), set(), set()
     checked, held = 0, None
     for flips in _gray_walk(digits[::-1]):
-        _toggle(adj, flips)
+        for u, v in flips:
+            adj[u] ^= {v}
+            adj[v] ^= {u}
         current.symmetric_difference_update(flips)
         covered.update(flips)
         checked += 1
         if held is None or any(u in held and v in held for u, v in flips):
-            held = find_embedding(adj, plan)
+            held = find_embedding(SearchHost(adj), plan)
             if held is None:
                 solutions.add(frozenset(current))
     return solutions, covered, checked

@@ -11,51 +11,36 @@ automorphisms prune its root walks (below).
 
 find_embedding is the one induced-copy search: find_induced_copy and
 is_h_free, enumerate_induced_copies, the solver, the gadget contracts
-and gadgets.has_c4_subgraph (three is_h_free calls) all call it, and
-_toggle is the one way a search flips host pairs. Every
-copy it reports is indexed by pattern vertex, entry p being the host
-vertex that carries p, so reading one back needs no plan.
+and gadgets.has_c4_subgraph (three is_h_free calls) all call it, each on
+a SearchHost: the host's neighbour sets with the degree buckets, sorted
+rows and dead-root marks the compiled search walks beside them, kept in
+step by the one rule SearchHost states. Every copy it reports is
+indexed by pattern vertex, entry p being the host vertex that carries p,
+so reading one back needs no plan.
 
 A level with no placed neighbour to draw candidates from (the root, and
 later levels of patterns that are not connected) tries host vertices by
-degree, ties broken by vertex: it walks the host's degree buckets
-(_buckets: the vertices of each degree, ascending) from the level's own
-degree up, which is the stable sort by degree less the vertices the
-level's degree test would reject. A caller that owns buckets, the solver,
-keeps them current through _toggle and passes them; for any other call
-find_embedding builds them once.
+degree, ties broken by vertex: it walks the degree buckets from the
+level's own degree up, which is the stable sort by degree less the
+vertices the level's degree test would reject. An anchored level tries
+its anchor image's neighbours in ascending order, walking the anchor
+image's sorted row; the sets answer the membership tests. So the
+matcher's order has a closed form: a call's first copy is the least
+embedding under one key, level by level in plan order, where a level
+without an anchor, the root among them, keys its image by (degree,
+vertex), and an anchored level by the vertex. That depends on the
+host's edges alone, not on the order in which its sets iterate or on
+the toggles that made them.
 
-A plain call that returns a copy has exhausted every root its walk met
-before the copy's root, so those roots carry the plan's first pattern
-vertex in no copy; _walked lists them from the buckets alone. The
-matcher skips nothing itself. A caller may leave such roots out of the
-buckets it passes, for a plan whose every unpinned level after the
-first has an anchor; the root walk then finds the copy the full walk
-finds. Keeping that proof true as the host changes is the caller's
-part, and the solver's docstring says how it does so.
-
-The proof reaches below the root through the pattern's symmetry: if no
-copy puts the first pattern vertex p0 on x, no copy puts any vertex q of
-p0's orbit under the pattern's automorphisms on x either (compose the
-copy with an automorphism sending p0 to q). So the root walks of plans
+The root walk also prunes through the pattern's symmetry: if no copy
+puts the first pattern vertex p0 on x, no copy puts any vertex q of p0's
+orbit under the pattern's automorphisms on x either (compose the copy
+with an automorphism sending p0 to q). So the root walks of plans
 without twin floors, neither pinned nor visiting, reject at each later
 level in that orbit the roots the walk has exhausted so far and the
-vertices the caller marks as rooting no copy (find_embedding's marked=).
-The cut branches hold no copy, so every copy and its order stay those of
-the full search. A plan whose first vertex is alone in its orbit
-compiles as before.
-
-The matcher's order has a closed form. An anchored level tries its
-anchor image's neighbours in ascending order, walking sorted rows (_rows:
-each vertex's neighbours as an ascending list) kept beside the neighbour
-sets, which answer the membership tests. So a call's first copy is the
-least embedding under one key, level by level in plan order: a level
-without an anchor, the root among them, keys its image by (degree,
-vertex), and an anchored level by the vertex. That depends on the host's
-edges alone, not on the order in which its sets iterate or on the toggles
-that made them. A caller that owns sorted rows, the solver, keeps them
-current through _toggle and passes them, as it does buckets; any other
-call builds them once.
+host's marked vertices. The cut branches hold no copy, so every copy and
+its order stay those of the full search. A plan whose first vertex is
+alone in its orbit compiles as before.
 
 A graph's state is its rows, one frozenset of neighbours per vertex,
 and its edge set is derived from them on demand. Two operations build
@@ -136,8 +121,9 @@ class Graph:
         return 0 <= u and v < self.vertex_count and v in self._adj[u]
 
     def adjacency(self) -> list:
-        """Mutable adjacency copy (list of sets), for search loops. How its
-        sets iterate moves no search: the matcher walks sorted rows."""
+        """Mutable adjacency copy (list of sets), for search loops. Its sets
+        iterate like the graph's, so equal graphs iterate alike whichever
+        route built them."""
         return [set(s) for s in self._adj]
 
     def non_edges(self) -> list:
@@ -180,9 +166,10 @@ def complement(g: Graph) -> Graph:
     Each neighbour set is one set difference, everyone less the union of
     g's neighbours and the vertex itself. In that one-argument form it
     iterates exactly like the constructor's sorted row (a two-argument
-    difference does not), so the complement skips the constructor's
-    per-pair fill, which costs far more on a dense complement. It builds
-    rows only: the edge set is derived from them when something reads it.
+    difference does not), so equal graphs iterate alike whichever route
+    built them, and the complement skips the constructor's per-pair fill,
+    which costs far more on a dense complement. It builds rows only: the
+    edge set is derived from them when something reads it.
     """
     everyone = frozenset(range(g.vertex_count))
     return _of_rows(g.vertex_count, tuple(everyone.difference(near | {v}) for v, near in enumerate(g._adj)))
@@ -351,58 +338,95 @@ def match_plan(pattern: Graph, seed: tuple = (), break_twins: bool = False) -> M
     return MatchPlan(pattern, seed, break_twins)
 
 
-def _buckets(adj) -> list:
-    """The degree buckets of an adjacency: entry d lists the vertices of
-    degree d in ascending order, so their concatenation is the stable sort
-    of all vertices by degree."""
-    buckets = [[] for _ in adj]
-    for v, near in enumerate(adj):
-        buckets[len(near)].append(v)
-    return buckets
+class SearchHost:
+    """A host adjacency with what the compiled search walks beside it.
 
+    adj is the host's neighbour sets, indexable by vertex, held as given
+    and flipped in place by toggle. buckets lists per degree d the
+    vertices of degree d, ascending, so their concatenation is the stable
+    sort by degree; rows lists each vertex's neighbours, ascending; marked
+    holds vertices proven to root no copy. One rule keeps them in step:
+    buckets are the fresh buckets of adj less the marked vertices, and
+    rows are adj's sets, sorted. The host builds both once and keeps the
+    rule through toggle, leave_out and put_back; stale buckets or rows give
+    wrong answers, so a caller that flips adj some other way builds a new
+    host for its next search.
 
-def _rows(adj) -> list:
-    """The sorted rows of an adjacency: entry v lists v's neighbours in
-    ascending order, the order anchored levels try them in."""
-    return [sorted(near) for near in adj]
+    A plain find_embedding call that returns a copy has exhausted every
+    root its walk met before the copy's root, so those carry the plan's
+    first pattern vertex in no copy; walked lists them. A caller may mark
+    such roots (leave_out) for plans whose every unpinned level after the
+    first has an anchor, as in any plan of a connected pattern: only the
+    root walk reads the buckets then, and it and the orbit pruning find
+    the copy the full walk finds. A wrong mark can hide a copy. Keeping
+    each mark proven as the host changes is the caller's part, and the
+    solver's docstring says how it does so.
+    """
 
+    __slots__ = ("adj", "buckets", "rows", "marked")
 
-def _toggle(adj, pairs, buckets=None, rows=None) -> None:
-    """Flip each pair of a mutable adjacency: an edge goes, a non-edge
-    comes. The one way searches modify a host; flipping the same pairs
-    again undoes it. Given the adjacency's buckets (see _buckets), it moves
-    each end of each pair that sits in the bucket of its degree to the
-    bucket of its new degree, in place. An end left out of the buckets
-    stays out while its degree changes; the caller that left it out puts
-    it back in the bucket of its degree at that time. Given its sorted rows
-    (see _rows), it takes each end out of, or puts it into, the other's
-    row at its place."""
-    for u, v in pairs:
-        near_u, near_v = adj[u], adj[v]
-        edge = v in near_u
-        if rows is not None:
+    def __init__(self, adj):
+        self.adj = adj
+        self.buckets = buckets = [[] for _ in adj]
+        for v, near in enumerate(adj):
+            buckets[len(near)].append(v)
+        self.rows = [sorted(near) for near in adj]
+        self.marked = set()
+
+    def toggle(self, pairs) -> None:
+        """Flip each pair: an edge goes, a non-edge comes; flipping the same
+        pairs again undoes it. Each end moves to or from its place in the
+        other's row and, unless marked, to the bucket of its new degree."""
+        adj, buckets, rows, marked = self.adj, self.buckets, self.rows, self.marked
+        for u, v in pairs:
+            near_u, near_v = adj[u], adj[v]
             row_u, row_v = rows[u], rows[v]
             i, j = bisect_left(row_u, v), bisect_left(row_v, u)
-            if edge:
+            du, dv = len(near_u), len(near_v)
+            if v in near_u:
                 del row_u[i], row_v[j]
+                step = -1
             else:
                 row_u.insert(i, v)
                 row_v.insert(j, u)
-        if buckets is not None:
-            du, dv = len(near_u), len(near_v)
-            step = -1 if edge else 1
-            row = buckets[du]
-            i = bisect_left(row, u)
-            if i < len(row) and row[i] == u:
-                del row[i]
+                step = 1
+            if u not in marked:
+                row = buckets[du]
+                del row[bisect_left(row, u)]
                 insort(buckets[du + step], u)
-            row = buckets[dv]
-            i = bisect_left(row, v)
-            if i < len(row) and row[i] == v:
-                del row[i]
+            if v not in marked:
+                row = buckets[dv]
+                del row[bisect_left(row, v)]
                 insort(buckets[dv + step], v)
-        near_u ^= {v}
-        near_v ^= {u}
+            near_u ^= {v}
+            near_v ^= {u}
+
+    def leave_out(self, vertices) -> None:
+        """Mark the unmarked vertices given and take them out of the buckets."""
+        self.marked.update(vertices)
+        adj, buckets = self.adj, self.buckets
+        for v in vertices:
+            row = buckets[len(adj[v])]
+            del row[bisect_left(row, v)]
+
+    def put_back(self, vertices) -> None:
+        """Clear the marks given, each vertex back in the bucket of its degree."""
+        self.marked.difference_update(vertices)
+        adj, buckets = self.adj, self.buckets
+        for v in vertices:
+            insort(buckets[len(adj[v])], v)
+
+    def walked(self, plan: MatchPlan, root: int) -> list:
+        """The roots a plain find_embedding call of plan walks before root,
+        in its order: the buckets from the degree of the plan's first
+        pattern vertex up to root's, then root's own bucket up to root,
+        which must be in it."""
+        degree, low = len(self.adj[root]), plan.levels[0][3]
+        row = self.buckets[degree]
+        walked = row[:bisect_left(row, root)]
+        if degree > low:
+            walked[:0] = chain.from_iterable(self.buckets[low:degree])
+        return walked
 
 
 # CPython refuses more than 20 statically nested blocks in one function, so
@@ -426,10 +450,10 @@ def _search_source(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool)
     """The source of plan.levels compiled into nested loops, one per
     unpinned level.
 
-    It defines search(A, F, B, visit, I, K, M, S): host adjacency, fixed,
-    blocked, visit, the image list it fills by pattern vertex, buckets,
-    marked and sorted rows (see find_embedding). It returns True once it
-    found an embedding (or visit accepted one).
+    It defines search(A, F, B, visit, I, K, M, S): the host's sets, fixed,
+    blocked, visit, the image list it fills by pattern vertex, and the
+    host's buckets, marks and sorted rows (see SearchHost). It returns
+    True once it found an embedding (or visit accepted one).
 
     Level i binds v<p> for its pattern vertex p: to F[i] when pinned, else
     in a loop over the candidates a level-by-level backtracker takes, in the
@@ -444,7 +468,7 @@ def _search_source(plan: MatchPlan, pinned: int, blocking: bool, visiting: bool)
     visit) of a plan without floors, the root loop adds each root it
     exhausts to a set D, and each later level whose pattern vertex lies in
     the root's orbit (_orbit) also rejects a candidate in D or in the
-    caller's marks M: no copy puts the root's pattern vertex there, so by
+    host's marks M: no copy puts the root's pattern vertex there, so by
     an automorphism no copy puts an orbit vertex there either. A floor
     breaks that argument, since the composed copy need not respect it, and
     a visit that declines copies exhausts roots that carry them. Plans
@@ -650,12 +674,11 @@ def _sends_first_to(plan: MatchPlan, q: int) -> bool:
     return False
 
 
-def find_embedding(host_adj, plan: MatchPlan, *, blocked=None, fixed=None, visit=None, buckets=None, rows=None, marked=None):
-    """Search for induced embeddings of the plan's pattern into the host adjacency.
+def find_embedding(host: SearchHost, plan: MatchPlan, *, blocked=None, fixed=None, visit=None):
+    """Search for induced embeddings of the plan's pattern into the host.
 
-    host_adj is indexable by vertex and yields neighbor sets. Embeddings
-    that map any pattern pair, edge or non-edge, onto a host pair in
-    blocked are rejected; the packing bound uses this to collect
+    Embeddings that map any pattern pair, edge or non-edge, onto a host
+    pair in blocked are rejected; the packing bound uses this to collect
     element-disjoint copies. fixed is a tuple of host vertices for the
     plan's seed vertices: match_plan(pattern, (a, b)) with fixed=(x, y)
     searches only copies that put a on x and b on y; fixed longer than
@@ -668,70 +691,31 @@ def find_embedding(host_adj, plan: MatchPlan, *, blocked=None, fixed=None, visit
     it) and stops at the first call that returns true; it then returns that
     image, and None when no call did.
 
-    buckets are the host's degree buckets (see _buckets): every level
-    without an anchor walks them from its own degree up, which is the
-    stable sort by degree less the vertices its degree test rejects. rows
-    are its sorted rows (see _rows), which every anchored level walks.
-    When either is None, the call builds it from host_adj. Stale buckets or
-    rows give wrong answers, so a caller that passes them must flip pairs
-    only through _toggle with them. A caller may leave out of them vertices
-    proven to root no copy, but only for a plan whose every unpinned level
-    after the first has an anchor, as in any plan of a connected pattern:
-    only the root walk reads them then, and it finds the copy the full
-    walk finds. Keeping that proof true as the host changes is the caller's
-    part. A plain call (no blocked, fixed or visit) that returns a copy
-    exhausted every root its walk met before the copy's root: those carry
-    the first pattern vertex in no copy, and _walked lists them.
-
-    marked is a set of host vertices the caller proves to root no copy in
-    the host as it stands: no copy puts the plan's first pattern vertex on
-    any of them. A call that walks roots (no fixed, no visit) on a plan
-    without twin floors then rejects them, and the roots it has exhausted,
-    at every later level whose pattern vertex shares the first vertex's
-    orbit (see _compile_search); other shapes ignore marked. A wrong mark
-    can hide a copy, so only proven ones may be passed. The root walk
-    itself reads only the buckets.
-
     The search runs the nested loops _compile_search generated from the
-    plan for this call shape, cached in plan.searches. They try candidates
-    in the order of a level-by-level backtracker over plan.levels: the
-    solver branches on the first copy found, so that order is part of the
-    contract. It has a closed form: the first image is the least embedding
-    the call admits under the key that takes, level by level in plan
-    order, (degree, vertex) for a level without an anchor and the vertex
-    for an anchored one. How host_adj's sets iterate does not move it.
+    plan for this call shape, cached in plan.searches, over the host's
+    sets, buckets, rows and marks. They try candidates in the order of a
+    level-by-level backtracker over plan.levels: the solver branches on
+    the first copy found, so that order is part of the contract. It has a
+    closed form: the first image is the least embedding the call admits
+    under the key that takes, level by level in plan order, (degree,
+    vertex) for a level without an anchor and the vertex for an anchored
+    one. How the host's sets iterate does not move it. Marks are read only
+    by the root walks of plans without twin floors (see _compile_search).
     """
     pinned = len(fixed) if fixed else 0
     if pinned > len(plan.seed):
         raise ValueError(f"fixed pins {pinned} positions but the plan is seeded with {len(plan.seed)}")
     n = len(plan.levels)
-    if n > len(host_adj):
+    if n > len(host.adj):
         return None
     shape = (pinned, bool(blocked), visit is not None)
     search = plan.searches.get(shape)
     if search is None:
         search = plan.searches[shape] = _compile_search(plan, *shape)
-    if buckets is None:
-        buckets = _buckets(host_adj)
-    if rows is None:
-        rows = _rows(host_adj)
     image = [0] * n
-    if search(host_adj, fixed, blocked, visit, image, buckets, marked or (), rows):
+    if search(host.adj, fixed, blocked, visit, image, host.buckets, host.marked, host.rows):
         return list(image)
     return None
-
-
-def _walked(adj, buckets, plan: MatchPlan, root: int) -> list:
-    """The roots a plain find_embedding call on adj with these buckets
-    walks before root, in its order: the buckets from the degree of the
-    plan's first pattern vertex up to root's, then root's own bucket up
-    to root, which must be in it."""
-    degree, low = len(adj[root]), plan.levels[0][3]
-    row = buckets[degree]
-    walked = row[:bisect_left(row, root)]
-    if degree > low:
-        walked[:0] = chain.from_iterable(buckets[low:degree])
-    return walked
 
 
 def find_induced_copy(host: Graph, pattern: Graph):
@@ -741,7 +725,7 @@ def find_induced_copy(host: Graph, pattern: Graph):
     The copy preserves adjacency and non-adjacency (induced, not just
     subgraph). Empty patterns embed trivially, as ().
     """
-    image = find_embedding(host._adj, match_plan(pattern))
+    image = find_embedding(SearchHost(host._adj), match_plan(pattern))
     return None if image is None else tuple(image)
 
 
@@ -776,5 +760,5 @@ def enumerate_induced_copies(host: Graph, pattern: Graph) -> list:
         found.add(tuple(sorted(image)))
         return False
 
-    find_embedding(host._adj, match_plan(pattern, break_twins=True), visit=visit)
+    find_embedding(SearchHost(host._adj), match_plan(pattern, break_twins=True), visit=visit)
     return sorted(found)

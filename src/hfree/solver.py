@@ -33,41 +33,37 @@ Minimization packs once in the unmodified host, and iterative deepening
 starts at the count. Those packing calls are matcher calls, not search
 nodes.
 
-No root call sorts the host by degree: each search keeps the degree
-buckets and the sorted rows of its adjacency (graphs._buckets and
-graphs._rows) current through every toggle, and the matcher walks them.
-Minimization's root packing builds both once for its own unmodified
-adjacency. So every call's first copy is the least embedding under the
-matcher's key (see graphs.find_embedding), a function of the node's host
-alone.
+No root call sorts the host by degree: each search keeps one
+graphs.SearchHost, whose degree buckets and sorted rows every toggle
+keeps current, and the matcher walks them. Minimization's root packing
+wraps the unmodified graph's own sets once. So every call's first copy
+is the least embedding under the matcher's key (see
+graphs.find_embedding), a function of the node's host alone.
 
-A search also remembers, in one set of marks, which host vertices root no
-copy: no copy puts the plan's first pattern vertex on them. A root call
-that returns a copy has exhausted every root its bucket walk met before
-the copy's root (graphs._walked), and a node that branches marks them
-and takes them out of the buckets, so later root calls walk only the
-live roots. A modification at p = (a, b) can only create copies that
-hold both a and b, and such a copy lies within the first pattern
-vertex's eccentricity r of its root, so after a toggle every mark within
-distance r of both a and b in the new host is cleared and put back in
-the bucket of its degree. Each frame keeps the marks its node added and
-those its toggle cleared, and popping it restores its parent's marks and
-buckets exactly. Each root call also hands the marks to the matcher
-(find_embedding's marked=), which rejects them below the root too, at
-every level whose pattern vertex shares the root's orbit under the
-pattern's automorphisms. Leaving out a root with no copy, or rejecting
-it where no copy can put an orbit vertex, cannot change which copy comes
-first, so copies, verdicts and node counts are those of the full scan.
-Patterns that are not connected keep the full scan.
+A search also remembers, in the host's marks, which host vertices root
+no copy: no copy puts the plan's first pattern vertex on them. A root
+call that returns a copy has exhausted every root its bucket walk met
+before the copy's root (SearchHost.walked), and a node that branches
+leaves them out, so later root calls walk only the live roots and the
+matcher rejects them below the root too, at every level whose pattern
+vertex shares the root's orbit under the pattern's automorphisms. A
+modification at p = (a, b) can only create copies that hold both a and
+b, and such a copy lies within the first pattern vertex's eccentricity r
+of its root, so after a toggle every mark within distance r of both a
+and b in the new host is put back. Each frame keeps the marks its node
+added and those its toggle cleared, and popping it restores its
+parent's marks and buckets exactly. Leaving out a root with no copy, or
+rejecting it where no copy can put an orbit vertex, cannot change which
+copy comes first, so copies, verdicts and node counts are those of the
+full scan. Patterns that are not connected keep the full scan.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import chain, islice
 
-from .graphs import Graph, _buckets, _rows, _toggle, _walked, edge_key, find_embedding, is_h_free, match_plan
+from .graphs import Graph, SearchHost, edge_key, find_embedding, is_h_free, match_plan
 from .patterns import Pattern
 
 DELETION = "deletion"
@@ -149,7 +145,7 @@ def _mapped_pairs(image, breakers) -> list:
     return [edge_key(image[u], image[v]) for u, v in breakers]
 
 
-def _packing(adj, shapes, breakers, buckets, rows, used=None):
+def _packing(host, shapes, breakers, used=None):
     """Greedy packing of induced copies with pairwise disjoint breaker pairs.
 
     For each next copy, tries the (plan, fixed) shapes in order and yields
@@ -159,13 +155,12 @@ def _packing(adj, shapes, breakers, buckets, rows, used=None):
     and those of every copy yielded so far. used grows in place. A
     copy dies only when one of its own breaker pairs flips, so a solution
     holds a distinct pair of each copy: their count is a lower bound on
-    what it must modify. buckets and rows are adj's degree buckets and
-    sorted rows (see graphs._buckets and graphs._rows).
+    what it must modify. host is a graphs.SearchHost.
     """
     used = set() if used is None else used
     while True:
         for plan, fixed in shapes:
-            image = find_embedding(adj, plan, blocked=used, fixed=fixed, buckets=buckets, rows=rows)
+            image = find_embedding(host, plan, blocked=used, fixed=fixed)
             if image is not None:
                 break
         else:
@@ -202,25 +197,19 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
     (free and not blocked); else it extends the packing and prunes the same
     way on each copy it adds.
 
-    buckets and rows are adj's degree buckets and sorted rows, built once
-    and moved by each toggle of adj (_toggle), so every matcher call walks
-    them instead of sorting the host.
-
-    marked holds the vertices proven to root no copy, the one set of marks.
-    A marked vertex is out of the buckets, so no root call walks it, and
-    goes back into the bucket of its current degree when its mark clears
-    (leave_out, put_back). Popping a frame puts back its died, and undoing
-    its parent's toggle leaves out the parent's revived again, which
-    restores the parent's marks and buckets exactly. Only a node that
-    branches sets marks, and the search's first node sets none: a search
-    that ends within one toggle then pays for no ball.
+    host is the one graphs.SearchHost of the search: every toggle goes
+    through it, and its marks hold the vertices proven to root no copy.
+    Popping a frame puts back its died, and undoing its parent's toggle
+    leaves out the parent's revived again, which restores the parent's
+    marks and buckets exactly. Only a node that branches sets marks, and
+    the search's first node sets none: a search that ends within one
+    toggle then pays for no ball.
     """
-    adj = instance.graph.adjacency()
-    buckets, rows = _buckets(adj), _rows(adj)
+    host = SearchHost(instance.graph.adjacency())
+    adj, marked = host.adj, host.marked
     pattern = instance.pattern
     plan = match_plan(pattern.graph)
     reach = plan.reach
-    marked = set()
     free = instance.free
     breakers, positions = _breakers(instance)
     seeded = None  # plans pinned at each of `positions`, made at first use
@@ -228,22 +217,11 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
     blocked = set()
     stack = []
 
-    def leave_out(vertices):
-        marked.update(vertices)
-        for v in vertices:
-            row = buckets[len(adj[v])]
-            del row[bisect_left(row, v)]
-
-    def put_back(vertices):
-        marked.difference_update(vertices)
-        for v in vertices:
-            insort(buckets[len(adj[v])], v)
-
     def usable(pairs):
         return any(p in free and p not in blocked for p in pairs)
 
     for _ in range(node_limit):  # one pass per search node
-        image = find_embedding(adj, plan, buckets=buckets, rows=rows, marked=marked)
+        image = find_embedding(host, plan)
         if image is None:
             return frozenset(chosen)
         remaining = budget - len(chosen)
@@ -267,15 +245,15 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
                     u, v = pair
                     shapes = [(anchored, fixed) for anchored in seeded for fixed in ((u, v), (v, u))]
                     used = set(chain.from_iterable(packed))
-                    for _, pairs in _packing(adj, shapes, breakers, buckets, rows, used):
+                    for _, pairs in _packing(host, shapes, breakers, used):
                         packed.append(pairs)
                         if len(packed) > remaining or not usable(pairs):
                             candidates = []
                             break
         died = ()
         if candidates and stack and reach is not None:  # no marks on patterns that are not connected
-            died = _walked(adj, buckets, plan, image[plan.levels[0][0]])
-            leave_out(died)
+            died = host.walked(plan, image[plan.levels[0][0]])
+            host.leave_out(died)
         stack.append([candidates, 0, died, (), packed])
         while stack[-1][1] == len(stack[-1][0]):
             # Exhausted: unblock its candidates and clear its marks, then
@@ -284,27 +262,27 @@ def _search(instance: SandwichInstance, budget: int, node_limit: int):
             candidates, _, died, _, _ = stack.pop()
             blocked.difference_update(candidates)
             if died:
-                put_back(died)
+                host.put_back(died)
             if not stack:
                 return None
             pair = chosen.pop()
-            _toggle(adj, (pair,), buckets, rows)
+            host.toggle((pair,))
             frame = stack[-1]
             if frame[3]:
-                leave_out(frame[3])
+                host.leave_out(frame[3])
                 frame[3] = ()
             blocked.add(pair)
         frame = stack[-1]
         pair = frame[0][frame[1]]
         frame[1] += 1
-        _toggle(adj, (pair,), buckets, rows)
+        host.toggle((pair,))
         if marked:
             # A new copy holds both ends of the pair, so its root lies
             # within reach of each of them in the new host.
             hit = marked.intersection(_ball(adj, pair[0], reach))
             if hit:
                 hit.intersection_update(_ball(adj, pair[1], reach))
-                put_back(hit)
+                host.put_back(hit)
                 frame[3] = hit
         chosen.append(pair)
     raise SearchLimitError(f"exceeded {node_limit} search nodes")
@@ -325,8 +303,8 @@ def solve_sandwich(instance: SandwichInstance, budget=None, node_limit: int = DE
 def _root_packing(instance: SandwichInstance, limit: int) -> list:
     """Up to `limit` copies of the packing in the unmodified host."""
     shapes = [(match_plan(instance.pattern.graph), None)]
-    adj = instance.graph._adj  # read only: the packing flips no pair
-    packing = _packing(adj, shapes, _breakers(instance)[0], _buckets(adj), _rows(adj))
+    host = SearchHost(instance.graph._adj)  # read only: the packing flips no pair
+    packing = _packing(host, shapes, _breakers(instance)[0])
     return [image for image, _ in islice(packing, limit)]
 
 

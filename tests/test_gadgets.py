@@ -22,7 +22,7 @@ from hfree.gadgets import (
     reduce_formula,
 )
 from hfree.graphs import (
-    Graph, _glue, _toggle, find_embedding, find_induced_copy, induced_subgraph, is_h_free, match_plan,
+    Graph, SearchHost, _glue, find_embedding, find_induced_copy, induced_subgraph, is_h_free, match_plan,
 )
 from hfree.patterns import complete_graph, cycle_graph, house_graph, named_pattern, path_graph
 from hfree.reductions import Polynomial, _GraphBuilder, assignment_from_solution, solution_from_assignment
@@ -173,9 +173,9 @@ def test_contract_walk_matches_whole_subsets_on_a_fresh_adjacency(name):
         candidates = [frozenset(s) for r in range(len(free) + 1) for s in itertools.combinations(sorted(free), r)]
     oracle = set()
     for subset in candidates:
-        adj = host.adjacency()
-        _toggle(adj, subset)
-        if find_embedding(adj, plan) is None:
+        toggled = SearchHost(host.adjacency())
+        toggled.toggle(subset)
+        if find_embedding(toggled, plan) is None:
             oracle.add(subset)
     solutions, covered, checked = gadgets._survivors(host.adjacency(), plan, digits(labels, free))
     assert solutions == oracle == predict(labels)
@@ -189,19 +189,20 @@ def test_contracts_call_the_matcher_only_when_a_flip_hits_the_held_copy(monkeypa
     ends in it: at most 372 calls over the six contracts, 270 on the
     ladder, against one per subset (7,177)."""
     calls, toggled = {}, []
-    real_find, real_toggle = gadgets.find_embedding, gadgets._toggle
+    real_find, real_walk = gadgets.find_embedding, gadgets._gray_walk
     name = None
 
-    def find(adj, plan, **kwargs):
+    def find(host, plan, **kwargs):
         calls[name] = calls.get(name, 0) + 1
-        return real_find(adj, plan, **kwargs)
+        return real_find(host, plan, **kwargs)
 
-    def toggle(adj, pairs, *args):
-        toggled.append(len(pairs))
-        real_toggle(adj, pairs, *args)
+    def walk(digits):
+        for flips in real_walk(digits):
+            toggled.append(len(flips))
+            yield flips
 
     monkeypatch.setattr(gadgets, "find_embedding", find)
-    monkeypatch.setattr(gadgets, "_toggle", toggle)
+    monkeypatch.setattr(gadgets, "_gray_walk", walk)
     for name in gadgets._CONTRACTS:
         toggled.clear()
         contract = gadgets._certify(name)
@@ -228,9 +229,9 @@ def test_held_copy_walk_matches_whole_subsets_on_random_hosts(data):
     oracle = set()
     for r in range(len(free) + 1):
         for subset in itertools.combinations(free, r):
-            adj = host.adjacency()
-            _toggle(adj, subset)
-            if find_embedding(adj, plan) is None:
+            toggled = SearchHost(host.adjacency())
+            toggled.toggle(subset)
+            if find_embedding(toggled, plan) is None:
                 oracle.add(frozenset(subset))
     digits = gadgets._free_pairs(None, free)
     solutions, covered, checked = gadgets._survivors(host.adjacency(), plan, digits)

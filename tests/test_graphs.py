@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import random
 import sys
-from bisect import insort
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,8 +10,8 @@ from hypothesis import strategies as st
 from hfree import graphs
 from hfree.graphs import (
     Graph,
+    SearchHost,
     _glue,
-    _toggle,
     complement,
     edge_key,
     enumerate_induced_copies,
@@ -90,8 +89,8 @@ def test_complement_rows_iterate_like_the_constructor():
             mutable, reference = co.adjacency(), built.adjacency()
             assert list(map(list, mutable)) == list(map(list, reference))
             pairs = [tuple(rng.sample(range(n), 2)) for _ in range(3 * n)]
-            _toggle(mutable, pairs)
-            _toggle(reference, pairs)
+            SearchHost(mutable).toggle(pairs)
+            SearchHost(reference).toggle(pairs)
             assert list(map(list, mutable)) == list(map(list, reference))
 
 
@@ -292,12 +291,12 @@ def test_matcher_agrees_with_an_independent_sweep():
                 return False
 
             plan = match_plan(pattern)
-            image = find_embedding(host._adj, plan)
+            image = find_embedding(SearchHost(host._adj), plan)
             assert (image is None) == (not swept)
             if image is not None:
                 assert _carries(host, pattern, image)
                 assert tuple(sorted(image)) in swept
-            assert find_embedding(host._adj, plan, visit=visit) is None
+            assert find_embedding(SearchHost(host._adj), plan, visit=visit) is None
             assert sorted(set(visited)) == swept
 
 
@@ -316,7 +315,7 @@ def test_anchored_search_pins_the_seed_positions():
                 plan = match_plan(pattern, (a, b))
                 carried = {(images[a], images[b]) for images in embeddings}
                 for x, y in itertools.permutations(range(host.vertex_count), 2):
-                    image = find_embedding(host._adj, plan, fixed=(x, y))
+                    image = find_embedding(SearchHost(host._adj), plan, fixed=(x, y))
                     assert (image is not None) == ((x, y) in carried)
                     if image is not None:
                         assert (image[a], image[b]) == (x, y)
@@ -335,7 +334,7 @@ def test_visit_sees_every_embedding_and_stops_on_true():
 
     for want, returned in ((0, None), (3, 3)):
         seen.clear()
-        image = find_embedding(host._adj, plan, visit=visit)
+        image = find_embedding(SearchHost(host._adj), plan, visit=visit)
         assert len(seen) == (8 if returned is None else returned)
         assert image == (None if returned is None else seen[-1])
     assert len({tuple(image) for image in seen}) == 3
@@ -355,20 +354,20 @@ def test_twin_breaking_meets_each_clique_copy_once():
                 seen.append(tuple(sorted(image)))
 
             plan = match_plan(pattern, break_twins=True)
-            assert find_embedding(host._adj, plan, visit=visit) is None
+            assert find_embedding(SearchHost(host._adj), plan, visit=visit) is None
             assert sorted(seen) == _swept_copies(host, pattern)
     assert len(enumerate_induced_copies(hosts[0], complete_graph(6))) == 210
     square = cycle_graph(4)
     seen = []
-    find_embedding(square._adj, match_plan(square, break_twins=True), visit=seen.append)
+    find_embedding(SearchHost(square._adj), match_plan(square, break_twins=True), visit=seen.append)
     assert len(seen) == 2
 
 
 def test_fixed_longer_than_the_seed_is_rejected():
     host = cycle_graph(4)
     with pytest.raises(ValueError, match="seeded with 1"):
-        find_embedding(host._adj, match_plan(cycle_graph(4), (0,)), fixed=(0, 1))
-    assert find_embedding(host._adj, match_plan(cycle_graph(4), (0, 1)), fixed=(2,))[0] == 2
+        find_embedding(SearchHost(host._adj), match_plan(cycle_graph(4), (0,)), fixed=(0, 1))
+    assert find_embedding(SearchHost(host._adj), match_plan(cycle_graph(4), (0, 1)), fixed=(2,))[0] == 2
 
 
 def test_induced_subgraph_relabels_in_sorted_order():
@@ -403,7 +402,7 @@ def test_find_embedding_rejects_blocked_pairs_of_either_kind():
     plan = match_plan(cycle_graph(4))
 
     def embeds(blocked):
-        return find_embedding(host._adj, plan, blocked=blocked) is not None
+        return find_embedding(SearchHost(host._adj), plan, blocked=blocked) is not None
 
     assert embeds(set())
     assert embeds({(0, 4)})
@@ -423,14 +422,15 @@ DIGEST_PATTERNS = [
 
 def _churned_adjacency(rng, host):
     """host's mutable adjacency after random batches of pairs were flipped
-    through _toggle and back, so each set's iteration order carries that
-    history rather than only its contents."""
+    through SearchHost.toggle and back, so each set's iteration order
+    carries that history rather than only its contents."""
     adj = host.adjacency()
     pairs = list(itertools.combinations(range(host.vertex_count), 2))
     for _ in range(3):
         flips = rng.sample(pairs, rng.randint(0, len(pairs)))
-        _toggle(adj, flips)
-        _toggle(adj, reversed(flips))
+        host = SearchHost(adj)
+        host.toggle(flips)
+        host.toggle(reversed(flips))
     return adj
 
 
@@ -440,7 +440,8 @@ def _matcher_record(rng, adj, pattern):
     and seeded plans pinned by fixed under a non-empty blocked set."""
     host_count = len(adj)
     pairs = list(itertools.combinations(range(host_count), 2))
-    record = [find_embedding(adj, match_plan(pattern))]
+    host = SearchHost(adj)
+    record = [find_embedding(host, match_plan(pattern))]
 
     def visit(image):
         seen.append(tuple(image))
@@ -450,7 +451,7 @@ def _matcher_record(rng, adj, pattern):
         plan = match_plan(pattern, break_twins=break_twins)
         for stop, blocked in ((None, None), (3, None), (None, set(rng.sample(pairs, min(2, len(pairs)))))):
             seen = []
-            record.append((find_embedding(adj, plan, blocked=blocked, visit=visit), seen))
+            record.append((find_embedding(host, plan, blocked=blocked, visit=visit), seen))
     n = pattern.vertex_count
     for size in (1, 2):
         if n < size or host_count < size:
@@ -460,9 +461,9 @@ def _matcher_record(rng, adj, pattern):
             blocked = set(rng.sample(pairs, rng.randint(1, 4))) if pairs else {(0, 1)}
             for pinned in range(size + 1):
                 fixed = tuple(rng.sample(range(host_count), pinned))
-                record.append(find_embedding(adj, plan, blocked=blocked, fixed=fixed))
+                record.append(find_embedding(host, plan, blocked=blocked, fixed=fixed))
                 seen, stop = [], None
-                record.append((find_embedding(adj, plan, fixed=fixed, visit=visit), seen))
+                record.append((find_embedding(host, plan, fixed=fixed, visit=visit), seen))
     return record
 
 
@@ -503,7 +504,7 @@ def least_embedding(adj, plan, blocked=None, fixed=None):
     Pinned levels hold the same image in every embedding. None when there
     is no embedding."""
     found = []
-    find_embedding(adj, plan, blocked=blocked, fixed=fixed, visit=lambda image: found.append(list(image)))
+    find_embedding(SearchHost(adj), plan, blocked=blocked, fixed=fixed, visit=lambda image: found.append(list(image)))
 
     def key(image):
         return [image[p] if anchor is not None else (len(adj[image[p]]), image[p]) for p, anchor, *_ in plan.levels]
@@ -514,20 +515,20 @@ def least_embedding(adj, plan, blocked=None, fixed=None):
 def test_first_copy_is_the_least_embedding_on_hosts_with_flip_history():
     """On hosts changed by toggles that keep buckets and sorted rows, as
     the solver's are, every call shape's first copy is the least embedding
-    by the closed-form key, whether the call passes those rows and buckets
-    or builds its own from the sets."""
+    by the closed-form key, whether the call searches that host or a fresh
+    one built from its sets."""
     rng = random.Random(32)
     checked = 0
     for _ in range(60):
         n = rng.randint(6, 12)
         host = random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
-        adj = host.adjacency()
-        buckets, rows = graphs._buckets(adj), graphs._rows(adj)
+        toggled = SearchHost(host.adjacency())
+        adj = toggled.adj
         pairs = list(itertools.combinations(range(n), 2))
         flips = rng.sample(pairs, rng.randint(1, len(pairs)))
-        _toggle(adj, flips, buckets, rows)
-        _toggle(adj, flips[: len(flips) // 2], buckets, rows)
-        assert rows == [sorted(near) for near in adj]
+        toggled.toggle(flips)
+        toggled.toggle(flips[: len(flips) // 2])
+        assert toggled.rows == [sorted(near) for near in adj]
         for pattern in DIGEST_PATTERNS[:-2]:
             seeded = match_plan(pattern, tuple(rng.sample(range(pattern.vertex_count), 2)))
             cut = set(rng.sample(pairs, rng.randint(1, 4)))
@@ -540,8 +541,8 @@ def test_first_copy_is_the_least_embedding_on_hosts_with_flip_history():
             ):
                 least = least_embedding(adj, plan, blocked, fixed)
                 checked += least is not None
-                assert find_embedding(adj, plan, blocked=blocked, fixed=fixed) == least
-                assert find_embedding(adj, plan, blocked=blocked, fixed=fixed, buckets=buckets, rows=rows) == least
+                assert find_embedding(SearchHost(adj), plan, blocked=blocked, fixed=fixed) == least
+                assert find_embedding(toggled, plan, blocked=blocked, fixed=fixed) == least
     assert checked > 500
 
 
@@ -582,7 +583,7 @@ def test_patterns_longer_than_twenty_vertices_agree_with_a_sweep():
             swept = _carried_long_copies(host, pattern)
             visited = []
             plan = match_plan(pattern)
-            assert find_embedding(host._adj, plan, visit=lambda image: visited.append(tuple(image))) is None
+            assert find_embedding(SearchHost(host._adj), plan, visit=lambda image: visited.append(tuple(image))) is None
             assert len(visited) == len(set(visited)) == automorphisms * len(swept)
             assert sorted({tuple(sorted(image)) for image in visited}) == swept
             assert all(_carries(host, pattern, image) for image in visited)
@@ -598,9 +599,9 @@ def test_a_path_pattern_deeper_than_the_recursion_limit_embeds():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
-        image = find_embedding(host._adj, match_plan(pattern))
+        image = find_embedding(SearchHost(host._adj), match_plan(pattern))
         seen = []
-        find_embedding(host._adj, match_plan(pattern), visit=seen.append)
+        find_embedding(SearchHost(host._adj), match_plan(pattern), visit=seen.append)
     finally:
         sys.setrecursionlimit(limit)
     assert image is not None and _carries(host, pattern, image)
@@ -676,7 +677,7 @@ def test_matcher_agrees_with_the_sweep_on_random_cases(monkeypatch, spelled, chu
     }
     # A fresh plan, compiled under the constants above.
     plan = graphs.MatchPlan(pattern, seed, break_twins)
-    image = find_embedding(host._adj, plan, blocked=blocked, fixed=fixed)
+    image = find_embedding(SearchHost(host._adj), plan, blocked=blocked, fixed=fixed)
     assert (image is None) == (not expected)
     assert image is None or tuple(image) in expected
     seen = []
@@ -685,7 +686,7 @@ def test_matcher_agrees_with_the_sweep_on_random_cases(monkeypatch, spelled, chu
         seen.append(tuple(image))
         return len(seen) == stop
 
-    returned = find_embedding(host._adj, plan, blocked=blocked, fixed=fixed, visit=visit)
+    returned = find_embedding(SearchHost(host._adj), plan, blocked=blocked, fixed=fixed, visit=visit)
     assert len(seen) == len(set(seen)) and set(seen) <= expected
     if stop and len(seen) == stop:
         assert returned == list(seen[-1])
@@ -711,9 +712,12 @@ def _empty_roots(host, pattern, first):
     return [v for v in range(host.vertex_count) if v not in rooted]
 
 
-def _live_buckets(adj, marked):
-    """The degree buckets of an adjacency less the marked vertices."""
-    return [[v for v in row if v not in marked] for row in graphs._buckets(adj)]
+def _bucketed_host(adj, out):
+    """A search host on adj whose buckets leave out the vertices of out
+    but whose marks stay empty, so the buckets are checked alone."""
+    host = SearchHost(adj)
+    host.buckets = [[v for v in row if v not in out] for row in host.buckets]
+    return host
 
 
 def _later_levels_anchored(plan):
@@ -726,7 +730,7 @@ def _later_levels_anchored(plan):
 def test_marked_roots_agree_with_the_sweep_on_random_cases(monkeypatch, spelled, chunk):
     """With any set of the roots that carry no copy left out of the buckets
     (or none), the plain call returns the image it returns on the full
-    buckets, and _walked of the image's root lists exactly the unmarked
+    buckets, and walked of the image's root lists exactly the unmarked
     roots of large enough degree that come before it in the (degree,
     vertex) order: roots that carry no copy. Marks are drawn only for plans
     with an anchor on every later level, and at least a third of the cases
@@ -745,13 +749,13 @@ def test_marked_roots_agree_with_the_sweep_on_random_cases(monkeypatch, spelled,
         marked = set()
         if empty and _later_levels_anchored(plan):
             marked = data.draw(st.sets(st.sampled_from(empty), min_size=1))
-        buckets = _live_buckets(host._adj, marked) if marked or data.draw(st.booleans()) else None
-        kept = None if buckets is None else [list(row) for row in buckets]
-        image = find_embedding(host._adj, plan, buckets=buckets)
-        assert image == find_embedding(host._adj, plan)
-        assert buckets == kept
+        live = _bucketed_host(host._adj, marked) if marked or data.draw(st.booleans()) else SearchHost(host._adj)
+        kept = [list(row) for row in live.buckets]
+        image = find_embedding(live, plan)
+        assert image == find_embedding(SearchHost(host._adj), plan)
+        assert live.buckets == kept
         if image is not None:
-            walked = graphs._walked(host._adj, buckets or graphs._buckets(host._adj), plan, image[first])
+            walked = live.walked(plan, image[first])
             assert set(walked) <= set(empty)
             order = sorted(range(host.vertex_count), key=host.degree)
             scanned = order[: order.index(image[first])]
@@ -764,34 +768,41 @@ def test_marked_roots_agree_with_the_sweep_on_random_cases(monkeypatch, spelled,
 
 
 def _assert_buckets_change_nothing(host, plan, fixed, blocked, marked):
-    """Every call shape returns and visits the same when given the host's
-    fresh degree buckets as when it builds them itself: the plain call,
-    blocked and fixed, and a visit of every embedding. Given the buckets
-    less marked roots that carry no copy (only a plan with an anchor on
-    every later level may be), the plain call returns the same image, and
-    _walked of its root lists the roots it lists on the full buckets less
-    the marked ones."""
+    """Every call shape returns and visits the same on a host whose
+    buckets every pair's toggle and undo moved as on a fresh host: the
+    plain call, blocked and fixed, and a visit of every embedding. Given
+    the buckets less marked roots that carry no copy (only a plan with an
+    anchor on every later level may be), alone or with the marks set by
+    leave_out, the plain call returns the same image, and walked of its
+    root lists the roots it lists on the full buckets less the marked
+    ones."""
     adj = host._adj
 
-    def record(**buckets):
+    def record(searched):
         seen = []
         return [
-            find_embedding(adj, plan, **buckets),
-            find_embedding(adj, plan, blocked=blocked, fixed=fixed, **buckets),
-            (find_embedding(adj, plan, fixed=fixed, visit=lambda image: seen.append(tuple(image)), **buckets), seen),
+            find_embedding(searched, plan),
+            find_embedding(searched, plan, blocked=blocked, fixed=fixed),
+            (find_embedding(searched, plan, fixed=fixed, visit=lambda image: seen.append(tuple(image))), seen),
         ]
 
-    expected = record()
-    assert record(buckets=graphs._buckets(adj)) == expected
+    expected = record(SearchHost(adj))
+    toggled = SearchHost(host.adjacency())
+    flips = list(itertools.combinations(range(host.vertex_count), 2))
+    toggled.toggle(flips)
+    toggled.toggle(reversed(flips))
+    assert record(toggled) == expected
     if marked:
         assert _later_levels_anchored(plan)
-        live = _live_buckets(adj, marked)
-        image = find_embedding(adj, plan, buckets=live)
-        assert image == expected[0]
-        if image is not None:
-            root = image[plan.levels[0][0]]
-            walked = graphs._walked(adj, graphs._buckets(adj), plan, root)
-            assert graphs._walked(adj, live, plan, root) == [v for v in walked if v not in marked]
+        left_out = SearchHost(adj)
+        left_out.leave_out(marked)
+        for live in (_bucketed_host(adj, marked), left_out):
+            image = find_embedding(live, plan)
+            assert image == expected[0]
+            if image is not None:
+                root = image[plan.levels[0][0]]
+                walked = SearchHost(adj).walked(plan, root)
+                assert live.walked(plan, root) == [v for v in walked if v not in marked]
 
 
 @pytest.mark.parametrize("spelled,chunk", [(8, 16), (0, 1), (0, 2)])
@@ -839,61 +850,29 @@ def test_buckets_change_no_answer_on_named_cases(pattern, seed):
 def test_matcher_options_are_keyword_only():
     square = cycle_graph(4)
     with pytest.raises(TypeError):
-        find_embedding(square._adj, match_plan(square), {(0, 1)})
+        find_embedding(SearchHost(square._adj), match_plan(square), {(0, 1)})
 
 
 def test_walked_lists_the_roots_before_the_root_in_walk_order():
     # Degrees: 0 and 6 have 0, 5 has 1, 1 and 3 have 2, 2 has 3, 4 has 4.
     host = Graph(7, [(1, 2), (2, 3), (3, 4), (4, 1), (2, 4), (4, 5)])
-    adj, buckets = host._adj, graphs._buckets(host._adj)
+    searched = SearchHost(host._adj)
     edge, square, point = match_plan(Graph(2, [(0, 1)])), match_plan(cycle_graph(4)), match_plan(Graph(1))
     # The first vertex of a square needs degree 2: its first walked bucket
     # is [1, 3], and 1 starts it.
     assert square.levels[0][3] == 2
-    assert graphs._walked(adj, buckets, square, 1) == []
-    assert graphs._walked(adj, buckets, square, 3) == [1]
-    assert graphs._walked(adj, buckets, square, 4) == [1, 3, 2]
-    assert graphs._walked(adj, buckets, edge, 3) == [5, 1]
+    assert searched.walked(square, 1) == []
+    assert searched.walked(square, 3) == [1]
+    assert searched.walked(square, 4) == [1, 3, 2]
+    assert searched.walked(edge, 3) == [5, 1]
     # A first vertex of degree 0 starts the walk at bucket 0.
     assert point.levels[0][3] == 0
-    assert graphs._walked(adj, buckets, point, 0) == []
-    assert graphs._walked(adj, buckets, point, 6) == [0]
-    assert graphs._walked(adj, buckets, point, 2) == [0, 6, 5, 1, 3]
+    assert searched.walked(point, 0) == []
+    assert searched.walked(point, 6) == [0]
+    assert searched.walked(point, 2) == [0, 6, 5, 1, 3]
     # Marks left out of the buckets are left out of the walk.
-    live = _live_buckets(adj, {3, 6})
-    assert graphs._walked(adj, live, point, 2) == [0, 5, 1]
-
-
-@settings(max_examples=200)
-@given(
-    n=st.integers(0, 9),
-    density=st.sampled_from((0.0, 0.3, 0.7, 1.0)),
-    seed=st.integers(0, 2**32),
-    data=st.data(),
-)
-def test_toggles_leave_left_out_vertices_out(n, density, seed, data):
-    """_toggle moves only the ends that sit in their buckets. A vertex left
-    out of them never comes back, the vertices in them stay bucketed by
-    their current degree, putting the left-out ones back at their degree
-    then gives the fresh buckets, and toggling the same pairs again
-    restores the buckets toggling started from."""
-    rng = random.Random(seed)
-    host = random_graph(rng, n, density)
-    out = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
-    pairs = list(itertools.combinations(range(n), 2))
-    flips = data.draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
-    adj = host.adjacency()
-    buckets = _live_buckets(adj, out)
-    start = [list(row) for row in buckets]
-    for pair in flips:
-        _toggle(adj, (pair,), buckets)
-        assert buckets == _live_buckets(adj, out)
-    restored = [list(row) for row in buckets]
-    for v in out:
-        insort(restored[len(adj[v])], v)
-    assert restored == graphs._buckets(adj)
-    _toggle(adj, flips, buckets)
-    assert buckets == start
+    searched.leave_out({3, 6})
+    assert searched.walked(point, 2) == [0, 5, 1]
 
 
 @pytest.mark.parametrize(
@@ -1012,8 +991,8 @@ def test_twin_floors_never_prune():
     # roots would return None, though the host holds a copy.
     host = Graph(3, [(0, 1), (0, 2)])
     plan = match_plan(complete_graph(2), break_twins=True)
-    assert find_embedding(host._adj, plan) == [0, 1]
-    assert find_embedding(host._adj, plan, blocked={(1, 2)}) == [0, 1]
+    assert find_embedding(SearchHost(host._adj), plan) == [0, 1]
+    assert find_embedding(SearchHost(host._adj), plan, blocked={(1, 2)}) == [0, 1]
     assert enumerate_induced_copies(host, complete_graph(2)) == [(0, 1), (0, 2)]
 
 
@@ -1027,9 +1006,11 @@ def test_visits_never_prune():
     def visit(image):
         seen.append(tuple(image))
 
-    for host, marked in ((cycle_graph(4), None), (Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)]), {4})):
+    for host, marked in ((cycle_graph(4), ()), (Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)]), {4})):
         seen.clear()
-        assert find_embedding(host._adj, match_plan(cycle_graph(4)), visit=visit, marked=marked) is None
+        searched = SearchHost(host._adj)
+        searched.marked.update(marked)
+        assert find_embedding(searched, match_plan(cycle_graph(4)), visit=visit) is None
         assert len(seen) == len(set(seen)) == 8
 
 
@@ -1037,22 +1018,24 @@ def test_visits_never_prune():
 @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_differential_cases(), data=st.data())
 def test_marked_dead_roots_change_no_answer(monkeypatch, spelled, chunk, case, data):
-    """Marking any vertices that root no copy (by the sweep) changes no
-    answer of any call shape; only the root walks of plans without twin
-    floors read the marks. Each copy is the first embedding a visit meets,
-    since visiting shapes prune nothing."""
+    """Marking any vertices that root no copy (by the sweep), with the
+    buckets left whole so the marks are checked alone, changes no answer
+    of any call shape; only the root walks of plans without twin floors
+    read the marks. Each copy is the first embedding a visit meets, since
+    visiting shapes prune nothing."""
     monkeypatch.setattr(graphs, "_SPELLED", spelled)
     monkeypatch.setattr(graphs, "_CHUNK_LOOPS", chunk)
     host, pattern, seed, fixed, blocked, break_twins, stop = case
     plan = graphs.MatchPlan(pattern, seed, break_twins)
     empty = _empty_roots(host, pattern, plan.levels[0][0])
     marked = data.draw(st.sets(st.sampled_from(empty))) if empty else set()
-    adj = host._adj
+    plain, marking = SearchHost(host._adj), SearchHost(host._adj)
+    marking.marked.update(marked)
     for shape in ({}, {"blocked": blocked}, {"fixed": fixed, "blocked": blocked}):
-        first = find_embedding(adj, plan, visit=lambda image: True, **shape)
-        assert find_embedding(adj, plan, **shape) == first
-        assert find_embedding(adj, plan, marked=marked, **shape) == first
+        first = find_embedding(plain, plan, visit=lambda image: True, **shape)
+        assert find_embedding(plain, plan, **shape) == first
+        assert find_embedding(marking, plan, **shape) == first
     seen, marked_seen = [], []
-    find_embedding(adj, plan, fixed=fixed, visit=lambda image: seen.append(tuple(image)))
-    find_embedding(adj, plan, fixed=fixed, visit=lambda image: marked_seen.append(tuple(image)), marked=marked)
+    find_embedding(plain, plan, fixed=fixed, visit=lambda image: seen.append(tuple(image)))
+    find_embedding(marking, plan, fixed=fixed, visit=lambda image: marked_seen.append(tuple(image)))
     assert marked_seen == seen

@@ -66,3 +66,16 @@ def test_benchmarks_read_only_names_hfree_has():
             seen.add((module, name))
             assert hasattr(importlib.import_module(module), name), f"{path.name} reads {module}.{name}"
     assert len(seen) >= 20
+
+
+def test_only_graphs_reads_the_search_host_buckets_and_rows():
+    """graphs.SearchHost keeps its buckets and sorted rows in step with its
+    sets, so no other module reads either field: the others flip a host
+    through its methods and hand it to the matcher whole."""
+    readers = {
+        (path.name, node.attr)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("buckets", "rows")
+    }
+    assert readers == {("graphs.py", "buckets"), ("graphs.py", "rows")}

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hfree import graphs, solver
+from hfree import solver
 from hfree.cnf import formula
-from hfree.graphs import Graph, _toggle, complement, edge_key, find_induced_copy, is_h_free, match_plan
+from hfree.graphs import Graph, SearchHost, complement, edge_key, find_induced_copy, match_plan
 from hfree.patterns import Pattern, complete_graph, cycle_graph, named_pattern, path_graph, wheel_graph
 from hfree.reductions import Polynomial, complement_instance
 from hfree.solver import SandwichInstance, SearchLimitError, apply, is_solution, solve_min, solve_sandwich
@@ -461,9 +461,9 @@ def test_every_matcher_call_of_the_hub_search_finds_the_least_embedding(monkeypa
     # the closed-form key, on the rows the search keeps through toggles.
     real, calls = solver.find_embedding, []
 
-    def checked(adj, plan, **kwargs):
-        image = real(adj, plan, **kwargs)
-        assert image == least_embedding(adj, plan, kwargs.get("blocked"), kwargs.get("fixed"))
+    def checked(host, plan, **kwargs):
+        image = real(host, plan, **kwargs)
+        assert image == least_embedding(host.adj, plan, kwargs.get("blocked"), kwargs.get("fixed"))
         calls.append(kwargs.get("fixed") is None)
         return image
 
@@ -536,36 +536,37 @@ def _plan_pattern(plan):
 @pytest.fixture
 def checked_root_calls(monkeypatch):
     """Check every root call of a search (neither fixed nor blocked)
-    against the plain call on the same adjacency. The marks are the
-    vertices missing from every bucket the call passes, and the buckets
-    must be those of its adjacency as it stands, less the marks. Each mark
-    is checked against a search anchored at the marked vertex: a mark may
-    only leave out a root that carries no copy, so both calls return the
-    same copy. Counts root calls by whether they left marks out
-    ("skipping") or not ("plain"), and those that passed buckets
-    ("bucketed"); "marking" counts the nodes that marked the roots their
-    root call walked (solver._walked); "left out" lists the number of
-    marks of each root call, in order."""
-    real, walked = solver.find_embedding, solver._walked
-    counts = {"skipping": 0, "marking": 0, "plain": 0, "bucketed": 0, "left out": []}
+    against the plain call on a fresh host of the same adjacency. Every
+    call's host must keep the buckets of its adjacency as it stands, less
+    its marks, and its sets as sorted rows. Each mark is checked against a
+    search anchored at the marked vertex: a mark may only leave out a root
+    that carries no copy, so both calls return the same copy. Counts root
+    calls by whether they had marks ("skipping") or not ("plain"); "hosts"
+    counts the runs of root calls on one host and "searches" the searches,
+    each of which keeps one host; "marking" counts the nodes that marked
+    the roots their root call walked (SearchHost.walked); "left out" lists
+    the number of marks of each root call, in order."""
+    real, walked, search = solver.find_embedding, SearchHost.walked, solver._search
+    counts = {"skipping": 0, "marking": 0, "plain": 0, "hosts": 0, "searches": 0, "left out": []}
+    last = [None]
 
-    def checked(adj, plan, **kwargs):
-        buckets, marked = kwargs.get("buckets"), set()
-        if buckets is not None:
-            marked = set(range(len(adj))).difference(chain.from_iterable(buckets))
-            assert buckets == [[v for v in row if v not in marked] for row in graphs._buckets(adj)]
+    def checked(host, plan, **kwargs):
+        marked, fresh = host.marked, SearchHost(host.adj)
+        assert host.buckets == [[v for v in row if v not in marked] for row in fresh.buckets]
+        assert host.rows == fresh.rows
         if "fixed" in kwargs or "blocked" in kwargs:
-            return real(adj, plan, **kwargs)
-        counts["bucketed"] += buckets is not None
+            return real(host, plan, **kwargs)
+        counts["hosts"] += host is not last[0]
+        last[0] = host
         counts["left out"].append(len(marked))
-        expected = real(adj, plan)
+        expected = real(fresh, plan)
         if not marked:
             counts["plain"] += 1
         else:
             counts["skipping"] += 1
             anchored = match_plan(_plan_pattern(plan), (plan.levels[0][0],))
-            assert all(real(adj, anchored, fixed=(v,)) is None for v in sorted(marked))
-        image = real(adj, plan, **kwargs)
+            assert all(real(fresh, anchored, fixed=(v,)) is None for v in sorted(marked))
+        image = real(host, plan, **kwargs)
         assert image == expected
         return image
 
@@ -573,8 +574,13 @@ def checked_root_calls(monkeypatch):
         counts["marking"] += 1
         return walked(*args)
 
+    def searching(*args):
+        counts["searches"] += 1
+        return search(*args)
+
     monkeypatch.setattr(solver, "find_embedding", checked)
-    monkeypatch.setattr(solver, "_walked", marking)
+    monkeypatch.setattr(SearchHost, "walked", marking)
+    monkeypatch.setattr(solver, "_search", searching)
     return counts
 
 
@@ -587,8 +593,7 @@ def test_marked_root_calls_agree_with_plain_calls_on_the_random_corpus(checked_r
         verdicts(inst)
         skipped[inst.mode] += checked_root_calls["skipping"] - before
     assert min(skipped.values()) > 0 and checked_root_calls["plain"] > 0
-    calls = sum(checked_root_calls[kind] for kind in ("skipping", "plain"))
-    assert checked_root_calls["bucketed"] == calls
+    assert checked_root_calls["hosts"] == checked_root_calls["searches"]
 
 
 def test_marked_root_calls_agree_with_plain_calls_on_hub_hosts(checked_root_calls):
@@ -774,12 +779,11 @@ def test_root_packing_is_a_lower_bound(name, mode, seed):
     # flipped pair, each needing a further pair of its own.
     free = sorted(inst.free)
     pair = free[seed % len(free)]
-    adj = host.adjacency()
-    buckets, rows = graphs._buckets(adj), graphs._rows(adj)
-    _toggle(adj, (pair,), buckets, rows)
+    searched = SearchHost(host.adjacency())
+    searched.toggle((pair,))
     breakers, positions = solver._breakers(inst)
     shapes = [(match_plan(pattern.graph, position), fixed) for position in positions for fixed in (pair, pair[::-1])]
-    packed = list(islice(solver._packing(adj, shapes, breakers, buckets, rows), host.vertex_count**2))
+    packed = list(islice(solver._packing(searched, shapes, breakers), host.vertex_count**2))
     flipped = SandwichInstance(apply(inst, [pair]), pattern, mode, inst.free - {pair})
     assert_packed([image for image, _ in packed], pattern, flipped.graph.edges, flippable)
     for image, pairs in packed:
@@ -801,27 +805,57 @@ def test_root_packing_is_a_lower_bound(name, mode, seed):
 @example(n=4, density=0.0, seed=0, moves=[1, 2, 4, 5, 7, 8, 0, 0, 0, 0, 0, 0])
 @example(n=4, density=1.0, seed=0, moves=[1, 2, 4, 5, 7, 8, 0, 0, 0, 0, 0, 0])
 def test_toggles_keep_the_degree_buckets_current(mode, n, density, seed, moves):
-    """Toggles and undos through _toggle, in the solver's stack order, keep
-    each bucket equal to a fresh bucketing of the adjacency, so a walk of
-    the buckets from degree d is the stable sort by degree less the
-    vertices below d, and each sorted row equal to its set, sorted."""
+    """A SearchHost driven in the solver's stack order keeps its rule. A
+    frame toggles a pair, puts back some marked vertices and leaves out
+    some unmarked ones; popping it puts back what it left out, toggles the
+    pair back and leaves out again what it put back. After every step the
+    buckets are a fresh bucketing of the adjacency less the marked
+    vertices, so a walk of the buckets from degree d is the stable sort by
+    degree less the vertices below d and the marked ones, and each sorted
+    row is its set, sorted. Popping a frame restores the buckets, rows
+    and marks it started from exactly."""
     rng = random.Random(seed)
     g = Graph(n, [pair for pair in combinations(range(n), 2) if rng.random() < density])
     pool = sorted(g.edges) if mode == "deletion" else g.non_edges()
-    adj = g.adjacency()
-    buckets, rows = graphs._buckets(adj), graphs._rows(adj)
-    applied = []
-    for move in [None, *moves]:
-        if move is not None:
-            usable = [pair for pair in pool if pair not in applied]
-            if usable and (move % 3 or not applied):
-                applied.append(usable[move % len(usable)])
-                _toggle(adj, applied[-1:], buckets, rows)
-            elif applied:
-                _toggle(adj, (applied.pop(),), buckets, rows)
-        assert buckets == graphs._buckets(adj)
-        assert rows == graphs._rows(adj)
+    host = SearchHost(g.adjacency())
+    adj, marked = host.adj, host.marked
+    stack = []
+
+    def state():
+        return [list(row) for row in host.buckets], [list(row) for row in host.rows], set(marked)
+
+    def check():
+        fresh = SearchHost(adj)
+        assert host.buckets == [[v for v in row if v not in marked] for row in fresh.buckets]
+        assert host.rows == fresh.rows
         order = sorted(range(n), key=lambda v: len(adj[v]))
         for d in range(n + 1):
-            walk = list(chain.from_iterable(islice(buckets, d, None)))
-            assert walk == [v for v in order if len(adj[v]) >= d]
+            walk = list(chain.from_iterable(islice(host.buckets, d, None)))
+            assert walk == [v for v in order if len(adj[v]) >= d and v not in marked]
+
+    def pop():
+        pair, revived, died, before = stack.pop()
+        host.put_back(died)
+        host.toggle((pair,))
+        host.leave_out(revived)
+        assert state() == before
+
+    start = state()
+    check()
+    for move in moves:
+        usable = [pair for pair in pool if pair not in {frame[0] for frame in stack}]
+        if usable and (move % 3 or not stack):
+            pair, before = usable[move % len(usable)], state()
+            host.toggle((pair,))
+            revived = {v for v in marked if rng.random() < 0.5}
+            host.put_back(revived)
+            died = [v for v in range(n) if v not in marked and rng.random() < 0.3]
+            host.leave_out(died)
+            stack.append((pair, revived, died, before))
+        elif stack:
+            pop()
+        check()
+    while stack:
+        pop()
+        check()
+    assert state() == start and not marked
